@@ -69,6 +69,7 @@ from .linalg import (
     orthogonal,
     rref,
     row_kernel,
+    subspace_lattice,
     subspace_sum,
 )
 from .mds import (
@@ -78,6 +79,7 @@ from .mds import (
     is_mds,
     mds_extension_check,
     min_distance,
+    theorem_violations,
 )
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ defaults with a single integer.
 from __future__ import annotations
 
 import os
+from functools import lru_cache, wraps
 
 from .errors import EnumerationBudgetError
 
@@ -48,3 +49,24 @@ def check_vectors(count: int, what: str = "vector enumeration") -> None:
     limit = vector_budget()
     if count > limit:
         raise EnumerationBudgetError(f"{what} needs {count} vectors, budget is {limit}")
+
+
+def checked_cache(check):
+    """Cache a pure function without bound, running ``check(*args)`` on every call.
+
+    A plain ``lru_cache`` skips the function body on a hit, so a budget check
+    inside it would miss a lower ``MODCODE_BUDGET`` set after the first call.
+    """
+
+    def decorate(fn):
+        cached = lru_cache(maxsize=None)(fn)
+
+        @wraps(fn)
+        def checked(*args, **kwargs):
+            check(*args, **kwargs)
+            return cached(*args, **kwargs)
+
+        checked.cache_clear = cached.cache_clear
+        return checked
+
+    return decorate

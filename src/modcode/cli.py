@@ -27,12 +27,11 @@ from .errors import (
     DomainRejectionError,
     EnumerationBudgetError,
     ModcodeError,
-    NotAnIsometryError,
 )
 from .forge import counterexample_length, min_nontrivial_length, minimal_counterexample
 from .io import load_code, save_code
 from .linalg import cauchy_identities_check, check_prime
-from .mds import TheoremViolation, exhaustive_isometry_scan, is_mds, mds_extension_check
+from .mds import exhaustive_isometry_scan, is_mds, theorem_violations
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -214,7 +213,10 @@ def cmd_mds(code_file, scan, as_json):
         sys.exit(EXIT_INPUT)
     try:
         mds_report = is_mds(code)
-    except (DomainRejectionError, ModcodeError) as exc:
+    except EnumerationBudgetError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_BUDGET)
+    except ModcodeError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DOMAIN)
     report = {
@@ -229,20 +231,14 @@ def cmd_mds(code_file, scan, as_json):
     if scan:
         try:
             results = exhaustive_isometry_scan(code)
+            report["isometries"] = len(results)
+            report["unextendable"] = sum(1 for _, ok in results if not ok)
+            if mds_report.is_mds and mds_report.kappa != 2:
+                violation = bool(theorem_violations(code, [mu for mu, _ in results]))
+                report["theorem_violations"] = int(violation)
         except EnumerationBudgetError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_BUDGET)
-        report["isometries"] = len(results)
-        report["unextendable"] = sum(1 for _, ok in results if not ok)
-        if mds_report.is_mds and mds_report.kappa != 2:
-            for mu, _ in results:
-                try:
-                    outcome = mds_extension_check(code, mu)
-                except (DomainRejectionError, NotAnIsometryError):
-                    continue
-                if isinstance(outcome, TheoremViolation):
-                    violation = True
-            report["theorem_violations"] = int(violation)
     report["seconds"] = round(time.perf_counter() - start, 3)
     _emit(report, as_json)
     sys.exit(EXIT_VIOLATION if violation else EXIT_OK)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,13 +25,12 @@ from .linalg import (
     Subspace,
     as_matrix,
     check_prime,
-    contains,
     enumerate_subspaces,
     inverse,
     mat_mul,
     matrix_rank,
     row_kernel,
-    subspaces_up_to_dim,
+    subspace_lattice,
 )
 
 
@@ -72,7 +70,7 @@ class ModuleSpace:
         return self.q ** (self.m * self.t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Submodule:
     """A submodule of a ModuleSpace, encoded by its row-support subspace.
 
@@ -99,7 +97,7 @@ class Submodule:
 class Hom:
     """A module homomorphism W -> A given by a t x k generator matrix."""
 
-    __slots__ = ("space", "alphabet", "matrix")
+    __slots__ = ("space", "alphabet", "matrix", "_kernel")
 
     def __init__(self, space: ModuleSpace, alphabet: Alphabet, matrix):
         if space.q != alphabet.q or space.m != alphabet.m:
@@ -113,6 +111,7 @@ class Hom:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "matrix", G)
+        object.__setattr__(self, "_kernel", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hom is immutable")
@@ -121,7 +120,11 @@ class Hom:
         return mat_mul(X, self.matrix, self.space.q)
 
     def kernel(self) -> Submodule:
-        return Submodule(self.space, row_kernel(self.matrix, self.space.q))
+        """The kernel submodule, computed on the first call and then reused."""
+        if self._kernel is None:
+            kernel = Submodule(self.space, row_kernel(self.matrix, self.space.q))
+            object.__setattr__(self, "_kernel", kernel)
+        return self._kernel
 
     def __eq__(self, other):
         return (
@@ -246,11 +249,14 @@ def kernel_support_multiset(code: Code) -> Counter:
     return Counter(col.kernel().support for col in code.columns)
 
 
-@lru_cache(maxsize=None)
+def _check_module_elements(q: int, m: int, t: int) -> None:
+    budget.check_vectors(q ** (m * t), "module element enumeration")
+
+
+@budget.checked_cache(_check_module_elements)
 def module_elements(q: int, m: int, t: int) -> np.ndarray:
     """All m x t matrices over F_q as one (q^(m t), m, t) array."""
     count = q ** (m * t)
-    budget.check_vectors(count, "module element enumeration")
     flat = np.array(list(itertools.product(range(q), repeat=m * t)), dtype=np.int64)
     E = flat.reshape(count, m, t)
     E.setflags(write=False)
@@ -280,7 +286,9 @@ def satisfies_isometry_equation(V, U) -> bool:
 
     Every element of the source module has row space of dimension at most m,
     so equality of the two indicator sums is equivalent to equality of the
-    kernel-containment counts at every subspace of dimension <= m.
+    kernel-containment counts at every subspace of dimension <= m.  Kernels
+    common to both sides cancel first, so the counts run over the distinct
+    supports of the multiset difference only.
     """
     V = tuple(V)
     U = tuple(U)
@@ -290,14 +298,9 @@ def satisfies_isometry_equation(V, U) -> bool:
     for sub in V + U:
         if sub.space != sp:
             raise DimensionMismatchError("kernel tuples must share their source module")
-    v_supports = [s.support for s in V]
-    u_supports = [s.support for s in U]
-    for S in subspaces_up_to_dim(sp.q, sp.t, min(sp.m, sp.t)):
-        v_count = sum(1 for K in v_supports if contains(K, S))
-        u_count = sum(1 for K in u_supports if contains(K, S))
-        if v_count != u_count:
-            return False
-    return True
+    diff = Counter(s.support for s in V)
+    diff.subtract(s.support for s in U)
+    return subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced(diff)
 
 
 def is_isometry_criterion(lam: Code, mu: Code) -> bool:

@@ -34,6 +34,7 @@ from .linalg import (
     inverse,
     mat_mul,
     rref,
+    subspace_lattice,
     subspaces_up_to_dim,
 )
 
@@ -68,12 +69,14 @@ class SolutionPair:
                     raise ValueError("multiplicities must be positive")
         if self.length(self.V) != self.length(self.U):
             raise ValueError("the two sides must have equal total multiplicity")
+        diff: Counter = Counter()
+        for K, mult in self.V:
+            diff[K] += mult
+        for K, mult in self.U:
+            diff[K] -= mult
         sp = self.space
-        for S in subspaces_up_to_dim(sp.q, sp.t, min(sp.m, sp.t)):
-            v = sum(mult for K, mult in self.V if contains(K, S))
-            u = sum(mult for K, mult in self.U if contains(K, S))
-            if v != u:
-                raise ValueError("the pair does not satisfy the isometry equation")
+        if not subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced(diff):
+            raise ValueError("the pair does not satisfy the isometry equation")
 
     @staticmethod
     def length(side) -> int:
@@ -251,17 +254,14 @@ class IncidenceSystem:
 
 def incidence_matrix(q: int, m: int, t: int, max_col_dim: int | None = None) -> IncidenceSystem:
     """Build the containment system for subspaces of F_q^t."""
-    rows = subspaces_up_to_dim(q, t, min(m, t))
+    rows = subspace_lattice(q, t, min(m, t))
     if max_col_dim is None:
         max_col_dim = t
     cols = subspaces_up_to_dim(q, t, min(max_col_dim, t))
     budget.check_subspaces(len(rows) * len(cols), "incidence matrix construction")
-    Z = np.zeros((len(rows), len(cols)), dtype=np.int8)
-    for i, S in enumerate(rows):
-        for j, K in enumerate(cols):
-            Z[i, j] = contains(K, S)
+    Z = rows.containment(cols).astype(np.int8)
     Z.setflags(write=False)
-    return IncidenceSystem(q, m, t, rows, cols, Z)
+    return IncidenceSystem(q, m, t, rows.subspaces, cols, Z)
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,14 @@ from those counts.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
 from . import budget
 from .codes import Hom, Submodule
 from .errors import DimensionMismatchError
-from .linalg import Subspace, contains, mat_mul, orthogonal, subspaces_up_to_dim
+from .linalg import Subspace, orthogonal, subspace_lattice
 
 
 def pairing(X, Y, q: int) -> int:
@@ -78,7 +79,10 @@ def verify_dual_equation(V, U) -> bool:
     whose elements all have row space of dimension at most m, so it is
     decided by the weighted containment counts at every subspace of
     dimension <= m: the sums of |V_i| over i with T inside the orthogonal
-    support of V_i must agree between the two tuples.
+    support of V_i must agree between the two tuples.  The size |V_i| =
+    q^(m dim) depends only on the support, so supports common to both sides
+    cancel first and each remaining orthogonal support carries its count
+    difference times that size, an exact integer however large.
     """
     V = tuple(V)
     U = tuple(U)
@@ -88,14 +92,10 @@ def verify_dual_equation(V, U) -> bool:
     for sub in V + U:
         if sub.space != sp:
             raise DimensionMismatchError("kernel tuples must share their source module")
-    v_duals = [(orthogonal(s.support), s.size) for s in V]
-    u_duals = [(orthogonal(s.support), s.size) for s in U]
-    for T in subspaces_up_to_dim(sp.q, sp.t, min(sp.m, sp.t)):
-        v_sum = sum(size for dual, size in v_duals if contains(dual, T))
-        u_sum = sum(size for dual, size in u_duals if contains(dual, T))
-        if v_sum != u_sum:
-            return False
-    return True
+    diff = Counter(s.support for s in V)
+    diff.subtract(s.support for s in U)
+    weights = {orthogonal(K): c * sp.q ** (sp.m * K.dim) for K, c in diff.items() if c}
+    return subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced(weights)
 
 
 def image_kernel_duality_check(h: Hom) -> bool:

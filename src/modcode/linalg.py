@@ -12,7 +12,6 @@ All arithmetic is exact: field operations use Python integer inverses
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 import numpy as np
 
@@ -291,14 +290,22 @@ def count_subspaces_containing(X: Subspace, i: int) -> int:
     return gaussian_binomial(t - p, i - p, X.q)
 
 
-@lru_cache(maxsize=None)
-def enumerate_subspaces(q: int, t: int, d: int) -> tuple[Subspace, ...]:
-    """All d-dimensional subspaces of F_q^t, canonical and sorted."""
+def _check_subspace_count(q: int, t: int, d: int) -> None:
     if not 0 <= d <= t:
         raise DimensionMismatchError(f"need 0 <= d={d} <= t={t}")
     count = gaussian_binomial(t, d, q)
     budget.check_subspaces(count)
     budget.check_vectors(q**t * count)
+
+
+def _check_subspaces_up_to_dim(q: int, t: int, max_dim: int) -> None:
+    for d in range(min(max_dim, t) + 1):
+        _check_subspace_count(q, t, d)
+
+
+@budget.checked_cache(_check_subspace_count)
+def enumerate_subspaces(q: int, t: int, d: int) -> tuple[Subspace, ...]:
+    """All d-dimensional subspaces of F_q^t, canonical and sorted."""
     if d == 0:
         return (Subspace.zero(q, t),)
     out = []
@@ -319,14 +326,95 @@ def enumerate_subspaces(q: int, t: int, d: int) -> tuple[Subspace, ...]:
                 M[r, c] = v
             out.append(Subspace(q, t, M))
     out.sort(key=Subspace.sort_key)
-    assert len(out) == count
+    assert len(out) == gaussian_binomial(t, d, q)
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@budget.checked_cache(_check_subspaces_up_to_dim)
 def subspaces_up_to_dim(q: int, t: int, max_dim: int) -> tuple[Subspace, ...]:
     """All subspaces of F_q^t of dimension <= max_dim, sorted canonically."""
     out: list[Subspace] = []
     for d in range(min(max_dim, t) + 1):
         out.extend(enumerate_subspaces(q, t, d))
     return tuple(out)
+
+
+# Entries of the largest intermediate array one containment pass builds;
+# wider tables are computed in column chunks.
+_CONTAINMENT_CHUNK = 1 << 14
+
+
+class SubspaceLattice:
+    """The subspaces of F_q^t of dimension <= max_dim, with a vectorized containment test.
+
+    Subspace ``subspaces[i]`` has id ``i``; ids follow the canonical order of
+    :func:`subspaces_up_to_dim`, so they are stable across calls.  One
+    containment pass decides ``S <= K`` for every lattice subspace S and
+    every given support K at once, by the annihilator test: with P_K the
+    projection that rebuilds a vector from its pivot coordinates in K's RREF
+    basis, v lies in K iff v (P_K - I) = 0 mod q.  So S <= K iff
+    B_S (P_K - I) = 0 for a basis B_S of S.  Use :func:`subspace_lattice`,
+    which caches one lattice per (q, t, max_dim).
+    """
+
+    def __init__(self, q: int, t: int, max_dim: int):
+        self.q = q
+        self.t = t
+        self.subspaces = subspaces_up_to_dim(q, t, max_dim)
+        width = min(max_dim, t)
+        # Row bases padded with zero rows, which lie in every subspace.
+        bases = np.zeros((len(self.subspaces), width, t), dtype=np.int64)
+        for i, S in enumerate(self.subspaces):
+            bases[i, : S.dim] = S.basis
+        self._rows = bases.reshape(len(self.subspaces) * width, t)
+        self._width = width
+
+    def __len__(self) -> int:
+        return len(self.subspaces)
+
+    def containment(self, supports) -> np.ndarray:
+        """Boolean table Z with Z[i, j] iff subspaces[i] lies in supports[j]."""
+        supports = list(supports)
+        q, t = self.q, self.t
+        for K in supports:
+            if K.q != q or K.ambient != t:
+                raise DimensionMismatchError(
+                    f"support lives in F_{K.q}^{K.ambient}, the lattice in F_{q}^{t}"
+                )
+        Z = np.empty((len(self), len(supports)), dtype=bool)
+        eye = np.eye(t, dtype=np.int64)
+        chunk = max(1, _CONTAINMENT_CHUNK // max(1, self._rows.size))
+        for start in range(0, len(supports), chunk):
+            block = supports[start : start + chunk]
+            residual = np.empty((t, len(block), t), dtype=np.int64)
+            for j, K in enumerate(block):
+                R = -eye
+                if K.dim:
+                    R[np.argmax(K.basis != 0, axis=1)] += K.basis
+                residual[:, j] = R
+            hits = self._rows @ residual.reshape(t, len(block) * t)
+            hits %= q
+            hits = hits.reshape(len(self), self._width, len(block), t)
+            Z[:, start : start + len(block)] = ~hits.any(axis=(1, 3))
+        return Z
+
+    def balanced(self, weights) -> bool:
+        """True iff sum over K of weights[K] * [S <= K] is 0 at every lattice subspace S.
+
+        ``weights`` maps supports to integers.  The sum is exact: it is taken
+        in int64 only when no partial sum can overflow, else in Python ints.
+        """
+        items = [(K, w) for K, w in weights.items() if w]
+        if not items:
+            return True
+        Z = self.containment(K for K, _ in items)
+        w = [w for _, w in items]
+        if sum(abs(x) for x in w) < 2**63:
+            return not (Z @ np.array(w, dtype=np.int64)).any()
+        return not (Z.astype(object) @ np.array(w, dtype=object)).any()
+
+
+@budget.checked_cache(_check_subspaces_up_to_dim)
+def subspace_lattice(q: int, t: int, max_dim: int) -> SubspaceLattice:
+    """The shared containment engine for subspaces of F_q^t of dimension <= max_dim."""
+    return SubspaceLattice(q, t, max_dim)

@@ -108,6 +108,23 @@ def is_mds(code: Code) -> MdsReport:
     return MdsReport(n=n, d=d, kappa=kappa, is_mds=verdict, witnesses=witnesses)
 
 
+def _check_theorem_scope(code: Code) -> None:
+    report = is_mds(code)
+    if not report.is_mds:
+        raise DomainRejectionError("the source code is not MDS")
+    if report.kappa == 2:
+        raise DomainRejectionError("MDS dimension 2 is outside the theorem's scope")
+
+
+def _theorem_outcome(lam: Code, mu: Code):
+    if not is_isometry_criterion(lam, mu):
+        raise NotAnIsometryError("the codes are not Hamming-isometric")
+    result = extend_to_monomial(lam, mu)
+    if isinstance(result, Unextendable):
+        return TheoremViolation(result.lambda_only, result.mu_only)
+    return result
+
+
 def mds_extension_check(lam: Code, mu: Code):
     """Extend an isometry of an MDS code, verifying the extension theorem.
 
@@ -116,17 +133,28 @@ def mds_extension_check(lam: Code, mu: Code):
     Returns the monomial map; a TheoremViolation result would mean the
     kernel multisets differ, which the theorem rules out.
     """
-    report = is_mds(lam)
-    if not report.is_mds:
-        raise DomainRejectionError("the source code is not MDS")
-    if report.kappa == 2:
-        raise DomainRejectionError("MDS dimension 2 is outside the theorem's scope")
-    if not is_isometry_criterion(lam, mu):
-        raise NotAnIsometryError("the codes are not Hamming-isometric")
-    result = extend_to_monomial(lam, mu)
-    if isinstance(result, Unextendable):
-        return TheoremViolation(result.lambda_only, result.mu_only)
-    return result
+    _check_theorem_scope(lam)
+    return _theorem_outcome(lam, mu)
+
+
+def theorem_violations(code: Code, images) -> list[TheoremViolation]:
+    """Run :func:`mds_extension_check` on many images of one MDS code.
+
+    The MDS preconditions on ``code`` are checked once, not per image; each
+    image still gets the kernel-count criterion and the monomial-map
+    construction.  Images that the criterion rejects are skipped.  Returns
+    the violations found, which the theorem says is always an empty list.
+    """
+    _check_theorem_scope(code)
+    violations = []
+    for mu in images:
+        try:
+            outcome = _theorem_outcome(code, mu)
+        except NotAnIsometryError:
+            continue
+        if isinstance(outcome, TheoremViolation):
+            violations.append(outcome)
+    return violations
 
 
 def all_generator_matrices(q: int, t: int, k: int) -> list[np.ndarray]:

@@ -6,6 +6,8 @@ import pytest
 from modcode import (
     Alphabet,
     Code,
+    EnumerationBudgetError,
+    Hom,
     ModuleSpace,
     MonomialMap,
     NotAnIsometryError,
@@ -70,12 +72,25 @@ class TestKernelTuple:
         )
         assert kernel_tuple(code)[0].support == Subspace.full(2, 2)
 
+    def test_kernel_computed_once_per_hom(self):
+        _, mu = minimal_counterexample(2, 1, 2)
+        assert kernel_tuple(mu) == kernel_tuple(mu)
+        assert all(a is b for a, b in zip(kernel_tuple(mu), kernel_tuple(mu)))
+
     def test_forged_mu_kernels_are_the_three_lines(self):
         _, mu = minimal_counterexample(2, 1, 2)
         supports = {k.support for k in kernel_tuple(mu)}
         assert supports == set(
             Subspace.from_rows(v, 2) for v in ([[1, 0]], [[0, 1]], [[1, 1]])
         )
+
+
+class TestModuleElements:
+    def test_budget_checked_on_cached_call(self, monkeypatch):
+        assert module_elements(3, 1, 3).shape == (27, 1, 3)
+        monkeypatch.setenv("MODCODE_BUDGET", "20")
+        with pytest.raises(EnumerationBudgetError):
+            module_elements(3, 1, 3)
 
 
 class TestIsometry:
@@ -104,6 +119,26 @@ class TestIsometry:
         mu = Code(al, sp, [one, zero])
         assert not is_isometry_bruteforce(lam, mu)
         assert not is_isometry_criterion(lam, mu)
+
+    def test_multiplicities_cancel_across_equal_homs(self):
+        # A forged pair repeats one Hom object per kernel; a loaded code holds
+        # distinct but equal Hom objects.  Shared columns cancel either way.
+        lam, mu = minimal_counterexample(2, 1, 2)
+        line_kernel = np.array([[1, 0], [0, 0]])
+        injective = np.array([[0, 1], [1, 1]])
+        shared = Hom(lam.space, lam.alphabet, line_kernel)
+
+        def extend(code, columns):
+            return Code(code.alphabet, code.space, code.columns + tuple(columns))
+
+        lam2 = extend(lam, [shared, shared, injective])
+        mu2 = extend(mu, [injective, line_kernel, line_kernel.copy()])
+        assert is_isometry_criterion(lam2, mu2)
+        assert is_isometry_bruteforce(lam2, mu2)
+        assert extend_to_monomial(lam2, mu2) == extend_to_monomial(lam, mu)
+        mu3 = extend(mu, [injective, injective, line_kernel])
+        assert not is_isometry_criterion(lam2, mu3)
+        assert not is_isometry_bruteforce(lam2, mu3)
 
     def test_criterion_matches_oracle_on_random_pairs(self, rng):
         for _ in range(200):

@@ -30,7 +30,7 @@ from modcode import (
     row_kernel,
     solution_to_codes,
 )
-from modcode.linalg import enumerate_subspaces
+from modcode.linalg import enumerate_subspaces, subspaces_up_to_dim
 
 from conftest import random_subspace
 
@@ -153,6 +153,19 @@ class TestCounterexample:
             lam, mu = minimal_counterexample(q, m, k)
             assert is_isometry_bruteforce(lam, mu)
             assert isinstance(extend_to_monomial(lam, mu), Unextendable)
+
+    @pytest.mark.parametrize("q,m,k", [(2, 2, 3), (3, 2, 3)])
+    def test_kernel_diff_lists_every_subspace_once(self, q, m, k):
+        # Codimension j lands on the lambda side for even j, on the mu side for
+        # odd j, with multiplicity q^binom(j, 2); both sides in canonical order.
+        lam, mu = minimal_counterexample(q, m, k)
+        t = m + 1
+        sides: tuple[list, list] = ([], [])
+        for S in subspaces_up_to_dim(q, t, t):
+            j = t - S.dim
+            sides[j % 2].append((S, q ** (j * (j - 1) // 2)))
+        expected = Unextendable(tuple(sides[0]), tuple(sides[1]))
+        assert extend_to_monomial(lam, mu) == expected
 
     def test_k_le_m_rejected(self):
         with pytest.raises(DomainRejectionError):

@@ -212,3 +212,11 @@ class TestBudgetEnv:
         module_elements.cache_clear()
         enumerate_subspaces.cache_clear()
         subspaces_up_to_dim.cache_clear()
+
+    def test_mds_budget_exit_code(self, runner, tmp_path, monkeypatch):
+        cols = [np.eye(3, dtype=int)[:, [i]] for i in range(3)] + [np.ones((3, 1), dtype=int)]
+        path = tmp_path / "parity3.json"
+        save_code(Code(Alphabet(3, 1, 1), ModuleSpace(3, 1, 3), cols), path)
+        monkeypatch.setenv("MODCODE_BUDGET", "20")
+        result = runner.invoke(main, ["mds", "--code", str(path)])
+        assert result.exit_code == 3

@@ -20,7 +20,14 @@ from modcode import (
     rref,
     subspace_sum,
 )
-from modcode.linalg import check_prime, inverse, mat_mul
+from modcode.linalg import (
+    check_prime,
+    inverse,
+    is_prime,
+    mat_mul,
+    subspace_lattice,
+    subspaces_up_to_dim,
+)
 
 from conftest import random_subspace
 
@@ -183,6 +190,67 @@ class TestEnumeration:
             enumerate_subspaces(2, 3, 1)
         monkeypatch.delenv("MODCODE_BUDGET")
         enumerate_subspaces.cache_clear()
+
+    @pytest.mark.parametrize(
+        "enumerate_call",
+        [
+            lambda: enumerate_subspaces(3, 4, 2),
+            lambda: subspaces_up_to_dim(3, 4, 2),
+            lambda: subspace_lattice(3, 4, 2),
+        ],
+        ids=["enumerate_subspaces", "subspaces_up_to_dim", "subspace_lattice"],
+    )
+    def test_budget_checked_on_cached_call(self, monkeypatch, enumerate_call):
+        enumerate_call()  # fills the cache under the default budget
+        monkeypatch.setenv("MODCODE_BUDGET", "5")
+        with pytest.raises(EnumerationBudgetError):
+            enumerate_call()
+
+
+# Every field and dimension with at most 81 vectors.
+SMALL_SPACES = [(q, t) for q in range(2, 82) if is_prime(q) for t in range(1, 7) if q**t <= 81]
+# Pairs checked against the pairwise reference per space; larger lattices are
+# checked on every row against a seeded sample of columns.
+REFERENCE_PAIRS = 50_000
+
+
+class TestSubspaceLattice:
+    @pytest.mark.parametrize("q,t", SMALL_SPACES)
+    def test_containment_matches_pairwise_contains(self, q, t):
+        lattice = subspace_lattice(q, t, t)
+        spaces = lattice.subspaces
+        assert spaces == subspaces_up_to_dim(q, t, t)
+        cols = list(range(len(spaces)))
+        if len(spaces) ** 2 > REFERENCE_PAIRS:
+            sample = np.random.default_rng(q * 100 + t).choice(
+                len(spaces), REFERENCE_PAIRS // len(spaces), replace=False
+            )
+            cols = sorted({0, len(spaces) - 1, *sample.tolist()})
+        Z = lattice.containment(spaces[j] for j in cols)
+        expected = np.array([[contains(spaces[j], S) for j in cols] for S in spaces])
+        assert np.array_equal(Z, expected)
+
+    def test_rows_are_the_low_dimensional_prefix(self):
+        low = subspace_lattice(2, 4, 2)
+        full = subspace_lattice(2, 4, 4)
+        assert low.subspaces == full.subspaces[: len(low)]
+        Z = full.containment(enumerate_subspaces(2, 4, 3))
+        assert np.array_equal(low.containment(enumerate_subspaces(2, 4, 3)), Z[: len(low)])
+
+    def test_zero_dimensional_ambient(self):
+        zero = Subspace.zero(2, 0)
+        assert subspace_lattice(2, 0, 0).containment([zero]).tolist() == [[True]]
+
+    def test_rejects_foreign_support(self):
+        with pytest.raises(DimensionMismatchError):
+            subspace_lattice(2, 3, 1).containment([Subspace.full(2, 4)])
+
+    def test_balanced_is_exact_beyond_int64(self):
+        lattice = subspace_lattice(2, 2, 1)
+        full = Subspace.full(2, 2)
+        # 2^64 wraps to 0 in int64; the exact sum does not vanish.
+        assert not lattice.balanced({full: 2**64})
+        assert lattice.balanced({full: 0})
 
 
 class TestCountContaining:

@@ -18,7 +18,9 @@ from modcode import (
     mds_extension_check,
     min_distance,
     minimal_counterexample,
+    theorem_violations,
 )
+from modcode import mds
 from modcode.mds import code_cardinality
 
 from conftest import random_monomial
@@ -124,6 +126,27 @@ class TestMdsExtensionCheck:
         other = Code(code.alphabet, code.space, [np.array([[1]])] * 2 + [np.zeros((1, 1), dtype=int)])
         with pytest.raises(NotAnIsometryError):
             mds_extension_check(code, other)
+
+
+class TestTheoremViolations:
+    def test_preconditions_checked_once_per_scan(self, monkeypatch):
+        code = parity_code(3)
+        images = [mu for mu, _ in exhaustive_isometry_scan(code)]
+        reports = []
+        is_mds_once = mds.is_mds
+        monkeypatch.setattr(mds, "is_mds", lambda c: reports.append(is_mds_once(c)) or reports[-1])
+        assert theorem_violations(code, images) == []
+        assert len(images) == 24 and len(reports) == 1
+
+    def test_non_mds_rejected(self):
+        lam, mu = minimal_counterexample(2, 1, 2)
+        with pytest.raises(DomainRejectionError):
+            theorem_violations(lam, [mu])
+
+    def test_non_isometries_skipped(self):
+        code = repetition_code()
+        other = Code(code.alphabet, code.space, [np.array([[1]])] * 2 + [np.zeros((1, 1), dtype=int)])
+        assert theorem_violations(code, [other, code]) == []
 
 
 class TestExhaustiveScan:
