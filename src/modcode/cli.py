@@ -20,13 +20,13 @@ from .codes import (
     Unextendable,
     extend_to_monomial,
     is_isometry_bruteforce,
-    is_isometry_criterion,
 )
 from .errors import (
     DimensionMismatchError,
     DomainRejectionError,
     EnumerationBudgetError,
     ModcodeError,
+    NotAnIsometryError,
 )
 from .forge import counterexample_length, min_nontrivial_length, minimal_counterexample
 from .io import load_code, save_code
@@ -98,13 +98,14 @@ def cmd_forge(q, m, k, out_lambda, out_mu, as_json):
         sys.exit(EXIT_BUDGET)
     save_code(lam, out_lambda)
     save_code(mu, out_mu)
-    isometry = is_isometry_criterion(lam, mu)
+    # extend_to_monomial raises NotAnIsometryError when the criterion fails, so
+    # a pair that reaches the report is isometric.
     extendable = not isinstance(extend_to_monomial(lam, mu), Unextendable)
     report = {
         "command": "forge",
         "N": counterexample_length(q, m),
         "length": lam.length,
-        "isometry": isometry,
+        "isometry": True,
         "extendable": extendable,
         "lambda_file": str(out_lambda),
         "mu_file": str(out_mu),
@@ -132,20 +133,21 @@ def cmd_check(lambda_file, mu_file, oracle, as_json):
         sys.exit(EXIT_INPUT)
     report: dict = {"command": "check"}
     try:
-        isometry = is_isometry_criterion(lam, mu)
-        report["isometry"] = isometry
+        try:
+            result = extend_to_monomial(lam, mu)
+        except NotAnIsometryError:
+            result = None
+        report["isometry"] = result is not None
         if oracle:
             report["isometry_oracle"] = is_isometry_bruteforce(lam, mu)
-        if isometry:
-            result = extend_to_monomial(lam, mu)
-            if isinstance(result, Unextendable):
-                report["extendable"] = False
-                report["kernel_diff"] = _diff_repr(result)
-            else:
-                report["extendable"] = True
-                report["monomial_map"] = _monomial_repr(result)
-        else:
+        if result is None:
             report["extendable"] = "NA"
+        elif isinstance(result, Unextendable):
+            report["extendable"] = False
+            report["kernel_diff"] = _diff_repr(result)
+        else:
+            report["extendable"] = True
+            report["monomial_map"] = _monomial_repr(result)
     except EnumerationBudgetError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_BUDGET)

@@ -1,7 +1,9 @@
 """JSON serialization of codes.
 
 A code file is a JSON object with integer fields q, m, k, t and a list of
-t x k generator matrices (row-major nested lists, entries in [0, q)):
+t x k generator matrices (row-major nested lists, entries in [0, q)).  Every
+number must be a JSON integer; fractions and booleans are rejected, never
+truncated:
 
     {"q": 2, "m": 1, "k": 2, "t": 2,
      "generators": [[[0, 0], [0, 0]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]]}
@@ -29,23 +31,32 @@ def code_to_dict(code: Code) -> dict:
     }
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def code_from_dict(data: dict) -> Code:
     try:
-        q, m, k, t = (int(data[key]) for key in ("q", "m", "k", "t"))
+        q, m, k, t = (data[key] for key in ("q", "m", "k", "t"))
         generators = data["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DimensionMismatchError(f"malformed code file: {exc}") from exc
+    for key, value in zip("qmkt", (q, m, k, t)):
+        if not _is_integer(value):
+            raise DimensionMismatchError(f"{key} must be an integer, got {value!r}")
     check_prime(q)
     space = ModuleSpace(q, m, t)
     alphabet = Alphabet(q, m, k)
     columns = []
     for g in generators:
-        G = np.asarray(g, dtype=np.int64)
+        G = np.asarray(g, dtype=object)
         if G.shape != (t, k):
             raise DimensionMismatchError(f"generator must be {t}x{k}, got {G.shape}")
+        if not all(_is_integer(x) for x in G.flat):
+            raise DimensionMismatchError("generator entries must be integers")
         if (G < 0).any() or (G >= q).any():
             raise DimensionMismatchError("generator entries must lie in [0, q)")
-        columns.append(G)
+        columns.append(G.astype(np.int64))
     return Code(alphabet, space, columns)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from modcode import Alphabet, Code, ModuleSpace, load_code, minimal_counterexample, save_code
+from modcode import Alphabet, Code, ModuleSpace, codes, load_code, minimal_counterexample, save_code
 from modcode.cli import main
 from modcode.errors import DimensionMismatchError
 
@@ -34,6 +34,24 @@ class TestCodeFiles:
     def test_rejects_bad_entries(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"q": 2, "m": 1, "k": 1, "t": 1, "generators": [[[2]]]}))
+        with pytest.raises(DimensionMismatchError):
+            load_code(path)
+
+    @pytest.mark.parametrize("key, value", [("q", 2.9), ("k", 1.0), ("t", True), ("m", "1")])
+    def test_rejects_non_integer_field(self, tmp_path, key, value):
+        data = {"q": 2, "m": 1, "k": 1, "t": 1, "generators": [[[1]]]}
+        data[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(DimensionMismatchError):
+            load_code(path)
+
+    @pytest.mark.parametrize("entry", [1.7, 1.0, True, False])
+    def test_rejects_non_integer_entry(self, tmp_path, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps({"q": 2, "m": 1, "k": 1, "t": 1, "generators": [[[1]], [[entry]]]})
+        )
         with pytest.raises(DimensionMismatchError):
             load_code(path)
 
@@ -111,6 +129,35 @@ class TestCheckCommand:
         assert result.exit_code == 0
         assert report["isometry"] and report["extendable"]
         assert "monomial_map" in report
+
+    def test_non_isometric_pair_reports_na(self, runner, tmp_path):
+        lp, mp = str(tmp_path / "l.json"), str(tmp_path / "m.json")
+        space, alphabet = ModuleSpace(2, 1, 1), Alphabet(2, 1, 1)
+        save_code(Code(alphabet, space, [np.array([[1]])] * 2), lp)
+        save_code(Code(alphabet, space, [np.array([[1]]), np.array([[0]])]), mp)
+        result = runner.invoke(main, ["check", "--lambda", lp, "--mu", mp, "--oracle", "--json"])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert list(report)[:4] == ["command", "isometry", "isometry_oracle", "extendable"]
+        assert report["isometry"] is False and report["isometry_oracle"] is False
+        assert report["extendable"] == "NA"
+
+    def test_criterion_runs_once(self, runner, tmp_path, monkeypatch):
+        lp, mp = self._forged_files(runner, tmp_path)
+        calls = []
+        equation = codes.satisfies_isometry_equation
+        monkeypatch.setattr(
+            codes, "satisfies_isometry_equation", lambda V, U: calls.append(1) or equation(V, U)
+        )
+        result = runner.invoke(main, ["check", "--lambda", lp, "--mu", mp, "--json"])
+        assert result.exit_code == 0 and json.loads(result.output)["isometry"] is True
+        assert len(calls) == 1
+
+    def test_fractional_code_file_exit_4(self, runner, tmp_path):
+        path = tmp_path / "frac.json"
+        path.write_text(json.dumps({"q": 2.9, "m": 1, "k": 1, "t": 1, "generators": [[[1]]]}))
+        result = runner.invoke(main, ["check", "--lambda", str(path), "--mu", str(path)])
+        assert result.exit_code == 4
 
     def test_incompatible_shapes_exit_4(self, runner, tmp_path):
         lp, _ = self._forged_files(runner, tmp_path)

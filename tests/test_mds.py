@@ -1,5 +1,8 @@
 """Singleton bound, MDS detection and the MDS extension theorem."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from modcode import (
     Alphabet,
     Code,
     DomainRejectionError,
+    EnumerationBudgetError,
     ModuleSpace,
     MonomialMap,
     NotAnIsometryError,
@@ -20,7 +24,7 @@ from modcode import (
     minimal_counterexample,
     theorem_violations,
 )
-from modcode import mds
+from modcode import codes, mds
 from modcode.mds import code_cardinality
 
 from conftest import random_monomial
@@ -30,11 +34,33 @@ def repetition_code(q=2, n=3):
     return Code(Alphabet(q, 1, 1), ModuleSpace(q, 1, 1), [np.array([[1]])] * n)
 
 
-def parity_code(t):
-    """Single-parity-check code over F_2: t unit columns plus their sum."""
+def parity_code(t, q=2):
+    """Single-parity-check code over F_q: t unit columns plus their sum."""
     cols = [np.eye(t, dtype=int)[:, [i]] for i in range(t)]
     cols.append(np.ones((t, 1), dtype=int))
-    return Code(Alphabet(2, 1, 1), ModuleSpace(2, 1, t), cols)
+    return Code(Alphabet(q, 1, 1), ModuleSpace(q, 1, t), cols)
+
+
+def reference_scan(code):
+    """The plain product loop over all c^n candidate tuples, as the scan oracle."""
+    sp = code.space
+    q, m, t, k = sp.q, sp.m, sp.t, code.alphabet.k
+    candidates = [np.array(g).reshape(t, k) for g in itertools.product(range(q), repeat=t * k)]
+    E = np.array(list(itertools.product(range(q), repeat=m * t))).reshape(-1, m, t)
+
+    def indicator(G):
+        Y = np.tensordot(E, G, axes=([2], [0])) % q
+        return Y.reshape(Y.shape[0], -1).any(axis=1).astype(np.int64)
+
+    indicators = [indicator(G) for G in candidates]
+    target = sum(indicator(col.matrix) for col in code.columns)
+    lam_kernels = Counter(col.kernel().support for col in code.columns)
+    results = []
+    for combo in itertools.product(range(len(candidates)), repeat=code.length):
+        if np.array_equal(sum(indicators[i] for i in combo), target):
+            mu = Code(code.alphabet, sp, [candidates[i] for i in combo])
+            results.append((mu, Counter(col.kernel().support for col in mu.columns) == lam_kernels))
+    return results
 
 
 def vandermonde_code(q=5, t=3, n=4):
@@ -138,6 +164,17 @@ class TestTheoremViolations:
         assert theorem_violations(code, images) == []
         assert len(images) == 24 and len(reports) == 1
 
+    def test_criterion_runs_once_per_image(self, monkeypatch):
+        code = parity_code(3)
+        images = [mu for mu, _ in exhaustive_isometry_scan(code)]
+        calls = []
+        equation = codes.satisfies_isometry_equation
+        monkeypatch.setattr(
+            codes, "satisfies_isometry_equation", lambda V, U: calls.append(1) or equation(V, U)
+        )
+        assert theorem_violations(code, images) == []
+        assert len(calls) == len(images)
+
     def test_non_mds_rejected(self):
         lam, mu = minimal_counterexample(2, 1, 2)
         with pytest.raises(DomainRejectionError):
@@ -173,3 +210,41 @@ class TestExhaustiveScan:
             for mu, _ in exhaustive_isometry_scan(code):
                 outcome = mds_extension_check(code, mu)
                 assert not isinstance(outcome, TheoremViolation)
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            repetition_code(),
+            parity_code(3),
+            minimal_counterexample(2, 1, 2)[0],
+            # n = 1: the left half is empty; m = k = 2 exercises both block axes.
+            Code(Alphabet(2, 2, 2), ModuleSpace(2, 2, 2), [np.eye(2, dtype=int)]),
+            # n = 2: one position on each side.
+            Code(Alphabet(3, 1, 1), ModuleSpace(3, 1, 2), [[[1], [0]], [[1], [1]]]),
+            Code(Alphabet(2, 1, 2), ModuleSpace(2, 1, 2), [[[1, 0], [0, 1]], [[1, 1], [0, 1]]]),
+        ],
+        ids=["repetition", "parity2", "forged212", "n1_m2_k2", "n2_q3", "n2_k2"],
+    )
+    def test_scan_matches_reference_loop_in_order(self, code):
+        def columns(results):
+            return [([col.matrix.tolist() for col in mu.columns], ok) for mu, ok in results]
+
+        expected = columns(reference_scan(code))
+        assert expected
+        assert columns(exhaustive_isometry_scan(code)) == expected
+
+    def test_scan_ternary_parity(self):
+        code = parity_code(3, q=3)  # 27^4 candidate tuples
+        results = exhaustive_isometry_scan(code)
+        assert len(results) == 384
+        assert all(ok for _, ok in results)
+        assert theorem_violations(code, [mu for mu, _ in results]) == []
+
+    def test_scan_budget_checked_first(self, monkeypatch):
+        code = repetition_code()  # q^(tkn) = 2^3
+        monkeypatch.setenv("MODCODE_BUDGET", "8")
+        assert len(exhaustive_isometry_scan(code)) == 1
+        monkeypatch.setenv("MODCODE_BUDGET", "7")
+        monkeypatch.setattr(mds, "module_elements", None)
+        with pytest.raises(EnumerationBudgetError):
+            exhaustive_isometry_scan(code)
