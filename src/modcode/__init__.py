@@ -20,6 +20,7 @@ from .codes import (
     apply_monomial,
     covering_by_proper_submodules,
     extend_to_monomial,
+    extend_to_monomials,
     hamming_weight,
     is_cyclic_submodule,
     is_isometry_bruteforce,
@@ -68,6 +69,7 @@ from .linalg import (
     intersect,
     orthogonal,
     rref,
+    rref_stack,
     row_kernel,
     subspace_lattice,
     subspace_sum,

@@ -93,6 +93,9 @@ def cmd_forge(q, m, k, out_lambda, out_mu, as_json):
     except DomainRejectionError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DOMAIN)
+    except (DimensionMismatchError, ValueError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_INPUT)
     except EnumerationBudgetError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_BUDGET)

@@ -25,13 +25,27 @@ from .linalg import (
     Subspace,
     as_matrix,
     check_prime,
+    complete_bases,
     enumerate_subspaces,
-    inverse,
     mat_mul,
     matrix_rank,
     row_kernel,
+    row_kernels,
+    rref_stack,
     subspace_lattice,
 )
+
+
+def _check_exact(q: int, *dims: int) -> None:
+    """Reject a modulus for which an int64 product sum could overflow.
+
+    Every product sum in the package adds at most max(m, t, k) products of
+    two residues, so (q - 1)^2 * max(m, t, k) < 2^63 keeps them all exact.
+    """
+    if (q - 1) ** 2 * max(dims) >= 2**63:
+        raise DimensionMismatchError(
+            f"q={q} is too large for exact int64 arithmetic at dimension {max(dims)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -46,6 +60,7 @@ class Alphabet:
         check_prime(self.q)
         if self.m < 1 or self.k < 1:
             raise ValueError("alphabet parameters m and k must be >= 1")
+        _check_exact(self.q, self.m, self.k)
 
     @property
     def size(self) -> int:
@@ -64,6 +79,7 @@ class ModuleSpace:
         check_prime(self.q)
         if self.m < 1 or self.t < 0:
             raise ValueError("need m >= 1 and t >= 0")
+        _check_exact(self.q, self.m, self.t)
 
     @property
     def size(self) -> int:
@@ -240,13 +256,38 @@ def hamming_weight(word) -> int:
     return sum(1 for block in word if np.asarray(block).any())
 
 
+def hom_kernels(homs) -> tuple[Submodule, ...]:
+    """Kernels of many homomorphisms, in order.
+
+    Every kernel not yet cached is computed in one batched elimination over
+    the distinct generator matrices; homomorphisms with equal matrices, and
+    equal kernels, share one Submodule.
+    """
+    homs = tuple(homs)
+    groups: dict = {}
+    for hom in homs:
+        if hom._kernel is None:
+            key = (hom.space, hom.alphabet.k)
+            groups.setdefault(key, {}).setdefault(hom.matrix.tobytes(), []).append(hom)
+    for (space, _), by_matrix in groups.items():
+        same = list(by_matrix.values())
+        supports = row_kernels([hs[0].matrix for hs in same], space.q)
+        shared: dict[Subspace, Submodule] = {}
+        for hs, S in zip(same, supports):
+            if S not in shared:
+                shared[S] = Submodule(space, S)
+            for hom in hs:
+                object.__setattr__(hom, "_kernel", shared[S])
+    return tuple(hom._kernel for hom in homs)
+
+
 def kernel_tuple(code: Code) -> tuple[Submodule, ...]:
     """Column kernels of a code, in column order."""
-    return tuple(col.kernel() for col in code.columns)
+    return hom_kernels(code.columns)
 
 
 def kernel_support_multiset(code: Code) -> Counter:
-    return Counter(col.kernel().support for col in code.columns)
+    return Counter(K.support for K in hom_kernels(code.columns))
 
 
 def _check_module_elements(q: int, m: int, t: int) -> None:
@@ -319,85 +360,94 @@ def is_trivial_solution(V, U) -> bool:
     return Counter(s.support for s in V) == Counter(s.support for s in U)
 
 
-def _independent_row_indices(G: np.ndarray, q: int) -> list[int]:
-    idx: list[int] = []
-    for i in range(G.shape[0]):
-        if matrix_rank(G[idx + [i]], q) > len(idx):
-            idx.append(i)
-    return idx
+def transport_automorphisms(Gs, Hs, q: int) -> np.ndarray:
+    """Invertible P_i with G_i P_i = H_i, for a stack of t x k pairs with equal row kernels.
 
-
-def _extend_to_invertible(B: np.ndarray, q: int, k: int) -> np.ndarray:
-    """Stack unit rows under B until the k x k result is invertible."""
-    rows = [B[i] for i in range(B.shape[0])]
-    rank = len(rows)
-    for j in range(k):
-        if rank == k:
-            break
-        e = np.zeros(k, dtype=np.int64)
-        e[j] = 1
-        candidate = np.array(rows + [e], dtype=np.int64)
-        if matrix_rank(candidate, q) > rank:
-            rows.append(e)
-            rank += 1
-    return np.array(rows, dtype=np.int64)
-
-
-def _transport_automorphism(G: np.ndarray, H: np.ndarray, q: int, k: int) -> np.ndarray:
-    """Invertible P with G P = H, given equal row kernels.
-
-    Maps a basis of rowspace(G) to the corresponding rows of H, and a
-    complement of rowspace(G) in F_q^k to a complement of rowspace(H); this
-    is the semisimple splitting argument made concrete.
+    F_G completes the greedy independent rows of G with unit vectors to a
+    basis of F_q^k, and F_H does the same for H, whose independent rows sit
+    at the same indices.  P = F_G^-1 F_H, the right block of the RREF of
+    [F_G | F_H], maps a basis of rowspace(G) to the matching rows of H and a
+    complement to a complement: the semisimple splitting argument made
+    concrete.  Two batched eliminations serve the whole stack.
     """
-    idx = _independent_row_indices(G, q)
-    BG = G[idx]
-    BH = H[idx]
-    FG = _extend_to_invertible(BG, q, k)
-    FH = _extend_to_invertible(BH, q, k)
-    P = mat_mul(inverse(FG, q), FH, q)
-    if not np.array_equal(mat_mul(G, P, q), H % q):
+    Gs = np.asarray(Gs, dtype=np.int64) % q
+    Hs = np.asarray(Hs, dtype=np.int64) % q
+    n, _, k = Gs.shape
+    frames = complete_bases(np.concatenate([Gs, Hs]), q)
+    R, _ = rref_stack(np.concatenate([frames[:n], frames[n:]], axis=2), q)
+    P = R[:, :, k:]
+    if ((Gs @ P) % q != Hs).any():
         raise AssertionError("transport automorphism failed; kernels were not equal")
     return P
+
+
+def _by_support(counter: Counter) -> tuple[tuple[Subspace, int], ...]:
+    return tuple(sorted(counter.items(), key=lambda p: p[0].sort_key()))
+
+
+def _kernel_order(code: Code) -> list[int]:
+    """Column indices sorted by kernel support, ties by index."""
+    supports = [K.support for K in hom_kernels(code.columns)]
+    return sorted(range(code.length), key=lambda i: (supports[i].sort_key(), i))
+
+
+def extend_to_monomials(lam: Code, mus) -> list:
+    """Extend the isometries sending lam to each of many images.
+
+    Returns one entry per image: a MonomialMap whose application to lam
+    reproduces the image column by column, an Unextendable value carrying
+    the kernel-multiset difference, or None when the kernel-count criterion
+    rejects the image.  The column kernels of all codes come from one
+    batched elimination and the automorphisms of all extendable images from
+    one batched transport.
+    """
+    mus = list(mus)
+    for mu in mus:
+        if mu.space != lam.space or mu.alphabet != lam.alphabet:
+            raise DimensionMismatchError("codes must share their source module and alphabet")
+    hom_kernels(itertools.chain(lam.columns, *(mu.columns for mu in mus)))
+    v_counter = kernel_support_multiset(lam)
+    lam_order = _kernel_order(lam)
+    results: list = []
+    Gs: list[np.ndarray] = []
+    Hs: list[np.ndarray] = []
+    for mu in mus:
+        if not is_isometry_criterion(lam, mu):
+            results.append(None)
+            continue
+        u_counter = kernel_support_multiset(mu)
+        if v_counter != u_counter:
+            results.append(Unextendable(
+                _by_support(v_counter - u_counter), _by_support(u_counter - v_counter)
+            ))
+            continue
+        perm = [0] * lam.length
+        for src, dst in zip(lam_order, _kernel_order(mu)):
+            perm[dst] = src
+        results.append(tuple(perm))
+        Gs.extend(lam.columns[src].matrix for src in perm)
+        Hs.extend(col.matrix for col in mu.columns)
+    if Gs:
+        autos = iter(transport_automorphisms(Gs, Hs, lam.space.q))
+        for i, perm in enumerate(results):
+            if isinstance(perm, tuple):
+                own = tuple(next(autos) for _ in perm)
+                results[i] = MonomialMap(perm, own, lam.space.q)
+    return results
 
 
 def extend_to_monomial(lam: Code, mu: Code):
     """Extend the isometry sending lam to mu, or report it unextendable.
 
-    Requires the isometry criterion to hold.  Returns a MonomialMap whose
-    application to lam reproduces mu column-by-column, or an Unextendable
-    value carrying the kernel-multiset difference.
+    Requires the isometry criterion to hold, else raises NotAnIsometryError.
+    Returns a MonomialMap whose application to lam reproduces mu
+    column-by-column, or an Unextendable value carrying the kernel-multiset
+    difference.
     """
-    if not is_isometry_criterion(lam, mu):
+    (result,) = extend_to_monomials(lam, [mu])
+    if result is None:
         raise NotAnIsometryError("the codes are not Hamming-isometric")
-    v_counter = kernel_support_multiset(lam)
-    u_counter = kernel_support_multiset(mu)
-    if v_counter != u_counter:
-        lam_only = v_counter - u_counter
-        mu_only = u_counter - v_counter
-        key = Subspace.sort_key
-        return Unextendable(
-            lambda_only=tuple(sorted(lam_only.items(), key=lambda p: key(p[0]))),
-            mu_only=tuple(sorted(mu_only.items(), key=lambda p: key(p[0]))),
-        )
-    q = lam.space.q
-    k = lam.alphabet.k
-    n = lam.length
-
-    def order(code: Code) -> list[int]:
-        supports = [col.kernel().support for col in code.columns]
-        return sorted(range(n), key=lambda i: (supports[i].sort_key(), i))
-
-    lam_order = order(lam)
-    mu_order = order(mu)
-    perm = [0] * n
-    autos: list[np.ndarray] = [None] * n
-    for src, dst in zip(lam_order, mu_order):
-        perm[dst] = src
-        autos[dst] = _transport_automorphism(
-            lam.columns[src].matrix, mu.columns[dst].matrix, q, k
-        )
-    return MonomialMap(tuple(perm), tuple(autos), q)
+    return result
 
 
 def apply_monomial(mmap: MonomialMap, code: Code) -> Code:

@@ -29,11 +29,10 @@ from .errors import (
 )
 from .linalg import (
     Subspace,
+    complete_bases,
     contains,
     intersect,
-    inverse,
-    mat_mul,
-    rref,
+    rref_stack,
     subspace_lattice,
     subspaces_up_to_dim,
 )
@@ -144,40 +143,38 @@ def _verify_cover(module: Submodule, covering) -> None:
             raise NotACoverError("an element of the module escapes every covering submodule")
 
 
-def hom_with_kernel(space: ModuleSpace, S: Subspace, k: int) -> Hom:
-    """Deterministic t x k generator whose row kernel is exactly S.
+def homs_with_kernels(space: ModuleSpace, supports, k: int) -> list[Hom]:
+    """Deterministic t x k generators whose row kernels are exactly the given supports.
 
-    A complement of S is mapped to the first t - dim(S) unit rows of F_q^k;
-    infeasible when the required rank exceeds k.
+    With F the basis of F_q^t formed by the basis of S followed by the
+    greedy unit vectors that complete it, G = F^-1 maps the completing rows
+    of F to the first t - dim(S) unit rows of F_q^k and S to zero.  Supports
+    of equal dimension share two batched eliminations.  Infeasible when the
+    required rank exceeds k.
     """
-    if S.q != space.q or S.ambient != space.t:
-        raise DimensionMismatchError("kernel must be a subspace of F_q^t")
+    supports = list(supports)
     t, q = space.t, space.q
-    d = S.dim
-    r = t - d
-    if r > k:
-        raise RankInfeasibleError(f"kernel of codimension {r} needs k >= {r}, got {k}")
+    for S in supports:
+        if S.q != q or S.ambient != t:
+            raise DimensionMismatchError("kernel must be a subspace of F_q^t")
+        if t - S.dim > k:
+            raise RankInfeasibleError(
+                f"kernel of codimension {t - S.dim} needs k >= {t - S.dim}, got {k}"
+            )
     alphabet = Alphabet(q, space.m, k)
-    if r == 0:
-        return Hom(space, alphabet, np.zeros((t, k), dtype=np.int64))
-    # Extend the kernel basis to a basis of F_q^t with unit vectors.
-    rows = [S.basis[i] for i in range(d)]
-    rank = d
-    for j in range(t):
-        if rank == t:
-            break
-        e = np.zeros(t, dtype=np.int64)
-        e[j] = 1
-        candidate = np.array(rows + [e], dtype=np.int64)
-        if rref(candidate, q)[1] > rank:
-            rows.append(e)
-            rank += 1
-    F = np.array(rows, dtype=np.int64)
-    target = np.zeros((t, k), dtype=np.int64)
-    for i in range(r):
-        target[d + i, i] = 1
-    G = mat_mul(inverse(F, q), target, q)
-    return Hom(space, alphabet, G)
+    G = np.zeros((len(supports), t, k), dtype=np.int64)
+    for d in sorted({S.dim for S in supports}):
+        same = [i for i, S in enumerate(supports) if S.dim == d]
+        F = complete_bases([supports[i].basis for i in same], q)
+        eye = np.broadcast_to(np.eye(t, dtype=np.int64), F.shape)
+        R, _ = rref_stack(np.concatenate([F, eye], axis=2), q)
+        G[same, :, : t - d] = R[:, :, t + d :]
+    return [Hom(space, alphabet, g) for g in G]
+
+
+def hom_with_kernel(space: ModuleSpace, S: Subspace, k: int) -> Hom:
+    """Deterministic t x k generator whose row kernel is exactly S."""
+    return homs_with_kernels(space, [S], k)[0]
 
 
 def minimal_counterexample(q: int, m: int, k: int) -> tuple[Code, Code]:
@@ -198,10 +195,10 @@ def minimal_counterexample(q: int, m: int, k: int) -> tuple[Code, Code]:
     space = ModuleSpace(q, m, t)
     lam_cols: list[Hom] = []
     mu_cols: list[Hom] = []
-    for S in subspaces_up_to_dim(q, t, t):
+    supports = subspaces_up_to_dim(q, t, t)
+    for S, hom in zip(supports, homs_with_kernels(space, supports, k)):
         j = t - S.dim
         mult = q ** (j * (j - 1) // 2)
-        hom = hom_with_kernel(space, S, k)
         side = lam_cols if j % 2 == 0 else mu_cols
         side.extend([hom] * mult)
     alphabet = Alphabet(q, m, k)
@@ -397,17 +394,13 @@ def min_nontrivial_length(
 def solution_to_codes(sol: SolutionPair, k: int) -> tuple[Code, Code]:
     """Realize a solution pair as two codes with the prescribed kernel tuples."""
     space = sol.space
-    for S, _ in sol.V + sol.U:
-        if space.t - S.dim > k:
-            raise RankInfeasibleError(
-                f"support of codimension {space.t - S.dim} is not realizable with k={k}"
-            )
     alphabet = Alphabet(space.q, space.m, k)
+    homs = iter(homs_with_kernels(space, [S for S, _ in sol.V + sol.U], k))
 
     def side_to_columns(side):
         cols: list[Hom] = []
-        for S, mult in side:
-            cols.extend([hom_with_kernel(space, S, k)] * mult)
+        for _, mult in side:
+            cols.extend([next(homs)] * mult)
         return cols
 
     lam = Code(alphabet, space, side_to_columns(sol.V))

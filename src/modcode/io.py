@@ -27,12 +27,8 @@ def code_to_dict(code: Code) -> dict:
         "m": code.alphabet.m,
         "k": code.alphabet.k,
         "t": code.space.t,
-        "generators": [[[int(x) for x in row] for row in col.matrix] for col in code.columns],
+        "generators": [col.matrix.tolist() for col in code.columns],
     }
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def code_from_dict(data: dict) -> Code:
@@ -42,26 +38,36 @@ def code_from_dict(data: dict) -> Code:
     except (KeyError, TypeError) as exc:
         raise DimensionMismatchError(f"malformed code file: {exc}") from exc
     for key, value in zip("qmkt", (q, m, k, t)):
-        if not _is_integer(value):
+        if type(value) is not int:
             raise DimensionMismatchError(f"{key} must be an integer, got {value!r}")
     check_prime(q)
     space = ModuleSpace(q, m, t)
     alphabet = Alphabet(q, m, k)
-    columns = []
-    for g in generators:
-        G = np.asarray(g, dtype=object)
-        if G.shape != (t, k):
-            raise DimensionMismatchError(f"generator must be {t}x{k}, got {G.shape}")
-        if not all(_is_integer(x) for x in G.flat):
-            raise DimensionMismatchError("generator entries must be integers")
-        if (G < 0).any() or (G >= q).any():
-            raise DimensionMismatchError("generator entries must lie in [0, q)")
-        columns.append(G.astype(np.int64))
-    return Code(alphabet, space, columns)
+    if not isinstance(generators, list):
+        kind = type(generators).__name__
+        raise DimensionMismatchError(f"generators must be a list, got {kind}")
+    # All generators in one object array: a ragged or over-nested list cannot
+    # take the (n, t, k) shape, and one type pass rejects floats, bools,
+    # strings and lists among the entries.
+    G = np.array(generators, dtype=object)
+    if G.ndim != 3 or G.shape[0] == 0 or G.shape[1:] != (t, k):
+        raise DimensionMismatchError(f"generators must be a nonempty list of {t}x{k} matrices")
+    if not set(map(type, G.flat)) <= {int}:
+        raise DimensionMismatchError("generator entries must be integers")
+    try:
+        G = G.astype(np.int64)
+    except OverflowError as exc:
+        raise DimensionMismatchError("generator entries must lie in [0, q)") from exc
+    if (G < 0).any() or (G >= q).any():
+        raise DimensionMismatchError("generator entries must lie in [0, q)")
+    return Code(alphabet, space, G)
 
 
 def save_code(code: Code, path) -> None:
-    Path(path).write_text(json.dumps(code_to_dict(code), indent=1) + "\n")
+    """Write a code file with one generator matrix per line."""
+    data = code_to_dict(code)
+    generators = ",\n".join(map(json.dumps, data.pop("generators")))
+    Path(path).write_text(json.dumps(data)[:-1] + f', "generators": [\n{generators}\n]}}\n')
 
 
 def load_code(path) -> Code:

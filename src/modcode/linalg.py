@@ -85,6 +85,77 @@ def rref(M, q: int):
     return R, len(pivots), pivots
 
 
+# Entries of the largest stack one batched elimination reduces at once;
+# taller stacks are reduced in chunks.
+_ELIMINATION_CHUNK = 1 << 14
+# Below this many matrices the scalar rref is faster: a numpy pass per column
+# costs about as much as eliminating several small matrices one by one.
+_STACK_MIN = 8
+
+
+def _inverses(values: np.ndarray, q: int) -> np.ndarray:
+    """Inverses mod the prime q of an array of nonzero residues: values^(q-2) by squaring."""
+    result = np.ones_like(values)
+    e = q - 2
+    while e:
+        if e & 1:
+            result = result * values % q
+        values = values * values % q
+        e >>= 1
+    return result
+
+
+def rref_stack(A, q: int):
+    """Reduced row-echelon form over F_q of every matrix in an (n, r, c) stack.
+
+    Returns ``(R, pivots)``: R holds the RREF of each matrix, bit-identical
+    to :func:`rref`, and ``pivots[i, c]`` is True iff column c is a pivot
+    column of matrix i.  The loop runs over columns only; every matrix that
+    has a pivot in the current column is reduced in the same numpy pass,
+    with the exact int64 arithmetic of :func:`rref`.  Stacks of fewer than
+    ``_STACK_MIN`` matrices go through :func:`rref` one by one, and stacks of
+    more than ``_ELIMINATION_CHUNK`` entries are reduced in chunks.
+    """
+    R = np.asarray(A, dtype=np.int64) % q
+    if R.ndim != 3:
+        raise DimensionMismatchError(f"expected an (n, r, c) stack, got ndim={R.ndim}")
+    n, n_rows, n_cols = R.shape
+    pivots = np.zeros((n, n_cols), dtype=bool)
+    if n < _STACK_MIN:
+        for i in range(n):
+            R[i], _, columns = rref(R[i], q)
+            pivots[i, columns] = True
+        return R, pivots
+    chunk = max(1, _ELIMINATION_CHUNK // max(1, n_rows * n_cols))
+    if n > chunk:
+        for start in range(0, n, chunk):
+            R[start : start + chunk], pivots[start : start + chunk] = rref_stack(
+                R[start : start + chunk], q
+            )
+        return R, pivots
+    rank = np.zeros(n, dtype=np.int64)
+    every = np.arange(n)
+    below = np.arange(n_rows)[None, :]
+    for c in range(n_cols):
+        candidates = (R[:, :, c] != 0) & (below >= rank[:, None])
+        found = candidates.any(axis=1)
+        if not found.any():
+            continue
+        # Matrices without a pivot here get a no-op swap, scale and elimination.
+        r = np.minimum(rank, n_rows - 1)
+        p = np.where(found, candidates.argmax(axis=1), r)
+        top = R[every, p]
+        R[every, p] = R[every, r]
+        top = top * _inverses(np.where(found, top[:, c], 1), q)[:, None] % q
+        R[every, r] = top
+        factors = R[:, :, c] * found[:, None]
+        factors[every, r] = 0
+        R[:, :, c:] = (R[:, :, c:] - factors[:, :, None] * top[:, None, c:]) % q
+        pivots[:, c] = found
+        rank += found
+    return R, pivots
+
+
 def matrix_rank(M, q: int) -> int:
     return rref(M, q)[1]
 
@@ -109,7 +180,7 @@ class Subspace:
     equality and hashing are structural.  Instances are immutable.
     """
 
-    __slots__ = ("q", "ambient", "basis")
+    __slots__ = ("q", "ambient", "basis", "_key")
 
     def __init__(self, q: int, ambient: int, basis: np.ndarray):
         # Trusted constructor: basis must already be canonical (RREF, no
@@ -119,6 +190,8 @@ class Subspace:
         b = np.ascontiguousarray(basis, dtype=np.int64)
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
+        # Equality and hashing compare this key, never the arrays.
+        object.__setattr__(self, "_key", (q, ambient, b.shape[0], b.tobytes()))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -152,19 +225,13 @@ class Subspace:
         return self.basis.shape[0]
 
     def sort_key(self):
-        return (self.dim, self.basis.tobytes())
+        return self._key[2:]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.q == other.q
-            and self.ambient == other.ambient
-            and self.basis.shape == other.basis.shape
-            and np.array_equal(self.basis, other.basis)
-        )
+        return isinstance(other, Subspace) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self.q, self.ambient, self.basis.tobytes()))
+        return hash(self._key)
 
     def __repr__(self) -> str:
         rows = [list(map(int, row)) for row in self.basis]
@@ -223,6 +290,44 @@ def row_kernel(M, q: int) -> Subspace:
     if not rows:
         return Subspace.zero(q, n_rows)
     return Subspace.from_rows(np.array(rows, dtype=np.int64), q, n_rows)
+
+
+def row_kernels(Ms, q: int) -> list[Subspace]:
+    """Row kernels of an (n, r, c) stack, from one batched RREF of ``[M | I]``.
+
+    The rows below rank(M) vanish on the M block, and their identity block
+    is the kernel basis, already in RREF.  Entry i equals
+    ``row_kernel(Ms[i], q)``; equal kernels share one Subspace.
+    """
+    Ms = np.asarray(Ms, dtype=np.int64)
+    n, n_rows, n_cols = Ms.shape
+    eye = np.broadcast_to(np.eye(n_rows, dtype=np.int64), (n, n_rows, n_rows))
+    R, pivots = rref_stack(np.concatenate([Ms, eye], axis=2), q)
+    ranks = pivots[:, :n_cols].sum(axis=1)
+    kernels = R[:, :, n_cols:]
+    shared: dict[bytes, Subspace] = {}
+    out = []
+    for K, rank in zip(kernels, ranks):
+        basis = K[rank:]
+        key = basis.tobytes()
+        if key not in shared:
+            shared[key] = Subspace(q, n_rows, basis)
+        out.append(shared[key])
+    return out
+
+
+def complete_bases(A, q: int) -> np.ndarray:
+    """Extend the rows of each matrix in an (n, r, k) stack to a basis of F_q^k.
+
+    Entry i is the k x k matrix of the greedy independent rows of ``A[i]``,
+    in order, followed by the greedy unit vectors that complete them.  These
+    are the pivot columns of the RREF of ``[A[i]^T | I_k]``.
+    """
+    A = np.asarray(A, dtype=np.int64) % q
+    n, _, k = A.shape
+    frames = np.concatenate([A, np.broadcast_to(np.eye(k, dtype=np.int64), (n, k, k))], axis=1)
+    _, pivots = rref_stack(frames.transpose(0, 2, 1), q)
+    return frames[pivots].reshape(n, k, k)
 
 
 def intersect(S: Subspace, T: Subspace) -> Subspace:

@@ -20,17 +20,20 @@ import numpy as np
 from . import budget
 from .codes import (
     Code,
+    Hom,
     MonomialMap,
     Unextendable,
     codeword_weights,
     extend_to_monomial,
+    extend_to_monomials,
+    hom_kernels,
     # Not called here (extend_to_monomial runs the criterion itself), but the
     # traced replay in bench/traced.py probes it under this module's name.
     is_isometry_criterion,  # noqa: F401
     kernel_support_multiset,
     module_elements,
 )
-from .errors import DomainRejectionError, NotAnIsometryError, ZeroCodeError
+from .errors import DomainRejectionError, ZeroCodeError
 from .linalg import Subspace, intersect, matrix_rank
 
 
@@ -118,13 +121,6 @@ def _check_theorem_scope(code: Code) -> None:
         raise DomainRejectionError("MDS dimension 2 is outside the theorem's scope")
 
 
-def _theorem_outcome(lam: Code, mu: Code):
-    result = extend_to_monomial(lam, mu)
-    if isinstance(result, Unextendable):
-        return TheoremViolation(result.lambda_only, result.mu_only)
-    return result
-
-
 def mds_extension_check(lam: Code, mu: Code):
     """Extend an isometry of an MDS code, verifying the extension theorem.
 
@@ -134,7 +130,10 @@ def mds_extension_check(lam: Code, mu: Code):
     kernel multisets differ, which the theorem rules out.
     """
     _check_theorem_scope(lam)
-    return _theorem_outcome(lam, mu)
+    result = extend_to_monomial(lam, mu)
+    if isinstance(result, Unextendable):
+        return TheoremViolation(result.lambda_only, result.mu_only)
+    return result
 
 
 def theorem_violations(code: Code, images) -> list[TheoremViolation]:
@@ -142,19 +141,16 @@ def theorem_violations(code: Code, images) -> list[TheoremViolation]:
 
     The MDS preconditions on ``code`` are checked once, not per image; each
     image still gets the kernel-count criterion and the monomial-map
-    construction.  Images that the criterion rejects are skipped.  Returns
-    the violations found, which the theorem says is always an empty list.
+    construction, all in one :func:`extend_to_monomials` call.  Images that
+    the criterion rejects are skipped.  Returns the violations found, which
+    the theorem says is always an empty list.
     """
     _check_theorem_scope(code)
-    violations = []
-    for mu in images:
-        try:
-            outcome = _theorem_outcome(code, mu)
-        except NotAnIsometryError:
-            continue
-        if isinstance(outcome, TheoremViolation):
-            violations.append(outcome)
-    return violations
+    return [
+        TheoremViolation(result.lambda_only, result.mu_only)
+        for result in extend_to_monomials(code, images)
+        if isinstance(result, Unextendable)
+    ]
 
 
 def exhaustive_isometry_scan(code: Code) -> list[tuple[Code, bool]]:
@@ -175,6 +171,10 @@ def exhaustive_isometry_scan(code: Code) -> list[tuple[Code, bool]]:
     q, t, k, n = sp.q, sp.t, code.alphabet.k, code.length
     budget.check_vectors(q ** (t * k * n), "isometry scan enumeration")
     candidates = module_elements(q, t, k)
+    # One Hom per candidate, shared by every match, so each candidate kernel
+    # is computed once, all in one batched elimination.
+    homs = [Hom(sp, code.alphabet, G) for G in candidates]
+    hom_kernels(homs)
     E = module_elements(q, sp.m, t)
     # indicators[c, e] = 1 when source element e has a nonzero block under candidate c.
     Y = np.tensordot(candidates, E, axes=([1], [2])) % q
@@ -200,7 +200,7 @@ def exhaustive_isometry_scan(code: Code) -> list[tuple[Code, bool]]:
     for i, row in enumerate(half_sums(left)):
         for j in wanted.get(row.tobytes(), ()):
             combo = np.unravel_index(i * width + j, shape)
-            mu = Code(code.alphabet, sp, [candidates[c] for c in combo])
+            mu = Code(code.alphabet, sp, [homs[c] for c in combo])
             extendable = kernel_support_multiset(mu) == lam_kernels
             results.append((mu, extendable))
     return results

@@ -18,6 +18,7 @@ from modcode import (
     apply_monomial,
     covering_by_proper_submodules,
     extend_to_monomial,
+    extend_to_monomials,
     hamming_weight,
     is_cyclic_submodule,
     is_isometry_bruteforce,
@@ -26,10 +27,12 @@ from modcode import (
     kernel_tuple,
     minimal_counterexample,
 )
-from modcode.codes import module_elements
+from modcode.codes import hom_kernels, module_elements, transport_automorphisms
 from modcode.errors import DimensionMismatchError
+from modcode.linalg import inverse, mat_mul, matrix_rank, row_kernel
+from modcode.mds import exhaustive_isometry_scan
 
-from conftest import random_code, random_monomial
+from conftest import random_code, random_invertible, random_monomial
 
 
 def identity_code(q, m, t, n):
@@ -285,3 +288,136 @@ class TestCyclicAndCovering:
             assert elements.shape[0] == q ** (m * S.dim)
             seen = {e.tobytes() for e in elements}
             assert len(seen) == q ** (m * S.dim)
+
+
+class TestExactnessGuard:
+    def test_largest_exact_modulus_accepted(self):
+        # 3037000493 is the largest prime with (q - 1)^2 < 2^63.
+        assert ModuleSpace(3037000493, 1, 1).q == 3037000493
+
+    @pytest.mark.parametrize("q, m, dim", [(4294967311, 1, 1), (3037000493, 1, 2)])
+    def test_overflowing_modulus_rejected(self, q, m, dim):
+        with pytest.raises(DimensionMismatchError):
+            ModuleSpace(q, m, dim)
+        with pytest.raises(DimensionMismatchError):
+            Alphabet(q, m, dim)
+
+
+def reference_transport(G, H, q, k):
+    """The per-pair transport of earlier releases, kept as the oracle.
+
+    Greedy independent rows of G by repeated rank tests, each side completed
+    with unit vectors by repeated rank tests, then P = F_G^-1 F_H.
+    """
+    idx: list[int] = []
+    for i in range(G.shape[0]):
+        if matrix_rank(G[idx + [i]], q) > len(idx):
+            idx.append(i)
+
+    def complete(B):
+        rows = list(B)
+        for e in np.eye(k, dtype=np.int64):
+            if len(rows) < k and matrix_rank(np.array(rows + [e]), q) > len(rows):
+                rows.append(e)
+        return np.array(rows, dtype=np.int64)
+
+    return mat_mul(inverse(complete(G[idx]), q), complete(H[idx]), q)
+
+
+class TestBatchedKernels:
+    def test_batch_matches_scalar_with_repeated_homs(self):
+        lam, _ = minimal_counterexample(2, 2, 3)  # one Hom object per kernel, repeated
+        fresh = Code(lam.alphabet, lam.space, [col.matrix.copy() for col in lam.columns])
+        kernels = kernel_tuple(fresh)
+        assert [K.support for K in kernels] == [
+            row_kernel(col.matrix, 2) for col in fresh.columns
+        ]
+        assert kernels == kernel_tuple(lam)
+
+    def test_batch_shares_kernels_of_equal_matrices(self):
+        sp, al = ModuleSpace(3, 1, 2), Alphabet(3, 1, 2)
+        a = Hom(sp, al, [[1, 0], [0, 0]])
+        b = Hom(sp, al, [[1, 0], [0, 0]])
+        c = Hom(sp, al, [[2, 0], [0, 0]])  # another matrix with the same kernel
+        d = Hom(sp, al, [[0, 0], [0, 1]])
+        kernels = hom_kernels([a, b, a, c, d])
+        assert kernels[0] is kernels[1] is kernels[2] is kernels[3]
+        assert kernels[4] != kernels[0]
+        assert a.kernel() is kernels[0] and d.kernel() is kernels[4]
+        assert hom_kernels([]) == ()
+
+    def test_batch_keeps_cached_kernels(self):
+        code = identity_code(2, 1, 2, 3)
+        first = code.columns[0].kernel()
+        assert kernel_tuple(code)[0] is first
+
+
+class TestBatchedTransport:
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_batch_matches_per_pair_reference(self, rng, q):
+        for t in range(1, 6):
+            for k in range(1, 6):
+                Gs = rng.integers(0, q, size=(6, t, k))
+                Gs[0] = 0
+                Gs[1, -1] = Gs[1, 0]  # a dependent row
+                Ps = [random_invertible(rng, q, k) for _ in Gs]
+                Hs = np.array([mat_mul(G, P, q) for G, P in zip(Gs, Ps)])
+                P = transport_automorphisms(Gs, Hs, q)
+                for G, H, Pi in zip(Gs, Hs, P):
+                    assert np.array_equal(Pi, reference_transport(G, H, q, k))
+                    assert np.array_equal(mat_mul(G, Pi, q), H)
+
+    def test_batch_rejects_unequal_kernels(self):
+        G = np.array([[[1, 0], [0, 0]]])
+        H = np.array([[[0, 0], [1, 0]]])
+        with pytest.raises(AssertionError):
+            transport_automorphisms(G, H, 2)
+
+
+def parity_code(t, q):
+    cols = [np.eye(t, dtype=int)[:, [i]] for i in range(t)] + [np.ones((t, 1), dtype=int)]
+    return Code(Alphabet(q, 1, 1), ModuleSpace(q, 1, t), cols)
+
+
+class TestBatchedExtension:
+    @pytest.mark.parametrize(
+        "code",
+        [parity_code(3, 3), minimal_counterexample(2, 1, 2)[0]],
+        ids=["parity3", "forged212"],
+    )
+    def test_batch_matches_per_image_extension(self, code):
+        images = [mu for mu, _ in exhaustive_isometry_scan(code)]
+        # Non-isometric images: zeroing a nonzero column lowers some weight.
+        for mu in images[:3]:
+            cols = [c.matrix for c in mu.columns]
+            j = next(j for j, G in enumerate(cols) if G.any())
+            cols[j] = np.zeros_like(cols[j])
+            images.append(Code(mu.alphabet, mu.space, cols))
+        results = extend_to_monomials(code, images)
+        assert len(results) == len(images)
+        assert sum(r is None for r in results) == 3
+        for mu, result in zip(images, results):
+            if result is None:
+                with pytest.raises(NotAnIsometryError):
+                    extend_to_monomial(code, mu)
+                continue
+            single = extend_to_monomial(code, mu)
+            assert type(single) is type(result)
+            if isinstance(result, Unextendable):
+                assert single == result
+            else:
+                assert single.permutation == result.permutation
+                assert all(
+                    np.array_equal(a, b)
+                    for a, b in zip(single.automorphisms, result.automorphisms)
+                )
+                assert apply_monomial(result, code) == mu
+
+    def test_batch_of_no_images(self):
+        assert extend_to_monomials(identity_code(2, 1, 2, 3), []) == []
+
+    def test_batch_rejects_other_alphabet(self):
+        code = identity_code(2, 1, 2, 3)
+        other = Code(Alphabet(2, 1, 1), code.space, [np.ones((2, 1), dtype=int)] * 3)
+        with pytest.raises(DimensionMismatchError):
+            extend_to_monomials(code, [other])

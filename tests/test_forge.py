@@ -30,6 +30,7 @@ from modcode import (
     row_kernel,
     solution_to_codes,
 )
+from modcode.forge import homs_with_kernels
 from modcode.linalg import enumerate_subspaces, subspaces_up_to_dim
 
 from conftest import random_subspace
@@ -111,6 +112,16 @@ class TestHomWithKernel:
                 S = random_subspace(rng, q, t)
                 h = hom_with_kernel(sp, S, k)
                 assert row_kernel(h.matrix, q) == S
+
+    def test_batch_matches_single(self, rng):
+        for q, m, t, k in [(2, 1, 3, 3), (3, 1, 2, 2), (2, 2, 3, 4)]:
+            sp = ModuleSpace(q, m, t)
+            supports = [random_subspace(rng, q, t) for _ in range(12)]
+            homs = homs_with_kernels(sp, supports, k)
+            for S, h in zip(supports, homs):
+                assert h == hom_with_kernel(sp, S, k)
+                assert row_kernel(h.matrix, q) == S
+        assert homs_with_kernels(ModuleSpace(2, 1, 2), [], 2) == []
 
     def test_rank_infeasible(self):
         sp = ModuleSpace(2, 1, 3)

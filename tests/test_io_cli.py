@@ -55,6 +55,41 @@ class TestCodeFiles:
         with pytest.raises(DimensionMismatchError):
             load_code(path)
 
+    @pytest.mark.parametrize(
+        "generators",
+        [
+            5,
+            "1",
+            {"0": [[1]]},
+            [],
+            [[[1]], [[1], [0]]],
+            [[[1]], [[[1]]]],
+            [[[1]], [["1"]]],
+            [[[1]], [[None]]],
+            [[[1]], [[-1]]],
+            [[[1]], [[2**70]]],
+        ],
+        ids=["int", "str", "dict", "empty", "ragged", "nested", "string_entry", "null_entry",
+             "negative", "huge"],
+    )
+    def test_rejects_malformed_generators(self, tmp_path, generators):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"q": 2, "m": 1, "k": 1, "t": 1, "generators": generators}))
+        with pytest.raises(DimensionMismatchError):
+            load_code(path)
+
+    def test_one_generator_per_line(self, tmp_path):
+        lam, _ = minimal_counterexample(2, 2, 3)
+        path = tmp_path / "lam.json"
+        save_code(lam, path)
+        text = path.read_text()
+        assert len(text.splitlines()) == lam.length + 2
+        assert json.loads(text) == {
+            "q": 2, "m": 2, "k": 3, "t": 3,
+            "generators": [col.matrix.tolist() for col in lam.columns],
+        }
+        assert load_code(path) == lam
+
     def test_rejects_non_prime(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"q": 4, "m": 1, "k": 1, "t": 1, "generators": [[[1]]]}))
@@ -92,6 +127,14 @@ class TestForgeCommand:
         )
         assert result.exit_code == 2
         assert "extension property" in result.output
+
+    def test_forge_rejects_modulus_beyond_int64(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["forge", "--q", "4294967311", "--m", "1", "--k", "2",
+             "--out-lambda", str(tmp_path / "l.json"), "--out-mu", str(tmp_path / "m.json")],
+        )
+        assert result.exit_code == 4
 
     def test_forge_rejects_non_prime(self, runner, tmp_path):
         result = runner.invoke(
@@ -156,6 +199,18 @@ class TestCheckCommand:
     def test_fractional_code_file_exit_4(self, runner, tmp_path):
         path = tmp_path / "frac.json"
         path.write_text(json.dumps({"q": 2.9, "m": 1, "k": 1, "t": 1, "generators": [[[1]]]}))
+        result = runner.invoke(main, ["check", "--lambda", str(path), "--mu", str(path)])
+        assert result.exit_code == 4
+
+    def test_generators_not_a_list_exit_4(self, runner, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"q": 2, "m": 1, "k": 1, "t": 1, "generators": 5}))
+        result = runner.invoke(main, ["check", "--lambda", str(path), "--mu", str(path)])
+        assert result.exit_code == 4
+
+    def test_modulus_beyond_int64_exit_4(self, runner, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"q": 4294967311, "m": 1, "k": 1, "t": 1, "generators": [[[1]]]}))
         result = runner.invoke(main, ["check", "--lambda", str(path), "--mu", str(path)])
         assert result.exit_code == 4
 

@@ -22,9 +22,13 @@ from modcode import (
 )
 from modcode.linalg import (
     check_prime,
+    complete_bases,
     inverse,
     is_prime,
     mat_mul,
+    matrix_rank,
+    row_kernels,
+    rref_stack,
     subspace_lattice,
     subspaces_up_to_dim,
 )
@@ -303,3 +307,103 @@ class TestFieldBasics:
                     continue
                 Minv = inverse(M, q)
                 assert np.array_equal(mat_mul(M, Minv, q), np.eye(3, dtype=int))
+
+
+def scalar_rref(M, q):
+    """RREF and pivot list of one matrix, allowing zero rows or columns."""
+    if M.size == 0:
+        return M % q, []
+    R, _, pivots = rref(M, q)
+    return R, pivots
+
+
+class TestRrefStack:
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    @pytest.mark.parametrize(
+        "shape",
+        [(0, 3, 4), (12, 1, 1), (12, 2, 5), (12, 5, 2), (12, 4, 4), (10, 0, 3), (10, 3, 0),
+         (3, 3, 4)],
+        ids=["n0", "1x1", "wide", "tall", "square", "no_rows", "no_cols", "small_stack"],
+    )
+    def test_stack_matches_scalar_rref(self, rng, q, shape):
+        for _ in range(5):
+            A = rng.integers(0, q, size=shape)
+            if shape[0]:
+                A[0] = 0  # a zero matrix in every stack
+            R, pivots = rref_stack(A, q)
+            assert R.shape == shape and pivots.shape == (shape[0], shape[2])
+            for M, Ri, mask in zip(A, R, pivots):
+                expected, expected_pivots = scalar_rref(M, q)
+                assert np.array_equal(Ri, expected)
+                assert np.flatnonzero(mask).tolist() == expected_pivots
+
+    def test_stack_large_prime(self, rng):
+        q = 1_000_003
+        A = rng.integers(0, q, size=(12, 3, 5))
+        A[1, 1] = A[1, 0] * 2 % q
+        R, pivots = rref_stack(A, q)
+        for M, Ri, mask in zip(A, R, pivots):
+            expected, expected_pivots = scalar_rref(M, q)
+            assert np.array_equal(Ri, expected)
+            assert np.flatnonzero(mask).tolist() == expected_pivots
+
+    def test_stack_chunks_agree(self, rng, monkeypatch):
+        A = rng.integers(0, 3, size=(40, 3, 4))
+        whole = rref_stack(A, 3)
+        monkeypatch.setattr("modcode.linalg._ELIMINATION_CHUNK", 24)
+        chunked = rref_stack(A, 3)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
+
+    def test_stack_rejects_a_single_matrix(self):
+        with pytest.raises(DimensionMismatchError):
+            rref_stack(np.eye(2, dtype=int), 2)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_batched_row_kernels_match_scalar(self, rng, q):
+        for rows, cols in [(1, 1), (3, 2), (2, 4), (4, 4)]:
+            Ms = rng.integers(0, q, size=(12, rows, cols))
+            Ms[3] = 0
+            Ms[5] = Ms[4]
+            kernels = row_kernels(Ms, q)
+            assert kernels == [row_kernel(M, q) for M in Ms]
+            assert kernels[5] is kernels[4]
+
+    def test_batched_complete_bases_are_greedy(self, rng):
+        for q in (2, 3, 5):
+            for r, k in [(1, 1), (2, 3), (4, 2), (3, 3)]:
+                A = rng.integers(0, q, size=(10, r, k))
+                A[0] = 0
+                for B, F in zip(A, complete_bases(A, q)):
+                    rows: list = []
+                    for v in list(B) + list(np.eye(k, dtype=np.int64)):
+                        if matrix_rank(np.array(rows + [v]), q) > len(rows):
+                            rows.append(v)
+                    assert np.array_equal(F, np.array(rows) % q)
+                    assert matrix_rank(F, q) == k
+
+
+class TestKeyedSubspace:
+    def test_equal_spans_are_equal_and_hash_alike(self):
+        S = Subspace.from_rows([[1, 1, 0], [0, 1, 1]], 2)
+        T = Subspace.from_rows([[1, 0, 1], [1, 1, 0], [0, 1, 1]], 2)
+        assert S == T and hash(S) == hash(T)
+        assert len({S, T}) == 1
+
+    def test_key_separates_field_ambient_and_dimension(self):
+        assert Subspace.zero(2, 2) != Subspace.zero(2, 3)
+        assert hash(Subspace.zero(2, 2)) != hash(Subspace.zero(2, 3))
+        assert Subspace.full(2, 2) != Subspace.full(3, 2)
+        assert Subspace.zero(2, 2) != Subspace.full(2, 2)
+        assert Subspace.full(2, 2) != np.eye(2, dtype=np.int64)
+
+    def test_sort_key_orders_by_dimension_then_basis(self):
+        spaces = list(subspaces_up_to_dim(2, 3, 3))
+        assert sorted(reversed(spaces), key=Subspace.sort_key) == spaces
+        assert Subspace.full(2, 3).sort_key() == (3, np.eye(3, dtype=np.int64).tobytes())
+
+    def test_immutable(self):
+        S = Subspace.full(2, 2)
+        with pytest.raises(AttributeError):
+            S._key = None
+        with pytest.raises(ValueError):
+            S.basis[0, 0] = 0
