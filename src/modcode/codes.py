@@ -169,7 +169,8 @@ class Code:
         homs = []
         for col in cols:
             hom = col if isinstance(col, Hom) else Hom(space, alphabet, col)
-            if hom.space != space or hom.alphabet != alphabet:
+            # Tuple comparison skips __eq__ for the shared space and alphabet objects.
+            if (hom.space, hom.alphabet) != (space, alphabet):
                 raise DimensionMismatchError("all columns must share source and target")
             homs.append(hom)
         object.__setattr__(self, "alphabet", alphabet)
@@ -230,6 +231,19 @@ class MonomialMap:
         object.__setattr__(self, "automorphisms", tuple(frozen))
 
     @classmethod
+    def _of_invertible(cls, permutation, automorphisms, q: int) -> "MonomialMap":
+        """A map from a permutation and read-only automorphisms already proven invertible.
+
+        Skips the per-matrix validation of ``__post_init__``:
+        :func:`transport_automorphisms` proves a whole batch invertible at once.
+        """
+        mmap = object.__new__(cls)
+        object.__setattr__(mmap, "permutation", permutation)
+        object.__setattr__(mmap, "automorphisms", automorphisms)
+        object.__setattr__(mmap, "q", q)
+        return mmap
+
+    @classmethod
     def identity(cls, n: int, k: int, q: int) -> "MonomialMap":
         eye = np.eye(k, dtype=np.int64)
         return cls(tuple(range(n)), tuple(eye for _ in range(n)), q)
@@ -241,11 +255,6 @@ class Unextendable:
 
     lambda_only: tuple[tuple[Subspace, int], ...]
     mu_only: tuple[tuple[Subspace, int], ...]
-
-
-def matrix_row_support(X, q: int, t: int) -> Subspace:
-    """Row space of an m x t matrix as a canonical subspace of F_q^t."""
-    return Subspace.from_rows(np.asarray(X, dtype=np.int64), q, t)
 
 
 def hamming_weight(word) -> int:
@@ -305,14 +314,30 @@ def module_elements(q: int, m: int, t: int) -> np.ndarray:
 
 
 def codeword_weights(code: Code) -> np.ndarray:
-    """Hamming weight of the codeword of every source element, in one array."""
+    """Hamming weight of the codeword of every source element, in one array.
+
+    Entry e belongs to ``module_elements(q, m, t)[e]``.  X G = 0 exactly when
+    every row x_i of X lies in the row kernel of G, so
+    wt(X) = n - sum over distinct indicators z_c of mult_c * prod_i z_c[x_i],
+    with z_c the indicator of the q^t row vectors that a generator kills and
+    mult_c the number of generators with that indicator.
+    The rows x_1 .. x_(m-1) are folded in by m - 1 outer products and x_0
+    by one matmul.  Every partial sum is an integer in [0, n], so the int64
+    arithmetic is exact.
+    """
     sp = code.space
-    E = module_elements(sp.q, sp.m, sp.t)
-    weights = np.zeros(E.shape[0], dtype=np.int64)
-    for col in code.columns:
-        Y = np.tensordot(E, col.matrix, axes=([2], [0])) % sp.q
-        weights += Y.reshape(Y.shape[0], -1).any(axis=1)
-    return weights
+    q, m, t = sp.q, sp.m, sp.t
+    _check_module_elements(q, m, t)
+    gens = np.stack([col.matrix for col in code.columns])
+    vectors = module_elements(q, 1, t)[:, 0, :]
+    kills = (np.tensordot(gens, vectors, axes=([1], [1])) % q == 0).all(axis=1)
+    # Generators with equal row kernels have equal indicators: one row each.
+    mult = Counter(row.tobytes() for row in kills)
+    z = np.array([np.frombuffer(key, dtype=bool) for key in mult], dtype=np.int64)
+    tail = np.array(list(mult.values()), dtype=np.int64)[:, None]
+    for _ in range(m - 1):
+        tail = (tail[:, :, None] * z[:, None, :]).reshape(len(z), -1)
+    return code.length - (z.T @ tail).ravel()
 
 
 def is_isometry_bruteforce(lam: Code, mu: Code) -> bool:
@@ -351,15 +376,6 @@ def is_isometry_criterion(lam: Code, mu: Code) -> bool:
     return satisfies_isometry_equation(kernel_tuple(lam), kernel_tuple(mu))
 
 
-def is_trivial_solution(V, U) -> bool:
-    """Multiset equality of kernel supports (equality up to permutation)."""
-    V = tuple(V)
-    U = tuple(U)
-    if len(V) != len(U):
-        raise DimensionMismatchError("kernel tuples must have equal length")
-    return Counter(s.support for s in V) == Counter(s.support for s in U)
-
-
 def transport_automorphisms(Gs, Hs, q: int) -> np.ndarray:
     """Invertible P_i with G_i P_i = H_i, for a stack of t x k pairs with equal row kernels.
 
@@ -368,27 +384,27 @@ def transport_automorphisms(Gs, Hs, q: int) -> np.ndarray:
     at the same indices.  P = F_G^-1 F_H, the right block of the RREF of
     [F_G | F_H], maps a basis of rowspace(G) to the matching rows of H and a
     complement to a complement: the semisimple splitting argument made
-    concrete.  Two batched eliminations serve the whole stack.
+    concrete.  Two batched eliminations serve the whole stack, and a third
+    proves every P invertible by a full pivot mask.  The result is read-only.
     """
     Gs = np.asarray(Gs, dtype=np.int64) % q
     Hs = np.asarray(Hs, dtype=np.int64) % q
     n, _, k = Gs.shape
     frames = complete_bases(np.concatenate([Gs, Hs]), q)
     R, _ = rref_stack(np.concatenate([frames[:n], frames[n:]], axis=2), q)
-    P = R[:, :, k:]
+    P = np.ascontiguousarray(R[:, :, k:])
     if ((Gs @ P) % q != Hs).any():
         raise AssertionError("transport automorphism failed; kernels were not equal")
+    if not rref_stack(P, q)[1].all():
+        raise AssertionError("transport automorphism is singular")
+    P.setflags(write=False)
     return P
 
 
-def _by_support(counter: Counter) -> tuple[tuple[Subspace, int], ...]:
-    return tuple(sorted(counter.items(), key=lambda p: p[0].sort_key()))
-
-
-def _kernel_order(code: Code) -> list[int]:
-    """Column indices sorted by kernel support, ties by index."""
-    supports = [K.support for K in hom_kernels(code.columns)]
-    return sorted(range(code.length), key=lambda i: (supports[i].sort_key(), i))
+def _occurrence(ids: np.ndarray, count: int) -> np.ndarray:
+    """How many earlier entries along the last axis hold the same id, for ids below count."""
+    onehot = ids[..., None] == np.arange(count)
+    return (onehot.cumsum(axis=-2) * onehot).sum(axis=-1) - 1
 
 
 def extend_to_monomials(lam: Code, mus) -> list:
@@ -397,42 +413,66 @@ def extend_to_monomials(lam: Code, mus) -> list:
     Returns one entry per image: a MonomialMap whose application to lam
     reproduces the image column by column, an Unextendable value carrying
     the kernel-multiset difference, or None when the kernel-count criterion
-    rejects the image.  The column kernels of all codes come from one
-    batched elimination and the automorphisms of all extendable images from
-    one batched transport.
+    rejects the image.
+
+    All images are decided together.  Each distinct kernel support gets an
+    integer id, and D[i, j] is the count of support j among the column
+    kernels of lam minus that among the column kernels of image i.  One
+    containment table and one product decide the criterion of every row of
+    D, an image extends iff its row is zero, and the automorphisms of all
+    extendable images come from one batched transport.
     """
     mus = list(mus)
     for mu in mus:
         if mu.space != lam.space or mu.alphabet != lam.alphabet:
             raise DimensionMismatchError("codes must share their source module and alphabet")
-    hom_kernels(itertools.chain(lam.columns, *(mu.columns for mu in mus)))
-    v_counter = kernel_support_multiset(lam)
-    lam_order = _kernel_order(lam)
-    results: list = []
-    Gs: list[np.ndarray] = []
-    Hs: list[np.ndarray] = []
-    for mu in mus:
-        if not is_isometry_criterion(lam, mu):
-            results.append(None)
-            continue
-        u_counter = kernel_support_multiset(mu)
-        if v_counter != u_counter:
-            results.append(Unextendable(
-                _by_support(v_counter - u_counter), _by_support(u_counter - v_counter)
-            ))
-            continue
-        perm = [0] * lam.length
-        for src, dst in zip(lam_order, _kernel_order(mu)):
-            perm[dst] = src
-        results.append(tuple(perm))
-        Gs.extend(lam.columns[src].matrix for src in perm)
-        Hs.extend(col.matrix for col in mu.columns)
-    if Gs:
-        autos = iter(transport_automorphisms(Gs, Hs, lam.space.q))
-        for i, perm in enumerate(results):
-            if isinstance(perm, tuple):
-                own = tuple(next(autos) for _ in perm)
-                results[i] = MonomialMap(perm, own, lam.space.q)
+    if not mus:
+        return []
+    sp, n = lam.space, lam.length
+    kernels = hom_kernels(itertools.chain(lam.columns, *(mu.columns for mu in mus)))
+    # Images share their few kernel objects, so ids are looked up once per object.
+    ids: dict[Subspace, int] = {}
+    distinct = {id(K): K for K in kernels}
+    by_object = {key: ids.setdefault(K.support, len(ids)) for key, K in distinct.items()}
+    flat = np.array([by_object[id(K)] for K in kernels])
+    supports = list(ids)
+    # D[i, j] lies in [-len(mu_i), n], so on equal lengths every criterion sum
+    # stays within +-2n and balanced_rows takes it in exact int64.
+    lengths = np.array([mu.length for mu in mus])
+    rows = np.repeat(np.arange(len(mus)), lengths)
+    D = np.bincount(flat[:n], minlength=len(ids)) - np.bincount(
+        rows * len(ids) + flat[n:], minlength=len(mus) * len(ids)
+    ).reshape(len(mus), len(ids))
+    isometric = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced_rows(supports, D)
+    extendable = ~D.any(axis=1)
+
+    results: list = [None] * len(mus)
+    witnesses: dict[bytes, Unextendable] = {}
+    by_key = sorted(range(len(ids)), key=lambda j: supports[j].sort_key())
+    for i in np.flatnonzero(isometric & ~extendable):
+        d = D[i]
+        if d.tobytes() not in witnesses:
+            witnesses[d.tobytes()] = Unextendable(
+                tuple((supports[j], int(d[j])) for j in by_key if d[j] > 0),
+                tuple((supports[j], int(-d[j])) for j in by_key if d[j] < 0),
+            )
+        results[i] = witnesses[d.tobytes()]
+
+    chosen = np.flatnonzero(extendable)
+    if chosen.size:
+        # Equal supports pair up in index order: the r-th image column with
+        # support j comes from the r-th column of lam with support j.
+        offsets = n + np.concatenate([[0], np.cumsum(lengths)])[chosen]
+        mu_ids = flat[offsets[:, None] + np.arange(n)]
+        source = np.empty((len(ids), n), dtype=np.int64)
+        source[flat[:n], _occurrence(flat[:n], len(ids))] = np.arange(n)
+        perms = source[mu_ids, _occurrence(mu_ids, len(ids))]
+        Gs = np.stack([col.matrix for col in lam.columns])[perms]
+        Hs = np.stack([col.matrix for i in chosen for col in mus[i].columns])
+        k = lam.alphabet.k
+        autos = transport_automorphisms(Gs.reshape(-1, sp.t, k), Hs, sp.q).reshape(-1, n, k, k)
+        for i, perm, own in zip(chosen, perms.tolist(), autos):
+            results[i] = MonomialMap._of_invertible(tuple(perm), tuple(own), sp.q)
     return results
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budget
-from .codes import Alphabet, Code, Hom, ModuleSpace, Submodule, matrix_row_support
+from .codes import Alphabet, Code, Hom, ModuleSpace, Submodule, module_elements
 from .errors import (
     DimensionMismatchError,
     DomainRejectionError,
@@ -132,13 +132,11 @@ def inclusion_exclusion_solution(module: Submodule, covering) -> SolutionPair:
 
 def _verify_cover(module: Submodule, covering) -> None:
     """Element-wise check that the submodules really cover the module."""
-    from .fourier import submodule_elements
-
-    q = module.space.q
-    elements = submodule_elements(module)
+    sp, support = module.space, module.support
+    elements = module_elements(sp.q, sp.m, support.dim) @ support.basis % sp.q
     supports = [E.support for E in covering]
     for X in elements:
-        row_space = matrix_row_support(X, q, module.space.t)
+        row_space = Subspace.from_rows(X, sp.q, sp.t)
         if not any(contains(S, row_space) for S in supports):
             raise NotACoverError("an element of the module escapes every covering submodule")
 

@@ -11,13 +11,11 @@ from those counts.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 
 import numpy as np
 
-from . import budget
-from .codes import Hom, Submodule
+from .codes import Hom, Submodule, module_elements
 from .errors import DimensionMismatchError
 from .linalg import Subspace, orthogonal, subspace_lattice
 
@@ -29,19 +27,6 @@ def pairing(X, Y, q: int) -> int:
     if X.shape != Y.shape:
         raise DimensionMismatchError(f"pairing shapes differ: {X.shape} vs {Y.shape}")
     return int((X * Y).sum()) % q
-
-
-def submodule_elements(sub: Submodule) -> np.ndarray:
-    """All elements of the submodule: products C B with C ranging over m x d."""
-    q, m = sub.space.q, sub.space.m
-    d = sub.support.dim
-    count = q ** (m * d)
-    budget.check_vectors(count, "submodule element enumeration")
-    if d == 0:
-        return np.zeros((1, m, sub.space.t), dtype=np.int64)
-    coeffs = np.array(list(itertools.product(range(q), repeat=m * d)), dtype=np.int64)
-    C = coeffs.reshape(count, m, d)
-    return np.tensordot(C, sub.support.basis, axes=([2], [0])) % q
 
 
 def fourier_of_indicator(sub: Submodule, Y) -> tuple[int, ...]:
@@ -56,7 +41,8 @@ def fourier_of_indicator(sub: Submodule, Y) -> tuple[int, ...]:
     Y = np.asarray(Y, dtype=np.int64)
     if Y.shape != (sub.space.m, sub.space.t):
         raise DimensionMismatchError(f"character index must be m x t, got {Y.shape}")
-    elements = submodule_elements(sub)
+    S = sub.support
+    elements = module_elements(q, sub.space.m, S.dim) @ S.basis % q
     residues = (elements * Y).sum(axis=(1, 2)) % q
     counts = np.bincount(residues, minlength=q)
     return tuple(int(c) for c in counts)

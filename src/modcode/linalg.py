@@ -503,20 +503,38 @@ class SubspaceLattice:
             Z[:, start : start + len(block)] = ~hits.any(axis=(1, 3))
         return Z
 
+    def balanced_rows(self, supports, W) -> np.ndarray:
+        """Row i is True iff sum over j of W[i, j] * [S <= supports[j]] is 0 at every lattice S.
+
+        ``W`` is an integer array of shape (rows, len(supports)).  Supports
+        whose column vanishes in every row cancel before the one containment
+        table is built, so one table and one product decide every row.  The
+        product is exact: no partial sum exceeds max|W| * (columns) in
+        absolute value, so it is taken in int64 when that bound is below
+        2^63, else in Python ints.
+        """
+        W = np.asarray(W)
+        live = (W != 0).any(axis=0)
+        if not live.any():
+            return np.ones(W.shape[0], dtype=bool)
+        W = W[:, live]
+        Z = self.containment(K for K, keep in zip(supports, live) if keep)
+        if int(np.abs(W).max()) * W.shape[1] < 2**63:
+            sums = Z.astype(np.int64) @ W.astype(np.int64).T
+        else:
+            sums = Z.astype(object) @ W.astype(object).T
+        return ~sums.any(axis=0)
+
     def balanced(self, weights) -> bool:
         """True iff sum over K of weights[K] * [S <= K] is 0 at every lattice subspace S.
 
-        ``weights`` maps supports to integers.  The sum is exact: it is taken
-        in int64 only when no partial sum can overflow, else in Python ints.
+        ``weights`` maps supports to integers, however large: the one-row
+        case of :meth:`balanced_rows`.
         """
-        items = [(K, w) for K, w in weights.items() if w]
-        if not items:
-            return True
-        Z = self.containment(K for K, _ in items)
-        w = [w for _, w in items]
-        if sum(abs(x) for x in w) < 2**63:
-            return not (Z @ np.array(w, dtype=np.int64)).any()
-        return not (Z.astype(object) @ np.array(w, dtype=object)).any()
+        supports = list(weights)
+        row = np.empty((1, len(supports)), dtype=object)
+        row[0] = [weights[K] for K in supports]
+        return bool(self.balanced_rows(supports, row)[0])
 
 
 @budget.checked_cache(_check_subspaces_up_to_dim)

@@ -27,10 +27,10 @@ from .codes import (
     extend_to_monomial,
     extend_to_monomials,
     hom_kernels,
-    # Not called here (extend_to_monomial runs the criterion itself), but the
-    # traced replay in bench/traced.py probes it under this module's name.
+    # Not called here, but the traced replay in bench/traced.py probes them
+    # under this module's name.
     is_isometry_criterion,  # noqa: F401
-    kernel_support_multiset,
+    kernel_support_multiset,  # noqa: F401
     module_elements,
 )
 from .errors import DomainRejectionError, ZeroCodeError
@@ -172,15 +172,15 @@ def exhaustive_isometry_scan(code: Code) -> list[tuple[Code, bool]]:
     budget.check_vectors(q ** (t * k * n), "isometry scan enumeration")
     candidates = module_elements(q, t, k)
     # One Hom per candidate, shared by every match, so each candidate kernel
-    # is computed once, all in one batched elimination.
+    # is computed once, all in one batched elimination, and gets a support id.
     homs = [Hom(sp, code.alphabet, G) for G in candidates]
-    hom_kernels(homs)
+    ids: dict[Subspace, int] = {}
+    candidate_ids = np.array([ids.setdefault(K.support, len(ids)) for K in hom_kernels(homs)])
     E = module_elements(q, sp.m, t)
     # indicators[c, e] = 1 when source element e has a nonzero block under candidate c.
     Y = np.tensordot(candidates, E, axes=([1], [2])) % q
     indicators = Y.any(axis=(1, 3)).astype(np.int64)
     target = codeword_weights(code)
-    lam_kernels = kernel_support_multiset(code)
 
     def half_sums(length: int) -> np.ndarray:
         """Weight sums of all candidate tuples of this length, in product order."""
@@ -193,14 +193,21 @@ def exhaustive_isometry_scan(code: Code) -> list[tuple[Code, bool]]:
     wanted: dict[bytes, list[int]] = {}
     for j, row in enumerate(target - half_sums(n - left)):
         wanted.setdefault(row.tobytes(), []).append(j)
-    shape = (len(candidates),) * n
     width = len(candidates) ** (n - left)
+    matches = [
+        i * width + j
+        for i, row in enumerate(half_sums(left))
+        for j in wanted.get(row.tobytes(), ())
+    ]
+    combos = np.array(np.unravel_index(matches, (len(candidates),) * n), dtype=np.int64).T
 
-    results: list[tuple[Code, bool]] = []
-    for i, row in enumerate(half_sums(left)):
-        for j in wanted.get(row.tobytes(), ()):
-            combo = np.unravel_index(i * width + j, shape)
-            mu = Code(code.alphabet, sp, [homs[c] for c in combo])
-            extendable = kernel_support_multiset(mu) == lam_kernels
-            results.append((mu, extendable))
-    return results
+    # A match extends iff its kernel-support ids have the code's histogram.
+    s = len(ids)
+    own = np.bincount([ids[K.support] for K in hom_kernels(code.columns)], minlength=s)
+    cells = np.arange(len(combos))[:, None] * s + candidate_ids[combos]
+    histograms = np.bincount(cells.ravel(), minlength=len(combos) * s).reshape(-1, s)
+    extendable = (histograms == own).all(axis=1)
+    return [
+        (Code(code.alphabet, sp, [homs[c] for c in combo]), bool(ok))
+        for combo, ok in zip(combos.tolist(), extendable)
+    ]

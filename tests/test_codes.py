@@ -1,7 +1,13 @@
 """Module alphabets, codes, the isometry criterion and monomial extension."""
 
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcode import (
     Alphabet,
@@ -23,12 +29,14 @@ from modcode import (
     is_cyclic_submodule,
     is_isometry_bruteforce,
     is_isometry_criterion,
-    is_trivial_solution,
     kernel_tuple,
     minimal_counterexample,
 )
-from modcode.codes import hom_kernels, module_elements, transport_automorphisms
+from modcode import codes, save_code
+from modcode.cli import main
+from modcode.codes import codeword_weights, hom_kernels, module_elements, transport_automorphisms
 from modcode.errors import DimensionMismatchError
+from modcode.forge import SolutionPair
 from modcode.linalg import inverse, mat_mul, matrix_rank, row_kernel
 from modcode.mds import exhaustive_isometry_scan
 
@@ -155,6 +163,12 @@ class TestIsometry:
             assert is_isometry_criterion(lam, mu) == is_isometry_bruteforce(lam, mu)
 
 
+def is_trivial_solution(V, U) -> bool:
+    """Multiset equality of kernel supports, through SolutionPair.is_trivial."""
+    counts = [Counter(K.support for K in side) for side in (V, U)]
+    return SolutionPair.from_counters(V[0].space, *counts).is_trivial()
+
+
 class TestTrivialSolution:
     def test_literal_equality(self):
         code = identity_code(2, 1, 2, 3)
@@ -276,15 +290,13 @@ class TestCyclicAndCovering:
         assert len(covered) == 9
 
     def test_submodule_cardinality_law(self, rng):
-        from modcode.fourier import submodule_elements
-
         for q, m, t in [(2, 1, 2), (2, 2, 2), (3, 1, 2), (2, 2, 3)]:
             sp = ModuleSpace(q, m, t)
             from conftest import random_subspace
 
             S = random_subspace(rng, q, t)
             sub = Submodule(sp, S)
-            elements = submodule_elements(sub)
+            elements = module_elements(q, m, S.dim) @ S.basis % q
             assert elements.shape[0] == q ** (m * S.dim)
             seen = {e.tobytes() for e in elements}
             assert len(seen) == q ** (m * S.dim)
@@ -421,3 +433,185 @@ class TestBatchedExtension:
         other = Code(Alphabet(2, 1, 1), code.space, [np.ones((2, 1), dtype=int)] * 3)
         with pytest.raises(DimensionMismatchError):
             extend_to_monomials(code, [other])
+
+
+def reference_extend(lam, mus):
+    """The per-image loop of earlier releases, kept as the oracle of the batch.
+
+    Per image: the kernel-count criterion, a Counter comparison of the kernel
+    multisets, column orders sorted by support key, and the per-pair
+    transport with a validated MonomialMap.
+    """
+
+    def by_support(counter):
+        return tuple(sorted(counter.items(), key=lambda p: p[0].sort_key()))
+
+    def order(code):
+        supports = [K.support for K in kernel_tuple(code)]
+        return sorted(range(code.length), key=lambda i: (supports[i].sort_key(), i))
+
+    q, k = lam.space.q, lam.alphabet.k
+    lam_counter = Counter(K.support for K in kernel_tuple(lam))
+    results = []
+    for mu in mus:
+        if not is_isometry_criterion(lam, mu):
+            results.append(None)
+            continue
+        mu_counter = Counter(K.support for K in kernel_tuple(mu))
+        if lam_counter != mu_counter:
+            results.append(Unextendable(
+                by_support(lam_counter - mu_counter), by_support(mu_counter - lam_counter)
+            ))
+            continue
+        perm = [0] * lam.length
+        for src, dst in zip(order(lam), order(mu)):
+            perm[dst] = src
+        autos = [
+            reference_transport(lam.columns[src].matrix, col.matrix, q, k)
+            for src, col in zip(perm, mu.columns)
+        ]
+        results.append(MonomialMap(tuple(perm), tuple(autos), q))
+    return results
+
+
+def same_extension(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, MonomialMap):
+        return a.permutation == b.permutation and all(
+            np.array_equal(P, Q) for P, Q in zip(a.automorphisms, b.automorphisms)
+        )
+    return a == b
+
+
+def fresh_copy(code):
+    """The same code with new Hom objects, so no kernel is cached or shared."""
+    return Code(code.alphabet, code.space, [col.matrix.copy() for col in code.columns])
+
+
+class TestBatchedImages:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        q=st.sampled_from([2, 3, 5]),
+        m=st.integers(1, 2),
+        t=st.integers(1, 3),
+        k=st.integers(1, 3),
+        n=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_matches_per_image_loop_on_random_images(self, q, m, t, k, n, seed):
+        rng = np.random.default_rng(seed)
+        lam = random_code(rng, q, m, t, k, n)
+        images = [apply_monomial(random_monomial(rng, q, k, n), lam) for _ in range(3)]
+        images += [random_code(rng, q, m, t, k, n) for _ in range(2)]
+        # Not isometric: a nonzero column zeroed.  Isometric but longer: a zero column added.
+        cols = [col.matrix for col in images[0].columns]
+        j = next((j for j, G in enumerate(cols) if G.any()), None)
+        if j is not None:
+            cols[j] = np.zeros_like(cols[j])
+            images.append(Code(lam.alphabet, lam.space, cols))
+        zero = np.zeros((t, k), dtype=np.int64)
+        images.append(Code(lam.alphabet, lam.space, [c.matrix for c in lam.columns] + [zero]))
+        images.insert(1, images[0])  # a repeated image object
+
+        batch = extend_to_monomials(fresh_copy(lam), [fresh_copy(mu) for mu in images])
+        expected = reference_extend(lam, images)
+        assert all(same_extension(a, b) for a, b in zip(batch, expected))
+        assert len(batch) == len(images)
+        for mu, result in zip(images, batch):
+            # The kernel-count criterion assumes equal lengths; the padded image is exempt.
+            if mu.length == n:
+                assert (result is not None) == is_isometry_bruteforce(lam, mu)
+            if isinstance(result, MonomialMap):
+                assert apply_monomial(result, lam) == mu
+
+    def test_monomial_images_share_one_batched_transport(self, rng, monkeypatch):
+        code = random_code(rng, 3, 1, 3, 2, 5)
+        images = [apply_monomial(random_monomial(rng, 3, 2, 5), code) for _ in range(4)]
+        calls = []
+        transport = codes.transport_automorphisms
+        monkeypatch.setattr(
+            codes, "transport_automorphisms", lambda G, H, q: calls.append(len(G)) or transport(G, H, q)
+        )
+        monkeypatch.setattr(codes, "matrix_rank", None)  # no per-matrix rank validation
+        results = extend_to_monomials(code, images)
+        assert calls == [20]
+        assert all(apply_monomial(r, code) == mu for r, mu in zip(results, images))
+
+    def test_singular_transport_rejected(self, monkeypatch):
+        # Zero generators pass G P = H for every P, so only the pivot mask catches a singular P.
+        zero = np.zeros((8, 2, 2), dtype=np.int64)
+        frames = codes.complete_bases
+        monkeypatch.setattr(
+            codes, "complete_bases", lambda A, q: frames(A, q) * (np.arange(len(A)) < 8)[:, None, None]
+        )
+        with pytest.raises(AssertionError, match="singular"):
+            transport_automorphisms(zero, zero, 2)
+
+    def test_transport_result_is_read_only(self, rng):
+        Gs = rng.integers(0, 3, size=(9, 2, 2))
+        P = transport_automorphisms(Gs, Gs, 3)
+        assert not P.flags.writeable
+        assert (np.einsum("nij,njk->nik", Gs, P) % 3 == Gs).all()
+
+
+def reference_weights(code):
+    """Codeword weights by one tensordot per column over every source element."""
+    sp = code.space
+    E = module_elements(sp.q, sp.m, sp.t)
+    weights = np.zeros(E.shape[0], dtype=np.int64)
+    for col in code.columns:
+        Y = np.tensordot(E, col.matrix, axes=([2], [0])) % sp.q
+        weights += Y.reshape(Y.shape[0], -1).any(axis=1)
+    return weights
+
+
+FORGE_LADDER = [(2, 2, 3), (3, 2, 3), (2, 3, 4), (5, 2, 3), (3, 3, 4)]
+
+
+class TestWeightOracle:
+    def test_oracle_matches_tensordot_reference_on_random_codes(self, rng):
+        for _ in range(150):
+            q = int(rng.choice([2, 3, 5]))
+            m = int(rng.integers(1, 4))
+            t = int(rng.integers(0, 4))
+            k = int(rng.integers(1, 4))
+            if q ** (m * t) > 4000:
+                continue
+            code = random_code(rng, q, m, t, k, int(rng.integers(1, 7)))
+            weights = codeword_weights(code)
+            assert weights.dtype == np.int64
+            assert np.array_equal(weights, reference_weights(code))
+
+    @pytest.mark.parametrize("q, m, k", [(2, 1, 2), (2, 2, 3), (3, 2, 3)])
+    def test_oracle_matches_tensordot_reference_on_forged_pairs(self, q, m, k):
+        for code in minimal_counterexample(q, m, k):
+            assert np.array_equal(codeword_weights(code), reference_weights(code))
+
+    def test_oracle_budget_checked_first(self, monkeypatch):
+        code = identity_code(2, 2, 3, 2)  # q^(m t) = 64 source elements
+        monkeypatch.setenv("MODCODE_BUDGET", "63")
+        monkeypatch.setattr(codes, "module_elements", None)
+        with pytest.raises(EnumerationBudgetError):
+            codeword_weights(code)
+
+    @pytest.mark.parametrize("q, m, k", FORGE_LADDER)
+    def test_check_oracle_agrees_with_criterion_on_forge_ladder(self, q, m, k, tmp_path):
+        lam, mu = minimal_counterexample(q, m, k)
+        rng = np.random.default_rng(q * 100 + m * 10 + k)
+        image = apply_monomial(random_monomial(rng, q, k, mu.length), mu)
+        cols = [col.matrix for col in image.columns]
+        j = next(j for j, G in enumerate(cols) if G.any())
+        cols[j] = np.zeros_like(cols[j])
+        broken = Code(image.alphabet, image.space, cols)
+        paths = {}
+        for name, code in (("lam", lam), ("img", image), ("broken", broken)):
+            paths[name] = str(tmp_path / f"{name}.json")
+            save_code(code, paths[name])
+        runner = CliRunner()
+        for other, isometric in (("img", True), ("broken", False)):
+            args = ["check", "--lambda", paths["lam"], "--mu", paths[other], "--oracle", "--json"]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            report = json.loads(result.output)
+            assert report["isometry"] is report["isometry_oracle"] is isometric

@@ -1,14 +1,20 @@
 """Code-file JSON round trips and command-line behavior."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from modcode import Alphabet, Code, ModuleSpace, codes, load_code, minimal_counterexample, save_code
+import modcode
+from modcode import Alphabet, Code, ModuleSpace, load_code, minimal_counterexample, save_code
 from modcode.cli import main
 from modcode.errors import DimensionMismatchError
+from modcode.linalg import SubspaceLattice
 
 
 @pytest.fixture
@@ -187,14 +193,16 @@ class TestCheckCommand:
 
     def test_criterion_runs_once(self, runner, tmp_path, monkeypatch):
         lp, mp = self._forged_files(runner, tmp_path)
-        calls = []
-        equation = codes.satisfies_isometry_equation
+        rows = []
+        decide = SubspaceLattice.balanced_rows
         monkeypatch.setattr(
-            codes, "satisfies_isometry_equation", lambda V, U: calls.append(1) or equation(V, U)
+            SubspaceLattice,
+            "balanced_rows",
+            lambda self, supports, W: rows.append(len(W)) or decide(self, supports, W),
         )
         result = runner.invoke(main, ["check", "--lambda", lp, "--mu", mp, "--json"])
         assert result.exit_code == 0 and json.loads(result.output)["isometry"] is True
-        assert len(calls) == 1
+        assert rows == [1]
 
     def test_fractional_code_file_exit_4(self, runner, tmp_path):
         path = tmp_path / "frac.json"
@@ -281,6 +289,70 @@ class TestMdsCommand:
         result = runner.invoke(main, ["mds", "--code", lp, "--json"])
         assert result.exit_code == 0
         assert not json.loads(result.output)["is_mds"]
+
+
+    def test_non_injective_code_exit_2(self, runner, tmp_path):
+        path = tmp_path / "zero.json"
+        save_code(Code(Alphabet(2, 1, 1), ModuleSpace(2, 1, 1), [np.zeros((1, 1), dtype=int)]), path)
+        result = runner.invoke(main, ["mds", "--code", str(path), "--scan"])
+        assert result.exit_code == 2
+        assert "not injective" in result.output
+
+    def test_bad_code_file_exit_4(self, runner, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"q": 2, "m": 1, "k": 1, "t": 1, "generators": [[[2]]]}))
+        result = runner.invoke(main, ["mds", "--code", str(path), "--scan"])
+        assert result.exit_code == 4
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command", ["forge", "minlen", "identities"])
+    def test_non_prime_q_exit_4(self, runner, tmp_path, command):
+        args = {
+            "forge": ["--q", "4", "--m", "1", "--k", "2",
+                      "--out-lambda", str(tmp_path / "l"), "--out-mu", str(tmp_path / "m")],
+            "minlen": ["--q", "4", "--m", "1"],
+            "identities": ["--q", "4", "--tmax", "2"],
+        }[command]
+        result = runner.invoke(main, [command, *args])
+        assert result.exit_code == 4
+        assert result.output.startswith("error: ")
+
+    def test_first_matching_class_wins(self):
+        from modcode.cli import EXIT_CODES
+        from modcode.errors import EnumerationBudgetError, ModcodeError
+
+        classes = [cls for cls, _ in EXIT_CODES]
+        # Every subclass precedes its base class, so the most specific mapping wins.
+        for i, cls in enumerate(classes):
+            assert not any(issubclass(later, cls) for later in classes[i + 1:])
+        assert dict(EXIT_CODES)[EnumerationBudgetError] == 3
+        assert dict(EXIT_CODES)[ModcodeError] == 2
+
+
+class TestLeanImports:
+    def test_cli_import_leaves_unused_modules_unloaded(self):
+        src = str(Path(modcode.__file__).resolve().parent.parent)
+        script = (
+            "import sys, modcode.cli, modcode\n"
+            "loaded = sorted(m for m in ('modcode.forge', 'modcode.mds', 'modcode.fourier')"
+            " if m in sys.modules)\n"
+            "assert not loaded, loaded\n"
+            "for name in modcode.__all__:\n"
+            "    getattr(modcode, name)\n"
+            "from modcode import codes, forge, fourier, io, linalg, mds\n"
+            "assert modcode.DomainRejectionError is modcode.errors.DomainRejectionError\n"
+            "print(len(modcode.__all__))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == len(modcode.__all__) > 60
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError):
+            modcode.no_such_name  # noqa: B018
+        assert "SolutionPair" in dir(modcode)
 
 
 class TestIdentitiesCommand:

@@ -256,6 +256,26 @@ class TestSubspaceLattice:
         assert not lattice.balanced({full: 2**64})
         assert lattice.balanced({full: 0})
 
+    def test_balanced_rows_match_one_row_calls(self):
+        lattice = subspace_lattice(2, 2, 1)
+        supports = [Subspace.zero(2, 2), Subspace.full(2, 2), *enumerate_subspaces(2, 2, 1)]
+        # The forged (q, m, k) = (2, 1, 2) pair: kernels {0, 0, F_2^2} against the three lines.
+        forged = [2, 1, -1, -1, -1]
+        random_rows = np.random.default_rng(5).integers(-2, 3, (6, 5))
+        W = np.array([forged, [-x for x in forged], [0] * 5, *random_rows])
+        expected = [lattice.balanced(dict(zip(supports, map(int, row)))) for row in W]
+        assert expected[:3] == [True, True, True]
+        assert lattice.balanced_rows(supports, W).tolist() == expected
+        assert lattice.balanced_rows([], np.zeros((2, 0), dtype=np.int64)).tolist() == [True, True]
+
+    def test_balanced_rows_exact_beyond_int64(self):
+        lattice = subspace_lattice(2, 2, 1)
+        line, full = enumerate_subspaces(2, 2, 1)[0], Subspace.full(2, 2)
+        # Rows 0 and 1 wrap to zero in int64; their exact sums do not vanish.
+        W = np.empty((3, 2), dtype=object)
+        W[:] = [[2**64, 0], [2**64, -(2**64)], [0, 0]]
+        assert lattice.balanced_rows([full, line], W).tolist() == [False, False, True]
+
 
 class TestCountContaining:
     def test_lines_over_zero(self):

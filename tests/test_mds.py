@@ -24,7 +24,8 @@ from modcode import (
     minimal_counterexample,
     theorem_violations,
 )
-from modcode import codes, mds
+from modcode import mds
+from modcode.linalg import SubspaceLattice, row_kernel
 from modcode.mds import code_cardinality
 
 from conftest import random_monomial
@@ -167,13 +168,15 @@ class TestTheoremViolations:
     def test_criterion_runs_once_per_image(self, monkeypatch):
         code = parity_code(3)
         images = [mu for mu, _ in exhaustive_isometry_scan(code)]
-        calls = []
-        equation = codes.satisfies_isometry_equation
+        rows = []
+        decide = SubspaceLattice.balanced_rows
         monkeypatch.setattr(
-            codes, "satisfies_isometry_equation", lambda V, U: calls.append(1) or equation(V, U)
+            SubspaceLattice,
+            "balanced_rows",
+            lambda self, supports, W: rows.append(len(W)) or decide(self, supports, W),
         )
         assert theorem_violations(code, images) == []
-        assert len(calls) == len(images)
+        assert rows == [len(images)]
 
     def test_non_mds_rejected(self):
         lam, mu = minimal_counterexample(2, 1, 2)
@@ -239,6 +242,20 @@ class TestExhaustiveScan:
         assert len(results) == 384
         assert all(ok for _, ok in results)
         assert theorem_violations(code, [mu for mu, _ in results]) == []
+
+    @pytest.mark.parametrize(
+        "code",
+        [repetition_code(), parity_code(3), minimal_counterexample(2, 1, 2)[0], parity_code(3, q=3)],
+        ids=["rep2", "parity2", "forged212", "parity3"],
+    )
+    def test_scan_images_flags_equal_kernel_multiset_comparison(self, code):
+        def kernels(c):
+            return Counter(row_kernel(col.matrix, c.space.q) for col in c.columns)
+
+        results = exhaustive_isometry_scan(code)
+        flags = [kernels(mu) == kernels(code) for mu, _ in results]
+        assert [ok for _, ok in results] == flags
+        assert all(type(ok) is bool for _, ok in results)
 
     def test_scan_budget_checked_first(self, monkeypatch):
         code = repetition_code()  # q^(tkn) = 2^3
