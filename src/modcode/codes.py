@@ -347,6 +347,19 @@ def is_isometry_bruteforce(lam: Code, mu: Code) -> bool:
     return bool(np.array_equal(codeword_weights(lam), codeword_weights(mu)))
 
 
+def _support_difference(V, U) -> tuple[ModuleSpace, Counter]:
+    """The common source module of two nonempty kernel tuples and their support-count difference."""
+    V, U = tuple(V), tuple(U)
+    if not V or not U:
+        raise DimensionMismatchError("kernel tuples must be nonempty")
+    sp = V[0].space
+    if any(sub.space != sp for sub in V + U):
+        raise DimensionMismatchError("kernel tuples must share their source module")
+    diff = Counter(s.support for s in V)
+    diff.subtract(s.support for s in U)
+    return sp, diff
+
+
 def satisfies_isometry_equation(V, U) -> bool:
     """Equality of the two kernel indicator sums, decided by counts.
 
@@ -356,16 +369,7 @@ def satisfies_isometry_equation(V, U) -> bool:
     common to both sides cancel first, so the counts run over the distinct
     supports of the multiset difference only.
     """
-    V = tuple(V)
-    U = tuple(U)
-    if not V or not U:
-        raise DimensionMismatchError("kernel tuples must be nonempty")
-    sp = V[0].space
-    for sub in V + U:
-        if sub.space != sp:
-            raise DimensionMismatchError("kernel tuples must share their source module")
-    diff = Counter(s.support for s in V)
-    diff.subtract(s.support for s in U)
+    sp, diff = _support_difference(V, U)
     return subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced(diff)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budget
-from .codes import Alphabet, Code, Hom, ModuleSpace, Submodule, module_elements
+from .codes import Alphabet, Code, Hom, ModuleSpace, Submodule
 from .errors import (
     DimensionMismatchError,
     DomainRejectionError,
@@ -131,14 +131,13 @@ def inclusion_exclusion_solution(module: Submodule, covering) -> SolutionPair:
 
 
 def _verify_cover(module: Submodule, covering) -> None:
-    """Element-wise check that the submodules really cover the module."""
-    sp, support = module.space, module.support
-    elements = module_elements(sp.q, sp.m, support.dim) @ support.basis % sp.q
-    supports = [E.support for E in covering]
-    for X in elements:
-        row_space = Subspace.from_rows(X, sp.q, sp.t)
-        if not any(contains(S, row_space) for S in supports):
-            raise NotACoverError("an element of the module escapes every covering submodule")
+    """Check that the row space of every module element lies in some covering support."""
+    # Those row spaces are exactly the subspaces of the support of dimension <= m.
+    sp = module.space
+    lattice = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t))
+    Z = lattice.containment([module.support] + [E.support for E in covering])
+    if (Z[:, 0] & ~Z[:, 1:].any(axis=1)).any():
+        raise NotACoverError("an element of the module escapes every covering submodule")
 
 
 def homs_with_kernels(space: ModuleSpace, supports, k: int) -> list[Hom]:
@@ -278,6 +277,12 @@ class _NodeBudgetHit(Exception):
     pass
 
 
+def _nest(calls: int) -> None:
+    """Nest this many calls; raises RecursionError if they exceed the recursion limit."""
+    if calls:
+        _nest(calls - 1)
+
+
 def min_nontrivial_length(
     q: int,
     m: int,
@@ -294,7 +299,8 @@ def min_nontrivial_length(
     last remaining column containing some evaluation row, its value is forced
     by that row's partial sum, which collapses the search.  Ties between
     optimal witnesses are broken by the lexicographically smallest assignment
-    in search order.
+    in search order.  Raises EnumerationBudgetError before searching when its
+    recursion, one frame per column, will not fit under the recursion limit.
     """
     if t < 1 or length_bound < 1:
         raise ValueError("need t >= 1 and length_bound >= 1")
@@ -302,6 +308,12 @@ def min_nontrivial_length(
     n_rows, n_cols = system.Z.shape
     order = sorted(range(n_cols), key=lambda j: (-system.cols[j].dim, system.cols[j].sort_key()))
     Z = system.Z
+
+    # dfs nests one call per column, and record_leaf's tuple comparison 3 more.
+    try:
+        _nest(n_cols + 3)
+    except RecursionError:
+        raise EnumerationBudgetError(f"{n_cols} nested calls exceed the recursion limit") from None
 
     rows_of_col = [np.flatnonzero(Z[:, j]).tolist() for j in order]
     last_col_of_row = [-1] * n_rows

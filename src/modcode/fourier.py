@@ -11,11 +11,9 @@ from those counts.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
-from .codes import Hom, Submodule, module_elements
+from .codes import Hom, Submodule, _support_difference, module_elements
 from .errors import DimensionMismatchError
 from .linalg import Subspace, orthogonal, subspace_lattice
 
@@ -70,16 +68,7 @@ def verify_dual_equation(V, U) -> bool:
     cancel first and each remaining orthogonal support carries its count
     difference times that size, an exact integer however large.
     """
-    V = tuple(V)
-    U = tuple(U)
-    if not V or not U:
-        raise DimensionMismatchError("kernel tuples must be nonempty")
-    sp = V[0].space
-    for sub in V + U:
-        if sub.space != sp:
-            raise DimensionMismatchError("kernel tuples must share their source module")
-    diff = Counter(s.support for s in V)
-    diff.subtract(s.support for s in U)
+    sp, diff = _support_difference(V, U)
     weights = {orthogonal(K): c * sp.q ** (sp.m * K.dim) for K, c in diff.items() if c}
     return subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced(weights)
 

@@ -1,9 +1,9 @@
 """Singleton bound, MDS detection and the MDS extension theorem checker.
 
 A code attains the Singleton bound when |C| = |A|^(n - d + 1); the exponent
-kappa = n - d + 1 is the code dimension.  Equivalently every kappa-subset of
-columns is an information set, which at the kernel level means every column
-is surjective and every kappa column kernels intersect trivially.
+kappa = n - d + 1 is the code dimension.  Equivalently every kappa-subset S
+of columns is an information set: the projection X -> (X G_i) for i in S is
+onto A^kappa, which holds iff the t x kappa k block [G_i] has rank kappa k.
 
 For MDS codes of dimension different from 2 every Hamming isometry extends
 to a monomial map.  The checker verifies the theorem instead of assuming it:
@@ -33,8 +33,8 @@ from .codes import (
     kernel_support_multiset,  # noqa: F401
     module_elements,
 )
-from .errors import DomainRejectionError, ZeroCodeError
-from .linalg import Subspace, intersect, matrix_rank
+from .errors import DomainRejectionError, EnumerationBudgetError, ZeroCodeError
+from .linalg import matrix_rank
 
 
 @dataclass(frozen=True)
@@ -66,50 +66,44 @@ def min_distance(code: Code) -> int:
 
 
 def code_cardinality(code: Code) -> int:
-    """|C| = |W| / |Ker lambda|, computed from the joint kernel support."""
+    """|C| = q^(m r), with r the rank of the t x nk concatenation [G_1 | ... | G_n]."""
     sp = code.space
-    joint = Subspace.full(sp.q, sp.t)
-    for col in code.columns:
-        joint = intersect(joint, col.kernel().support)
-    return sp.q ** (sp.m * (sp.t - joint.dim))
+    joint = np.concatenate([col.matrix for col in code.columns], axis=1)
+    return sp.q ** (sp.m * matrix_rank(joint, sp.q))
 
 
 def is_mds(code: Code) -> MdsReport:
-    """MDS detection via the kernel conditions, cross-checked by cardinality.
+    """MDS detection by information sets, cross-checked by cardinality.
 
-    Conditions: every column is surjective (generator rank k) and every
-    kappa-subset of column kernels intersects trivially.  The verdict must
-    agree with the Singleton equality |C| = |A|^kappa.
+    Every column must be surjective (generator rank k) and every kappa-subset
+    S of columns an information set: its t x kappa k block [G_i], i in S, of
+    rank kappa k.  The first failing column, else subset in combinations
+    order, is the witness; an MDS verdict that needs more than
+    ``budget.vector_budget()`` subsets raises EnumerationBudgetError.  The
+    verdict must agree with the Singleton equality |C| = |A|^kappa.
     """
     sp = code.space
     q, k = sp.q, code.alphabet.k
-    if code_cardinality(code) != sp.size:
+    cardinality = code_cardinality(code)
+    if cardinality != sp.size:
         raise DomainRejectionError("the parametrization is not injective")
     d = min_distance(code)
     n = code.length
     kappa = n - d + 1
-    supports = [col.kernel().support for col in code.columns]
-
-    verdict = True
-    witnesses: tuple[int, ...] | None = None
-    for i, col in enumerate(code.columns):
-        if matrix_rank(col.matrix, q) != k:
-            verdict = False
-            witnesses = (i,)
-            break
-    if verdict:
-        for subset in itertools.combinations(range(n), kappa):
-            meet = Subspace.full(q, sp.t)
-            for i in subset:
-                meet = intersect(meet, supports[i])
-            if meet.dim != 0:
-                verdict = False
+    G = [col.matrix for col in code.columns]
+    witnesses = next(((i,) for i in range(n) if matrix_rank(G[i], q) != k), None)
+    if witnesses is None:
+        limit = budget.vector_budget()
+        for count, subset in enumerate(itertools.combinations(range(n), kappa)):
+            if count == limit:
+                raise EnumerationBudgetError(f"MDS check needs more than {limit} column subsets")
+            if matrix_rank(np.concatenate([G[i] for i in subset], axis=1), q) < kappa * k:
                 witnesses = subset
                 break
 
-    cardinality_mds = code_cardinality(code) == code.alphabet.size**kappa
-    if verdict != cardinality_mds:
-        raise AssertionError("kernel-condition MDS verdict disagrees with cardinality")
+    verdict = witnesses is None
+    if verdict != (cardinality == code.alphabet.size**kappa):
+        raise AssertionError("information-set MDS verdict disagrees with cardinality")
     return MdsReport(n=n, d=d, kappa=kappa, is_mds=verdict, witnesses=witnesses)
 
 
@@ -174,7 +168,7 @@ def exhaustive_isometry_scan(code: Code) -> list[tuple[Code, bool]]:
     # One Hom per candidate, shared by every match, so each candidate kernel
     # is computed once, all in one batched elimination, and gets a support id.
     homs = [Hom(sp, code.alphabet, G) for G in candidates]
-    ids: dict[Subspace, int] = {}
+    ids: dict = {}
     candidate_ids = np.array([ids.setdefault(K.support, len(ids)) for K in hom_kernels(homs)])
     E = module_elements(q, sp.m, t)
     # indicators[c, e] = 1 when source element e has a nonzero block under candidate c.

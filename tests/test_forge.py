@@ -1,5 +1,7 @@
 """Solution forging, the incidence system and the minimality search."""
 
+import itertools
+import sys
 from collections import Counter
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from modcode import (
     Alphabet,
     DomainRejectionError,
+    EnumerationBudgetError,
     ModuleSpace,
     NotACoverError,
     RankInfeasibleError,
@@ -30,8 +33,10 @@ from modcode import (
     row_kernel,
     solution_to_codes,
 )
-from modcode.forge import homs_with_kernels
-from modcode.linalg import enumerate_subspaces, subspaces_up_to_dim
+from modcode import forge
+from modcode.codes import module_elements
+from modcode.forge import _verify_cover, homs_with_kernels
+from modcode.linalg import contains, enumerate_subspaces, subspaces_up_to_dim
 
 from conftest import random_subspace
 
@@ -70,6 +75,48 @@ class TestInclusionExclusion:
         M = Submodule(sp, Subspace.full(2, 2))
         with pytest.raises(NotACoverError):
             inclusion_exclusion_solution(M, [M])
+
+
+class TestVerifyCover:
+    def test_lattice_check_matches_element_loop_on_every_partial_covering(self):
+        """Every nonempty subset of the hyperplanes of every support S of
+        dimension > m, q <= 3, t <= 3, against a reference loop over the
+        module's elements and their row spaces."""
+        cases = covers = 0
+        for q, t in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+            for S in subspaces_up_to_dim(q, t, t):
+                for m in range(1, S.dim):
+                    module = Submodule(ModuleSpace(q, m, t), S)
+                    parts = covering_by_proper_submodules(module)
+                    # Bit i of masks[e] is set iff element e lies in parts[i].
+                    masks = [
+                        sum(1 << i for i, E in enumerate(parts) if contains(E.support, row_space))
+                        for row_space in (
+                            Subspace.from_rows(X, q, t)
+                            for X in module_elements(q, m, S.dim) @ S.basis % q
+                        )
+                    ]
+                    for r in range(1, len(parts) + 1):
+                        for chosen in itertools.combinations(range(len(parts)), r):
+                            bits = sum(1 << i for i in chosen)
+                            expected = all(mask & bits for mask in masks)
+                            try:
+                                _verify_cover(module, [parts[i] for i in chosen])
+                                covered = True
+                            except NotACoverError:
+                                covered = False
+                            assert covered == expected, (q, t, S, m, chosen)
+                            cases += 1
+                            covers += expected
+        assert cases == 16902 and 0 < covers < cases
+
+    def test_covering_by_lines_needs_m_1(self):
+        # The three lines of F_2^2 cover its vectors, but not the 2 x 2 matrices of rank 2.
+        M = Submodule(ModuleSpace(2, 1, 2), Subspace.full(2, 2))
+        lines = covering_by_proper_submodules(M)
+        _verify_cover(M, lines)
+        with pytest.raises(NotACoverError):
+            _verify_cover(Submodule(ModuleSpace(2, 2, 2), Subspace.full(2, 2)), lines)
 
 
 class TestSolutionPair:
@@ -249,6 +296,32 @@ class TestMinimalitySearch:
     def test_larger_ambient_does_not_shrink_minimum(self):
         r = min_nontrivial_length(2, 1, 3, 4)
         assert r.min_length == 3 and r.exhausted
+
+    def test_recursion_depth_budgeted_before_search(self, monkeypatch):
+        n_cols = len(incidence_matrix(13, 1, 2).cols)
+        frame, limit = sys._getframe(), n_cols + 40
+        while frame is not None:
+            frame, limit = frame.f_back, limit + 1
+        start, old = limit, sys.getrecursionlimit()
+        try:
+            # Lower the limit until the search is refused: until then it must
+            # run to its answer, never into a RecursionError.
+            while True:
+                sys.setrecursionlimit(limit)
+                try:
+                    assert min_nontrivial_length(13, 1, 2, 16).min_length == 14
+                except EnumerationBudgetError:
+                    break
+                limit -= 1
+            assert limit < start
+            # The refusal costs at most two frames: unchecked, the search
+            # overflows two frames below the lowest limit it was allowed.
+            monkeypatch.setattr(forge, "_nest", lambda calls: None)
+            sys.setrecursionlimit(limit - 1)
+            with pytest.raises(RecursionError):
+                min_nontrivial_length(13, 1, 2, 16)
+        finally:
+            sys.setrecursionlimit(old)
 
     def test_witness_in_kernel(self):
         for q, m, t, b in [(2, 1, 2, 5), (3, 1, 2, 6)]:

@@ -14,7 +14,7 @@ import modcode
 from modcode import Alphabet, Code, ModuleSpace, load_code, minimal_counterexample, save_code
 from modcode.cli import main
 from modcode.errors import DimensionMismatchError
-from modcode.linalg import SubspaceLattice
+from modcode.linalg import SubspaceLattice, matrix_rank
 
 
 @pytest.fixture
@@ -249,6 +249,13 @@ class TestMinlenCommand:
         report = json.loads(result.output)
         assert report["min_length"] == 15 and report["exhausted"]
 
+    def test_recursion_past_the_limit_exits_3(self, runner):
+        # 2825 columns do not fit under the default recursion limit.
+        result = runner.invoke(main, ["minlen", "--q", "2", "--m", "1", "--t", "6"])
+        assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
+        assert "error:" in result.output and "recursion limit" in result.output
+        assert "Traceback" not in result.output
+
     def test_cyclic_only_is_empty(self, runner):
         result = runner.invoke(main, ["minlen", "--q", "2", "--m", "1", "--cyclic-only", "--json"])
         report = json.loads(result.output)
@@ -290,6 +297,24 @@ class TestMdsCommand:
         assert result.exit_code == 0
         assert not json.loads(result.output)["is_mds"]
 
+    def test_surjective_non_mds_code_reports_subset_witness(self, runner, tmp_path):
+        cols = [[[1], [0]], [[0], [1]], [[1], [1]], [[1], [0]]]
+        path = tmp_path / "binary.json"
+        save_code(Code(Alphabet(2, 1, 1), ModuleSpace(2, 1, 2), cols), path)
+        result = runner.invoke(main, ["mds", "--code", str(path), "--json"])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert not report["is_mds"] and report["kappa"] == 3
+        assert report["witnesses"] == [0, 1, 2]
+        block = np.concatenate([np.array(cols[i]) for i in report["witnesses"]], axis=1)
+        assert matrix_rank(block, 2) < report["kappa"]
+
+    def test_subset_budget_exit_3(self, runner, tmp_path, monkeypatch):
+        path = tmp_path / "rep20.json"
+        save_code(Code(Alphabet(2, 1, 1), ModuleSpace(2, 1, 1), [np.array([[1]])] * 20), path)
+        monkeypatch.setenv("MODCODE_BUDGET", "10")
+        result = runner.invoke(main, ["mds", "--code", str(path), "--json"])
+        assert result.exit_code == 3 and "error:" in result.output
 
     def test_non_injective_code_exit_2(self, runner, tmp_path):
         path = tmp_path / "zero.json"

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcode import (
     Alphabet,
@@ -25,10 +27,11 @@ from modcode import (
     theorem_violations,
 )
 from modcode import mds
-from modcode.linalg import SubspaceLattice, row_kernel
+from modcode.codes import codeword_weights
+from modcode.linalg import SubspaceLattice, matrix_rank, row_kernel
 from modcode.mds import code_cardinality
 
-from conftest import random_monomial
+from conftest import random_code, random_monomial
 
 
 def repetition_code(q=2, n=3):
@@ -62,6 +65,18 @@ def reference_scan(code):
             mu = Code(code.alphabet, sp, [candidates[i] for i in combo])
             results.append((mu, Counter(col.kernel().support for col in mu.columns) == lam_kernels))
     return results
+
+
+def binary_columns(*cols):
+    """A binary code with m = k = 1 and the given columns of F_2^t."""
+    t = len(cols[0])
+    return Code(Alphabet(2, 1, 1), ModuleSpace(2, 1, t), [np.array(c).reshape(t, 1) for c in cols])
+
+
+def block_rank(code, subset):
+    """Rank of the t x |subset| k block of the generators in subset."""
+    block = np.concatenate([code.columns[i].matrix for i in subset], axis=1)
+    return matrix_rank(block, code.space.q)
 
 
 def vandermonde_code(q=5, t=3, n=4):
@@ -118,6 +133,55 @@ class TestIsMds:
         for code in (repetition_code(), parity_code(2), parity_code(3), vandermonde_code()):
             report = is_mds(code)
             assert code_cardinality(code) <= code.alphabet.size**report.kappa
+
+    def test_surjective_non_mds_code_gets_subset_witness(self):
+        # Every column is surjective, but |C| = 4 < 2^kappa = 8.
+        code = binary_columns((1, 0), (0, 1), (1, 1), (1, 0))
+        report = is_mds(code)
+        assert (report.n, report.d, report.kappa, report.is_mds) == (4, 2, 3, False)
+        assert report.witnesses == (0, 1, 2)
+        assert block_rank(code, report.witnesses) < report.kappa
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        q=st.sampled_from([2, 3, 5]),
+        m=st.integers(1, 2),
+        t=st.integers(1, 3),
+        k=st.integers(1, 2),
+        n=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_verdict_is_singleton_equality_on_random_codes(self, q, m, t, k, n, seed):
+        code = random_code(np.random.default_rng(seed), q, m, t, k, n)
+        weights = codeword_weights(code)
+        kernel_size = int((weights == 0).sum())
+        if kernel_size > 1:
+            with pytest.raises(DomainRejectionError):
+                is_mds(code)
+            return
+        report = is_mds(code)
+        d = int(weights[weights > 0].min())
+        assert (report.d, report.kappa) == (d, n - d + 1)
+        # |C| = q^(mt) / #{weight-0 elements}, counted without any rank.
+        assert report.is_mds == (q ** (m * t) // kernel_size == code.alphabet.size**report.kappa)
+        assert report.is_mds == (report.witnesses is None)
+        flat = [i for i, col in enumerate(code.columns) if matrix_rank(col.matrix, q) < k]
+        if flat:
+            assert report.witnesses == (flat[0],)
+        elif not report.is_mds:
+            assert len(report.witnesses) == report.kappa
+            assert block_rank(code, report.witnesses) < report.kappa * k
+
+    def test_subset_scan_is_budgeted(self, monkeypatch):
+        monkeypatch.setenv("MODCODE_BUDGET", "10")
+        # kappa = 1: an MDS verdict needs all 20 one-column subsets.
+        with pytest.raises(EnumerationBudgetError):
+            is_mds(repetition_code(n=20))
+        # The first subset of a non-MDS code fails, so its witness needs none of the rest.
+        monkeypatch.setenv("MODCODE_BUDGET", "4")
+        code = binary_columns((1, 0), (0, 1), (1, 1), *[(1, 0)] * 17)
+        report = is_mds(code)
+        assert report.kappa == 19 and report.witnesses == tuple(range(19))
 
 
 class TestMdsExtensionCheck:
