@@ -4,34 +4,40 @@ Exit codes: 0 success, 2 domain rejection, 3 budget exceeded (or a search
 bound hit without exhaustion), 4 input error, 5 theorem-violation defect.
 Every command prints a human-readable summary; ``--json`` switches to a
 machine-readable report mirroring the library return values.
+
+``main(argv)`` runs one command in-process and returns its exit code;
+``entry()`` is the process entry of ``python -m modcode.cli`` and of the
+``modcode`` script.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
+import gc
 import json
+import os
 import sys
 import time
 
-from .codes import (
+# All arithmetic is exact int64 and never calls BLAS, so an OpenBLAS worker
+# thread only competes with the command for the CPU.  This must run before
+# numpy is imported; a value the user has set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .codes import (  # noqa: E402
     MonomialMap,
     Unextendable,
     extend_to_monomial,
     is_isometry_bruteforce,
 )
-from .errors import (
+from .errors import (  # noqa: E402
     DimensionMismatchError,
     EnumerationBudgetError,
     ModcodeError,
     NotAnIsometryError,
 )
-from .io import load_code, save_code
-from .linalg import cauchy_identities_check, check_prime
-
-# After the package's own modules: a process without a bytecode cache compiles
-# each module it imports, and compiling linalg and codes before click is loaded
-# keeps the peak resident set of every command about 0.4 MB lower.
-import click  # noqa: E402
+from .io import load_code, save_code  # noqa: E402
+from .linalg import cauchy_identities_check, check_prime  # noqa: E402
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -49,28 +55,14 @@ EXIT_CODES = (
 )
 
 
-def _exit_codes(command):
-    """Report an error of a class in EXIT_CODES on stderr and exit with its code."""
-
-    @functools.wraps(command)
-    def run(*args, **kwargs):
-        try:
-            return command(*args, **kwargs)
-        except (ModcodeError, ValueError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(next(code for cls, code in EXIT_CODES if isinstance(exc, cls)))
-
-    return run
-
-
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        click.echo(json.dumps(report, indent=1))
+        print(json.dumps(report, indent=1))
     else:
         for key, value in report.items():
             if key == "command":
                 continue
-            click.echo(f"{key}: {value}")
+            print(f"{key}: {value}")
 
 
 def _subspace_repr(S) -> list[list[int]]:
@@ -91,20 +83,7 @@ def _diff_repr(diff: Unextendable) -> dict:
     }
 
 
-@click.group()
-def main() -> None:
-    """Isometry extension toolkit for codes over matrix-module alphabets."""
-
-
-@main.command("forge")
-@click.option("--q", type=int, required=True, help="Prime field modulus.")
-@click.option("--m", type=int, required=True, help="Ring parameter (m x m matrices).")
-@click.option("--k", type=int, required=True, help="Alphabet parameter (m x k matrices).")
-@click.option("--out-lambda", "out_lambda", type=click.Path(), required=True)
-@click.option("--out-mu", "out_mu", type=click.Path(), required=True)
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON report.")
-@_exit_codes
-def cmd_forge(q, m, k, out_lambda, out_mu, as_json):
+def cmd_forge(q, m, k, out_lambda, out_mu, as_json) -> int:
     """Forge the minimum-length unextendable isometric pair (needs k > m)."""
     from .forge import counterexample_length, minimal_counterexample
 
@@ -127,16 +106,10 @@ def cmd_forge(q, m, k, out_lambda, out_mu, as_json):
         "seconds": round(time.perf_counter() - start, 3),
     }
     _emit(report, as_json)
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
-@main.command("check")
-@click.option("--lambda", "lambda_file", type=click.Path(exists=False), required=True)
-@click.option("--mu", "mu_file", type=click.Path(exists=False), required=True)
-@click.option("--oracle", is_flag=True, help="Also run the brute-force weight oracle.")
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON report.")
-@_exit_codes
-def cmd_check(lambda_file, mu_file, oracle, as_json):
+def cmd_check(lambda_file, mu_file, oracle, as_json) -> int:
     """Check whether two code files are isometric and extendably so."""
     start = time.perf_counter()
     lam = load_code(lambda_file)
@@ -161,18 +134,10 @@ def cmd_check(lambda_file, mu_file, oracle, as_json):
         report["monomial_map"] = _monomial_repr(result)
     report["seconds"] = round(time.perf_counter() - start, 3)
     _emit(report, as_json)
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
-@main.command("minlen")
-@click.option("--q", type=int, required=True)
-@click.option("--m", type=int, required=True)
-@click.option("--t", type=int, default=None, help="Ambient dimension; defaults to m + 1.")
-@click.option("--bound", type=int, default=None, help="Length bound; defaults to N + 5.")
-@click.option("--cyclic-only", is_flag=True, help="Restrict supports to dimension <= m.")
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON report.")
-@_exit_codes
-def cmd_minlen(q, m, t, bound, cyclic_only, as_json):
+def cmd_minlen(q, m, t, bound, cyclic_only, as_json) -> int:
     """Search the minimum length of a nontrivial solution."""
     from .forge import counterexample_length, min_nontrivial_length
 
@@ -199,15 +164,10 @@ def cmd_minlen(q, m, t, bound, cyclic_only, as_json):
         "seconds": round(time.perf_counter() - start, 3),
     }
     _emit(report, as_json)
-    sys.exit(EXIT_OK if result.exhausted else EXIT_BUDGET)
+    return EXIT_OK if result.exhausted else EXIT_BUDGET
 
 
-@main.command("mds")
-@click.option("--code", "code_file", type=click.Path(), required=True)
-@click.option("--scan", is_flag=True, help="Exhaustively scan all isometries of the code.")
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON report.")
-@_exit_codes
-def cmd_mds(code_file, scan, as_json):
+def cmd_mds(code_file, scan, as_json) -> int:
     """MDS report for a code file, optionally with an exhaustive isometry scan."""
     from .mds import exhaustive_isometry_scan, is_mds, theorem_violations
 
@@ -232,15 +192,10 @@ def cmd_mds(code_file, scan, as_json):
             report["theorem_violations"] = int(violation)
     report["seconds"] = round(time.perf_counter() - start, 3)
     _emit(report, as_json)
-    sys.exit(EXIT_VIOLATION if violation else EXIT_OK)
+    return EXIT_VIOLATION if violation else EXIT_OK
 
 
-@main.command("identities")
-@click.option("--q", type=int, required=True)
-@click.option("--tmax", type=int, required=True)
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON report.")
-@_exit_codes
-def cmd_identities(q, tmax, as_json):
+def cmd_identities(q, tmax, as_json) -> int:
     """Run the exact q-binomial identity suite for t = 1 .. tmax."""
     check_prime(q)
     results = {}
@@ -250,11 +205,90 @@ def cmd_identities(q, tmax, as_json):
         results[t] = ok
         all_pass = all_pass and ok
         if not as_json:
-            click.echo(f"t={t} q={q}: {'pass' if ok else 'FAIL'}")
+            print(f"t={t} q={q}: {'pass' if ok else 'FAIL'}")
     if as_json:
         _emit({"command": "identities", "q": q, "results": results, "all_pass": all_pass}, True)
-    sys.exit(EXIT_OK if all_pass else EXIT_VIOLATION)
+    return EXIT_OK if all_pass else EXIT_VIOLATION
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="modcode",
+        description="Isometry extension toolkit for codes over matrix-module alphabets.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def command(name, run):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run)
+        sub.add_argument("--json", dest="as_json", action="store_true",
+                         help="Emit a JSON report.")
+        return sub
+
+    sub = command("forge", cmd_forge)
+    sub.add_argument("--q", type=int, required=True, help="Prime field modulus.")
+    sub.add_argument("--m", type=int, required=True, help="Ring parameter (m x m matrices).")
+    sub.add_argument("--k", type=int, required=True, help="Alphabet parameter (m x k matrices).")
+    sub.add_argument("--out-lambda", required=True)
+    sub.add_argument("--out-mu", required=True)
+
+    sub = command("check", cmd_check)
+    sub.add_argument("--lambda", dest="lambda_file", required=True)
+    sub.add_argument("--mu", dest="mu_file", required=True)
+    sub.add_argument("--oracle", action="store_true",
+                     help="Also run the brute-force weight oracle.")
+
+    sub = command("minlen", cmd_minlen)
+    sub.add_argument("--q", type=int, required=True)
+    sub.add_argument("--m", type=int, required=True)
+    sub.add_argument("--t", type=int, default=None, help="Ambient dimension; defaults to m + 1.")
+    sub.add_argument("--bound", type=int, default=None, help="Length bound; defaults to N + 5.")
+    sub.add_argument("--cyclic-only", action="store_true",
+                     help="Restrict supports to dimension <= m.")
+
+    sub = command("mds", cmd_mds)
+    sub.add_argument("--code", dest="code_file", required=True)
+    sub.add_argument("--scan", action="store_true",
+                     help="Exhaustively scan all isometries of the code.")
+
+    sub = command("identities", cmd_identities)
+    sub.add_argument("--q", type=int, required=True)
+    sub.add_argument("--tmax", type=int, required=True)
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    An error of a class in EXIT_CODES is reported on stderr and mapped to its
+    code; a usage error raises SystemExit(2) from argparse.
+    """
+    options = vars(_parser().parse_args(argv))
+    del options["command"]
+    run = options.pop("run")
+    try:
+        return run(**options)
+    except (ModcodeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+
+
+def entry() -> None:
+    """Process entry: exit with the command's code, skipping the exit-time collection.
+
+    gc.freeze() moves every tracked object to the permanent generation, so
+    the interpreter's final collection does not walk the command's objects.
+    Unlike os._exit it keeps atexit handlers and stream flushes.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    main()
+    entry()

@@ -348,7 +348,12 @@ def is_isometry_bruteforce(lam: Code, mu: Code) -> bool:
 
 
 def _support_difference(V, U) -> tuple[ModuleSpace, Counter]:
-    """The common source module of two nonempty kernel tuples and their support-count difference."""
+    """The common source module of two nonempty kernel tuples and their support-count difference.
+
+    The weight of a codeword is the length minus the kernel indicator sum, so
+    a length difference counts as that many full-space kernels (the kernels
+    of zero generators) on the shorter side.
+    """
     V, U = tuple(V), tuple(U)
     if not V or not U:
         raise DimensionMismatchError("kernel tuples must be nonempty")
@@ -357,6 +362,8 @@ def _support_difference(V, U) -> tuple[ModuleSpace, Counter]:
         raise DimensionMismatchError("kernel tuples must share their source module")
     diff = Counter(s.support for s in V)
     diff.subtract(s.support for s in U)
+    if len(V) != len(U):
+        diff[Subspace.full(sp.q, sp.t)] -= len(V) - len(U)
     return sp, diff
 
 
@@ -440,14 +447,19 @@ def extend_to_monomials(lam: Code, mus) -> list:
     by_object = {key: ids.setdefault(K.support, len(ids)) for key, K in distinct.items()}
     flat = np.array([by_object[id(K)] for K in kernels])
     supports = list(ids)
-    # D[i, j] lies in [-len(mu_i), n], so on equal lengths every criterion sum
-    # stays within +-2n and balanced_rows takes it in exact int64.
     lengths = np.array([mu.length for mu in mus])
     rows = np.repeat(np.arange(len(mus)), lengths)
     D = np.bincount(flat[:n], minlength=len(ids)) - np.bincount(
         rows * len(ids) + flat[n:], minlength=len(mus) * len(ids)
     ).reshape(len(mus), len(ids))
-    isometric = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced_rows(supports, D)
+    # As in _support_difference, the criterion counts a length difference as
+    # full-space kernels on the shorter side.  An image of another length has
+    # a nonzero row of D, so it is never extendable.
+    W, W_supports = D, supports
+    if (lengths != n).any():
+        W = np.column_stack([D, lengths - n])
+        W_supports = supports + [Subspace.full(sp.q, sp.t)]
+    isometric = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced_rows(W_supports, W)
     extendable = ~D.any(axis=1)
 
     results: list = [None] * len(mus)

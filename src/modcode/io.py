@@ -64,9 +64,16 @@ def code_from_dict(data: dict) -> Code:
 
 
 def save_code(code: Code, path) -> None:
-    """Write a code file with one generator matrix per line."""
+    """Write a code file with one generator matrix per line.
+
+    The generator list is encoded in one call and then split into lines.
+    Rows inside a matrix are separated by "], [", so "]], [[" occurs only
+    between two generators (and "], [" between two empty ones when t = 0).
+    """
     data = code_to_dict(code)
-    generators = ",\n".join(map(json.dumps, data.pop("generators")))
+    between = "]], [[" if code.space.t else "], ["
+    one_line = json.dumps(data.pop("generators"))[1:-1]
+    generators = one_line.replace(between, between.replace(" ", "\n"))
     Path(path).write_text(json.dumps(data)[:-1] + f', "generators": [\n{generators}\n]}}\n')
 
 

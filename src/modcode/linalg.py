@@ -398,9 +398,7 @@ def count_subspaces_containing(X: Subspace, i: int) -> int:
 def _check_subspace_count(q: int, t: int, d: int) -> None:
     if not 0 <= d <= t:
         raise DimensionMismatchError(f"need 0 <= d={d} <= t={t}")
-    count = gaussian_binomial(t, d, q)
-    budget.check_subspaces(count)
-    budget.check_vectors(q**t * count)
+    budget.check_subspaces(gaussian_binomial(t, d, q))
 
 
 def _check_subspaces_up_to_dim(q: int, t: int, max_dim: int) -> None:

@@ -1,17 +1,40 @@
-"""Shared helpers for generating random codes, subspaces and monomial maps."""
+"""Shared helpers for generating random codes, subspaces and monomial maps,
+and for running CLI commands in-process."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from modcode import Alphabet, Code, ModuleSpace, MonomialMap, Subspace
+from modcode.cli import main
 from modcode.linalg import matrix_rank
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260826)
+
+
+@dataclass(frozen=True)
+class CliResult:
+    exit_code: int
+    output: str  # stdout followed by stderr
+
+
+@pytest.fixture
+def cli(capsys):
+    """Run ``main(argv)`` in-process and return its exit code and captured output."""
+
+    def invoke(argv) -> CliResult:
+        capsys.readouterr()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return CliResult(code, out + err)
+
+    return invoke
 
 
 def random_subspace(rng, q: int, t: int) -> Subspace:

@@ -5,7 +5,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,9 +30,10 @@ from modcode import (
     is_isometry_criterion,
     kernel_tuple,
     minimal_counterexample,
+    satisfies_isometry_equation,
+    verify_dual_equation,
 )
 from modcode import codes, save_code
-from modcode.cli import main
 from modcode.codes import codeword_weights, hom_kernels, module_elements, transport_automorphisms
 from modcode.errors import DimensionMismatchError
 from modcode.forge import SolutionPair
@@ -161,6 +161,44 @@ class TestIsometry:
             lam = random_code(rng, q, m, t, k, n)
             mu = random_code(rng, q, m, t, k, n)
             assert is_isometry_criterion(lam, mu) == is_isometry_bruteforce(lam, mu)
+
+    def test_zero_column_padding_is_an_unextendable_isometry(self):
+        sp, al = ModuleSpace(2, 1, 1), Alphabet(2, 1, 1)
+        lam = Code(al, sp, [np.array([[1]])])
+        mu = Code(al, sp, [np.array([[1]]), np.zeros((1, 1), dtype=int)])
+        for a, b in ((lam, mu), (mu, lam)):
+            assert is_isometry_bruteforce(a, b)
+            assert is_isometry_criterion(a, b)
+            assert satisfies_isometry_equation(kernel_tuple(a), kernel_tuple(b))
+            assert verify_dual_equation(kernel_tuple(a), kernel_tuple(b))
+            (result,) = extend_to_monomials(a, [b])
+            assert isinstance(result, Unextendable)
+        assert extend_to_monomial(lam, mu) == Unextendable((), ((Subspace.full(2, 1), 1),))
+
+    def test_criterion_matches_oracle_on_unequal_lengths(self, rng):
+        isometric = 0
+        for _ in range(150):
+            q = int(rng.choice([2, 3]))
+            m = int(rng.integers(1, 3))
+            t = int(rng.integers(1, 4))
+            k = int(rng.integers(1, 3))
+            lam = random_code(rng, q, m, t, k, int(rng.integers(1, 5)))
+            if rng.random() < 0.5:
+                pad = [np.zeros((t, k), dtype=np.int64)] * int(rng.integers(1, 3))
+                cols = [col.matrix for col in lam.columns] + pad
+                mu = Code(lam.alphabet, lam.space, [cols[i] for i in rng.permutation(len(cols))])
+            else:
+                mu = random_code(rng, q, m, t, k, int(rng.integers(1, 5)))
+            expected = is_isometry_bruteforce(lam, mu)
+            isometric += expected
+            assert is_isometry_criterion(lam, mu) == expected
+            V, U = kernel_tuple(lam), kernel_tuple(mu)
+            assert verify_dual_equation(V, U) == satisfies_isometry_equation(V, U) == expected
+            (result,) = extend_to_monomials(lam, [mu])
+            assert (result is not None) == expected
+            if lam.length != mu.length:
+                assert not isinstance(result, MonomialMap)
+        assert isometric > 50
 
 
 def is_trivial_solution(V, U) -> bool:
@@ -519,9 +557,9 @@ class TestBatchedImages:
         assert all(same_extension(a, b) for a, b in zip(batch, expected))
         assert len(batch) == len(images)
         for mu, result in zip(images, batch):
-            # The kernel-count criterion assumes equal lengths; the padded image is exempt.
-            if mu.length == n:
-                assert (result is not None) == is_isometry_bruteforce(lam, mu)
+            assert (result is not None) == is_isometry_bruteforce(lam, mu)
+            if mu.length != n:
+                assert isinstance(result, Unextendable)
             if isinstance(result, MonomialMap):
                 assert apply_monomial(result, lam) == mu
 
@@ -596,7 +634,7 @@ class TestWeightOracle:
             codeword_weights(code)
 
     @pytest.mark.parametrize("q, m, k", FORGE_LADDER)
-    def test_check_oracle_agrees_with_criterion_on_forge_ladder(self, q, m, k, tmp_path):
+    def test_check_oracle_agrees_with_criterion_on_forge_ladder(self, q, m, k, tmp_path, cli):
         lam, mu = minimal_counterexample(q, m, k)
         rng = np.random.default_rng(q * 100 + m * 10 + k)
         image = apply_monomial(random_monomial(rng, q, k, mu.length), mu)
@@ -608,10 +646,9 @@ class TestWeightOracle:
         for name, code in (("lam", lam), ("img", image), ("broken", broken)):
             paths[name] = str(tmp_path / f"{name}.json")
             save_code(code, paths[name])
-        runner = CliRunner()
         for other, isometric in (("img", True), ("broken", False)):
             args = ["check", "--lambda", paths["lam"], "--mu", paths[other], "--oracle", "--json"]
-            result = runner.invoke(main, args)
+            result = cli(args)
             assert result.exit_code == 0, result.output
             report = json.loads(result.output)
             assert report["isometry"] is report["isometry_oracle"] is isometric

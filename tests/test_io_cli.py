@@ -1,5 +1,6 @@
 """Code-file JSON round trips and command-line behavior."""
 
+import gc
 import json
 import os
 import subprocess
@@ -8,18 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import modcode
 from modcode import Alphabet, Code, ModuleSpace, load_code, minimal_counterexample, save_code
-from modcode.cli import main
 from modcode.errors import DimensionMismatchError
 from modcode.linalg import SubspaceLattice, matrix_rank
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 class TestCodeFiles:
@@ -96,6 +90,25 @@ class TestCodeFiles:
         }
         assert load_code(path) == lam
 
+    @pytest.mark.parametrize(
+        "code",
+        [
+            minimal_counterexample(3, 2, 3)[1],
+            Code(Alphabet(2, 1, 1), ModuleSpace(2, 1, 1), [np.array([[1]])] * 3),
+            Code(Alphabet(5, 1, 3), ModuleSpace(5, 1, 1), [np.array([[4, 0, 1]])]),
+            Code(Alphabet(3, 2, 1), ModuleSpace(3, 2, 3), [np.array([[1], [2], [0]])] * 2),
+            Code(Alphabet(2, 1, 2), ModuleSpace(2, 1, 0), [np.zeros((0, 2), dtype=int)] * 3),
+        ],
+        ids=["forged_3_2_3", "t1_k1", "one_generator", "column_generators", "t0"],
+    )
+    def test_file_matches_per_generator_encoding(self, tmp_path, code):
+        path = tmp_path / "code.json"
+        save_code(code, path)
+        data = modcode.io.code_to_dict(code)
+        generators = ",\n".join(map(json.dumps, data.pop("generators")))
+        expected = json.dumps(data)[:-1] + f', "generators": [\n{generators}\n]}}\n'
+        assert path.read_text() == expected
+
     def test_rejects_non_prime(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"q": 4, "m": 1, "k": 1, "t": 1, "generators": [[[1]]]}))
@@ -104,10 +117,10 @@ class TestCodeFiles:
 
 
 class TestForgeCommand:
-    def test_forge_q2_m1(self, runner, tmp_path):
+    def test_forge_q2_m1(self, cli, tmp_path):
         lp, mp = str(tmp_path / "l.json"), str(tmp_path / "m.json")
-        result = runner.invoke(
-            main, ["forge", "--q", "2", "--m", "1", "--k", "2", "--out-lambda", lp, "--out-mu", mp]
+        result = cli(
+            ["forge", "--q", "2", "--m", "1", "--k", "2", "--out-lambda", lp, "--out-mu", mp]
         )
         assert result.exit_code == 0
         assert "N: 3" in result.output
@@ -115,36 +128,32 @@ class TestForgeCommand:
         assert "extendable: False" in result.output
         assert load_code(lp).length == 3
 
-    def test_forge_q2_m2_length_15(self, runner, tmp_path):
+    def test_forge_q2_m2_length_15(self, cli, tmp_path):
         lp, mp = str(tmp_path / "l.json"), str(tmp_path / "m.json")
-        result = runner.invoke(
-            main,
+        result = cli(
             ["forge", "--q", "2", "--m", "2", "--k", "3", "--out-lambda", lp, "--out-mu", mp, "--json"],
         )
         assert result.exit_code == 0
         report = json.loads(result.output)
         assert report["N"] == 15 and report["isometry"] and not report["extendable"]
 
-    def test_forge_rejects_k_le_m(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
+    def test_forge_rejects_k_le_m(self, cli, tmp_path):
+        result = cli(
             ["forge", "--q", "2", "--m", "1", "--k", "1",
              "--out-lambda", str(tmp_path / "l"), "--out-mu", str(tmp_path / "m")],
         )
         assert result.exit_code == 2
         assert "extension property" in result.output
 
-    def test_forge_rejects_modulus_beyond_int64(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
+    def test_forge_rejects_modulus_beyond_int64(self, cli, tmp_path):
+        result = cli(
             ["forge", "--q", "4294967311", "--m", "1", "--k", "2",
              "--out-lambda", str(tmp_path / "l.json"), "--out-mu", str(tmp_path / "m.json")],
         )
         assert result.exit_code == 4
 
-    def test_forge_rejects_non_prime(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
+    def test_forge_rejects_non_prime(self, cli, tmp_path):
+        result = cli(
             ["forge", "--q", "4", "--m", "1", "--k", "2",
              "--out-lambda", str(tmp_path / "l"), "--out-mu", str(tmp_path / "m")],
         )
@@ -152,16 +161,14 @@ class TestForgeCommand:
 
 
 class TestCheckCommand:
-    def _forged_files(self, runner, tmp_path):
+    def _forged_files(self, cli, tmp_path):
         lp, mp = str(tmp_path / "l.json"), str(tmp_path / "m.json")
-        runner.invoke(
-            main, ["forge", "--q", "2", "--m", "1", "--k", "2", "--out-lambda", lp, "--out-mu", mp]
-        )
+        cli(["forge", "--q", "2", "--m", "1", "--k", "2", "--out-lambda", lp, "--out-mu", mp])
         return lp, mp
 
-    def test_forged_pair_verdicts(self, runner, tmp_path):
-        lp, mp = self._forged_files(runner, tmp_path)
-        result = runner.invoke(main, ["check", "--lambda", lp, "--mu", mp, "--oracle", "--json"])
+    def test_forged_pair_verdicts(self, cli, tmp_path):
+        lp, mp = self._forged_files(cli, tmp_path)
+        result = cli(["check", "--lambda", lp, "--mu", mp, "--oracle", "--json"])
         assert result.exit_code == 0
         report = json.loads(result.output)
         assert report["isometry"] and report["isometry_oracle"]
@@ -171,28 +178,28 @@ class TestCheckCommand:
         full_entries = [mult for basis, mult in lam_only if len(basis) == 2]
         assert full_entries == [1]
 
-    def test_identical_files_extendable(self, runner, tmp_path):
-        lp, _ = self._forged_files(runner, tmp_path)
-        result = runner.invoke(main, ["check", "--lambda", lp, "--mu", lp, "--json"])
+    def test_identical_files_extendable(self, cli, tmp_path):
+        lp, _ = self._forged_files(cli, tmp_path)
+        result = cli(["check", "--lambda", lp, "--mu", lp, "--json"])
         report = json.loads(result.output)
         assert result.exit_code == 0
         assert report["isometry"] and report["extendable"]
         assert "monomial_map" in report
 
-    def test_non_isometric_pair_reports_na(self, runner, tmp_path):
+    def test_non_isometric_pair_reports_na(self, cli, tmp_path):
         lp, mp = str(tmp_path / "l.json"), str(tmp_path / "m.json")
         space, alphabet = ModuleSpace(2, 1, 1), Alphabet(2, 1, 1)
         save_code(Code(alphabet, space, [np.array([[1]])] * 2), lp)
         save_code(Code(alphabet, space, [np.array([[1]]), np.array([[0]])]), mp)
-        result = runner.invoke(main, ["check", "--lambda", lp, "--mu", mp, "--oracle", "--json"])
+        result = cli(["check", "--lambda", lp, "--mu", mp, "--oracle", "--json"])
         assert result.exit_code == 0
         report = json.loads(result.output)
         assert list(report)[:4] == ["command", "isometry", "isometry_oracle", "extendable"]
         assert report["isometry"] is False and report["isometry_oracle"] is False
         assert report["extendable"] == "NA"
 
-    def test_criterion_runs_once(self, runner, tmp_path, monkeypatch):
-        lp, mp = self._forged_files(runner, tmp_path)
+    def test_criterion_runs_once(self, cli, tmp_path, monkeypatch):
+        lp, mp = self._forged_files(cli, tmp_path)
         rows = []
         decide = SubspaceLattice.balanced_rows
         monkeypatch.setattr(
@@ -200,108 +207,107 @@ class TestCheckCommand:
             "balanced_rows",
             lambda self, supports, W: rows.append(len(W)) or decide(self, supports, W),
         )
-        result = runner.invoke(main, ["check", "--lambda", lp, "--mu", mp, "--json"])
+        result = cli(["check", "--lambda", lp, "--mu", mp, "--json"])
         assert result.exit_code == 0 and json.loads(result.output)["isometry"] is True
         assert rows == [1]
 
-    def test_fractional_code_file_exit_4(self, runner, tmp_path):
+    def test_fractional_code_file_exit_4(self, cli, tmp_path):
         path = tmp_path / "frac.json"
         path.write_text(json.dumps({"q": 2.9, "m": 1, "k": 1, "t": 1, "generators": [[[1]]]}))
-        result = runner.invoke(main, ["check", "--lambda", str(path), "--mu", str(path)])
+        result = cli(["check", "--lambda", str(path), "--mu", str(path)])
         assert result.exit_code == 4
 
-    def test_generators_not_a_list_exit_4(self, runner, tmp_path):
+    def test_generators_not_a_list_exit_4(self, cli, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"q": 2, "m": 1, "k": 1, "t": 1, "generators": 5}))
-        result = runner.invoke(main, ["check", "--lambda", str(path), "--mu", str(path)])
+        result = cli(["check", "--lambda", str(path), "--mu", str(path)])
         assert result.exit_code == 4
 
-    def test_modulus_beyond_int64_exit_4(self, runner, tmp_path):
+    def test_modulus_beyond_int64_exit_4(self, cli, tmp_path):
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"q": 4294967311, "m": 1, "k": 1, "t": 1, "generators": [[[1]]]}))
-        result = runner.invoke(main, ["check", "--lambda", str(path), "--mu", str(path)])
+        result = cli(["check", "--lambda", str(path), "--mu", str(path)])
         assert result.exit_code == 4
 
-    def test_incompatible_shapes_exit_4(self, runner, tmp_path):
-        lp, _ = self._forged_files(runner, tmp_path)
+    def test_incompatible_shapes_exit_4(self, cli, tmp_path):
+        lp, _ = self._forged_files(cli, tmp_path)
         other = tmp_path / "other.json"
         save_code(
             Code(Alphabet(2, 1, 1), ModuleSpace(2, 1, 1), [np.array([[1]])]), other
         )
-        result = runner.invoke(main, ["check", "--lambda", lp, "--mu", str(other)])
+        result = cli(["check", "--lambda", lp, "--mu", str(other)])
         assert result.exit_code == 4
 
 
 class TestMinlenCommand:
-    def test_defaults_q2_m1(self, runner):
-        result = runner.invoke(main, ["minlen", "--q", "2", "--m", "1", "--json"])
+    def test_defaults_q2_m1(self, cli):
+        result = cli(["minlen", "--q", "2", "--m", "1", "--json"])
         assert result.exit_code == 0
         report = json.loads(result.output)
         assert report["min_length"] == 3 and report["exhausted"]
 
-    def test_q3_m1(self, runner):
-        result = runner.invoke(main, ["minlen", "--q", "3", "--m", "1", "--json"])
+    def test_q3_m1(self, cli):
+        result = cli(["minlen", "--q", "3", "--m", "1", "--json"])
         report = json.loads(result.output)
         assert report["min_length"] == 4
 
-    def test_q2_m2_bound_20(self, runner):
-        result = runner.invoke(main, ["minlen", "--q", "2", "--m", "2", "--bound", "20", "--json"])
+    def test_q2_m2_bound_20(self, cli):
+        result = cli(["minlen", "--q", "2", "--m", "2", "--bound", "20", "--json"])
         report = json.loads(result.output)
         assert report["min_length"] == 15 and report["exhausted"]
 
-    def test_recursion_past_the_limit_exits_3(self, runner):
+    def test_recursion_past_the_limit_exits_3(self, cli):
         # 2825 columns do not fit under the default recursion limit.
-        result = runner.invoke(main, ["minlen", "--q", "2", "--m", "1", "--t", "6"])
-        assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
+        result = cli(["minlen", "--q", "2", "--m", "1", "--t", "6"])
+        assert result.exit_code == 3
         assert "error:" in result.output and "recursion limit" in result.output
         assert "Traceback" not in result.output
 
-    def test_cyclic_only_is_empty(self, runner):
-        result = runner.invoke(main, ["minlen", "--q", "2", "--m", "1", "--cyclic-only", "--json"])
+    def test_cyclic_only_is_empty(self, cli):
+        result = cli(["minlen", "--q", "2", "--m", "1", "--cyclic-only", "--json"])
         report = json.loads(result.output)
         assert report["min_length"] is None and report["exhausted"]
 
 
 class TestMdsCommand:
-    def test_repetition_report(self, runner, tmp_path):
+    def test_repetition_report(self, cli, tmp_path):
         path = tmp_path / "rep.json"
         save_code(
             Code(Alphabet(2, 1, 1), ModuleSpace(2, 1, 1), [np.array([[1]])] * 3), path
         )
-        result = runner.invoke(main, ["mds", "--code", str(path), "--scan", "--json"])
+        result = cli(["mds", "--code", str(path), "--scan", "--json"])
         assert result.exit_code == 0
         report = json.loads(result.output)
         assert report["is_mds"] and report["kappa"] == 1
         assert report["unextendable"] == 0
         assert report["theorem_violations"] == 0
 
-    def test_parity_kappa2_scan_runs_without_extension_check(self, runner, tmp_path):
+    def test_parity_kappa2_scan_runs_without_extension_check(self, cli, tmp_path):
         cols = [np.array([[1], [0]]), np.array([[0], [1]]), np.array([[1], [1]])]
         path = tmp_path / "parity.json"
         save_code(Code(Alphabet(2, 1, 1), ModuleSpace(2, 1, 2), cols), path)
-        result = runner.invoke(main, ["mds", "--code", str(path), "--scan", "--json"])
+        result = cli(["mds", "--code", str(path), "--scan", "--json"])
         assert result.exit_code == 0
         report = json.loads(result.output)
         assert report["is_mds"] and report["kappa"] == 2
         assert report["unextendable"] == 0
         assert "theorem_violations" not in report
 
-    def test_forged_code_not_mds(self, runner, tmp_path):
+    def test_forged_code_not_mds(self, cli, tmp_path):
         lp = str(tmp_path / "l.json")
-        runner.invoke(
-            main,
+        cli(
             ["forge", "--q", "2", "--m", "1", "--k", "2",
              "--out-lambda", lp, "--out-mu", str(tmp_path / "m.json")],
         )
-        result = runner.invoke(main, ["mds", "--code", lp, "--json"])
+        result = cli(["mds", "--code", lp, "--json"])
         assert result.exit_code == 0
         assert not json.loads(result.output)["is_mds"]
 
-    def test_surjective_non_mds_code_reports_subset_witness(self, runner, tmp_path):
+    def test_surjective_non_mds_code_reports_subset_witness(self, cli, tmp_path):
         cols = [[[1], [0]], [[0], [1]], [[1], [1]], [[1], [0]]]
         path = tmp_path / "binary.json"
         save_code(Code(Alphabet(2, 1, 1), ModuleSpace(2, 1, 2), cols), path)
-        result = runner.invoke(main, ["mds", "--code", str(path), "--json"])
+        result = cli(["mds", "--code", str(path), "--json"])
         assert result.exit_code == 0
         report = json.loads(result.output)
         assert not report["is_mds"] and report["kappa"] == 3
@@ -309,37 +315,37 @@ class TestMdsCommand:
         block = np.concatenate([np.array(cols[i]) for i in report["witnesses"]], axis=1)
         assert matrix_rank(block, 2) < report["kappa"]
 
-    def test_subset_budget_exit_3(self, runner, tmp_path, monkeypatch):
+    def test_subset_budget_exit_3(self, cli, tmp_path, monkeypatch):
         path = tmp_path / "rep20.json"
         save_code(Code(Alphabet(2, 1, 1), ModuleSpace(2, 1, 1), [np.array([[1]])] * 20), path)
         monkeypatch.setenv("MODCODE_BUDGET", "10")
-        result = runner.invoke(main, ["mds", "--code", str(path), "--json"])
+        result = cli(["mds", "--code", str(path), "--json"])
         assert result.exit_code == 3 and "error:" in result.output
 
-    def test_non_injective_code_exit_2(self, runner, tmp_path):
+    def test_non_injective_code_exit_2(self, cli, tmp_path):
         path = tmp_path / "zero.json"
         save_code(Code(Alphabet(2, 1, 1), ModuleSpace(2, 1, 1), [np.zeros((1, 1), dtype=int)]), path)
-        result = runner.invoke(main, ["mds", "--code", str(path), "--scan"])
+        result = cli(["mds", "--code", str(path), "--scan"])
         assert result.exit_code == 2
         assert "not injective" in result.output
 
-    def test_bad_code_file_exit_4(self, runner, tmp_path):
+    def test_bad_code_file_exit_4(self, cli, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"q": 2, "m": 1, "k": 1, "t": 1, "generators": [[[2]]]}))
-        result = runner.invoke(main, ["mds", "--code", str(path), "--scan"])
+        result = cli(["mds", "--code", str(path), "--scan"])
         assert result.exit_code == 4
 
 
 class TestExitCodes:
     @pytest.mark.parametrize("command", ["forge", "minlen", "identities"])
-    def test_non_prime_q_exit_4(self, runner, tmp_path, command):
+    def test_non_prime_q_exit_4(self, cli, tmp_path, command):
         args = {
             "forge": ["--q", "4", "--m", "1", "--k", "2",
                       "--out-lambda", str(tmp_path / "l"), "--out-mu", str(tmp_path / "m")],
             "minlen": ["--q", "4", "--m", "1"],
             "identities": ["--q", "4", "--tmax", "2"],
         }[command]
-        result = runner.invoke(main, [command, *args])
+        result = cli([command, *args])
         assert result.exit_code == 4
         assert result.output.startswith("error: ")
 
@@ -377,23 +383,87 @@ class TestLeanImports:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError):
             modcode.no_such_name  # noqa: B018
+
+
+def python(*args, **env):
+    """Run a fresh interpreter on these sources; OPENBLAS_NUM_THREADS is unset unless given."""
+    src = str(Path(modcode.__file__).resolve().parent.parent)
+    base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    base.pop("MODCODE_BUDGET", None)
+    return subprocess.run([sys.executable, *args], env=dict(base, PYTHONPATH=src, **env),
+                          capture_output=True, text=True)
+
+
+class TestProcessEntry:
+    def test_package_import_leaves_numpy_unloaded(self):
+        proc = python("-c", "import sys, modcode; assert 'numpy' not in sys.modules")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_leaves_click_unloaded(self):
+        proc = python("-c", "import sys, modcode.cli; assert 'click' not in sys.modules")
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("4", "4")])
+    def test_cli_import_defaults_to_one_blas_thread(self, preset, expected):
+        env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+        script = "import os, modcode.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        proc = python("-c", script, **env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{expected}\n"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["identities", "--q", "2", "--tmax", "3", "--json"], 0),
+            (["minlen", "--q", "2", "--m", "1", "--t", "6"], 3),
+            (["identities", "--q", "4", "--tmax", "2"], 4),
+            (["identities", "--q", "2"], 2),
+            (["no-such-command"], 2),
+        ],
+        ids=["ok", "budget", "input", "missing-option", "unknown-command"],
+    )
+    def test_module_exit_codes(self, argv, code):
+        proc = python("-m", "modcode.cli", *argv)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code == 0:
+            assert json.loads(proc.stdout)["all_pass"]
+        elif code in (3, 4):
+            assert proc.stdout == "" and proc.stderr.startswith("error: ")
+
+    def test_entry_freezes_and_keeps_atexit(self):
+        script = (
+            "import atexit, gc, sys\n"
+            "from modcode.cli import entry\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['modcode', 'identities', '--q', '3', '--tmax', '2']\n"
+            "entry()\n"
+        )
+        proc = python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "t=1 q=3: pass\nt=2 q=3: pass\nfrozen True\n"
+
+    def test_main_does_not_freeze(self, cli):
+        result = cli(["identities", "--q", "2", "--tmax", "2"])
+        assert result.exit_code == 0
+        assert gc.get_freeze_count() == 0
         assert "SolutionPair" in dir(modcode)
 
 
 class TestIdentitiesCommand:
-    def test_q2_tmax8(self, runner):
-        result = runner.invoke(main, ["identities", "--q", "2", "--tmax", "8"])
+    def test_q2_tmax8(self, cli):
+        result = cli(["identities", "--q", "2", "--tmax", "8"])
         assert result.exit_code == 0
         assert result.output.count("pass") == 8
 
-    def test_json_report(self, runner):
-        result = runner.invoke(main, ["identities", "--q", "5", "--tmax", "4", "--json"])
+    def test_json_report(self, cli):
+        result = cli(["identities", "--q", "5", "--tmax", "4", "--json"])
         assert result.exit_code == 0
         assert json.loads(result.output)["all_pass"]
 
 
 class TestBudgetEnv:
-    def test_budget_exit_code(self, runner, tmp_path, monkeypatch):
+    def test_budget_exit_code(self, cli, tmp_path, monkeypatch):
         from modcode.codes import module_elements
         from modcode.linalg import enumerate_subspaces, subspaces_up_to_dim
 
@@ -401,8 +471,7 @@ class TestBudgetEnv:
         module_elements.cache_clear()
         enumerate_subspaces.cache_clear()
         subspaces_up_to_dim.cache_clear()
-        result = runner.invoke(
-            main,
+        result = cli(
             ["forge", "--q", "2", "--m", "2", "--k", "3",
              "--out-lambda", str(tmp_path / "l"), "--out-mu", str(tmp_path / "m")],
         )
@@ -412,10 +481,10 @@ class TestBudgetEnv:
         enumerate_subspaces.cache_clear()
         subspaces_up_to_dim.cache_clear()
 
-    def test_mds_budget_exit_code(self, runner, tmp_path, monkeypatch):
+    def test_mds_budget_exit_code(self, cli, tmp_path, monkeypatch):
         cols = [np.eye(3, dtype=int)[:, [i]] for i in range(3)] + [np.ones((3, 1), dtype=int)]
         path = tmp_path / "parity3.json"
         save_code(Code(Alphabet(3, 1, 1), ModuleSpace(3, 1, 3), cols), path)
         monkeypatch.setenv("MODCODE_BUDGET", "20")
-        result = runner.invoke(main, ["mds", "--code", str(path)])
+        result = cli(["mds", "--code", str(path)])
         assert result.exit_code == 3

@@ -210,6 +210,15 @@ class TestEnumeration:
         with pytest.raises(EnumerationBudgetError):
             enumerate_call()
 
+    def test_budget_charges_subspaces_not_their_vectors(self, monkeypatch):
+        # 968 lines of F_967^2 hold 967^2 * 968 > 10^7 vectors, but only the lines are built.
+        monkeypatch.delenv("MODCODE_BUDGET", raising=False)
+        lines = enumerate_subspaces(967, 2, 1)
+        assert len(lines) == gaussian_binomial(2, 1, 967) == 968
+        lattice = subspace_lattice(967, 2, 1)
+        assert len(lattice) == 969
+        assert lattice.containment([Subspace.full(967, 2)]).all()
+
 
 # Every field and dimension with at most 81 vectors.
 SMALL_SPACES = [(q, t) for q in range(2, 82) if is_prime(q) for t in range(1, 7) if q**t <= 81]
