@@ -362,8 +362,7 @@ def _support_difference(V, U) -> tuple[ModuleSpace, Counter]:
         raise DimensionMismatchError("kernel tuples must share their source module")
     diff = Counter(s.support for s in V)
     diff.subtract(s.support for s in U)
-    if len(V) != len(U):
-        diff[Subspace.full(sp.q, sp.t)] -= len(V) - len(U)
+    diff[Subspace.full(sp.q, sp.t)] -= len(V) - len(U)
     return sp, diff
 
 
@@ -455,10 +454,8 @@ def extend_to_monomials(lam: Code, mus) -> list:
     # As in _support_difference, the criterion counts a length difference as
     # full-space kernels on the shorter side.  An image of another length has
     # a nonzero row of D, so it is never extendable.
-    W, W_supports = D, supports
-    if (lengths != n).any():
-        W = np.column_stack([D, lengths - n])
-        W_supports = supports + [Subspace.full(sp.q, sp.t)]
+    W = np.column_stack([D, lengths - n])
+    W_supports = supports + [Subspace.full(sp.q, sp.t)]
     isometric = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced_rows(W_supports, W)
     extendable = ~D.any(axis=1)
 

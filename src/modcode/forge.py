@@ -273,6 +273,10 @@ class SearchResult:
     system: IncidenceSystem
 
 
+# Search nodes min_nontrivial_length visits before it stops with exhausted False.
+NODE_BUDGET = 20_000_000
+
+
 class _NodeBudgetHit(Exception):
     pass
 
@@ -289,7 +293,6 @@ def min_nontrivial_length(
     t: int,
     length_bound: int,
     max_col_dim: int | None = None,
-    node_budget: int = 20_000_000,
 ) -> SearchResult:
     """Minimum one-side length of a nontrivial solution, by branch and bound.
 
@@ -347,7 +350,7 @@ def min_nontrivial_length(
 
     def dfs(pos: int, used: int) -> None:
         counter["nodes"] += 1
-        if counter["nodes"] > node_budget:
+        if counter["nodes"] > NODE_BUDGET:
             raise _NodeBudgetHit
         if pos == n_cols:
             record_leaf(used)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .codes import Alphabet, Code, ModuleSpace
 from .errors import DimensionMismatchError
-from .linalg import check_prime
 
 
 def code_to_dict(code: Code) -> dict:
@@ -40,7 +39,6 @@ def code_from_dict(data: dict) -> Code:
     for key, value in zip("qmkt", (q, m, k, t)):
         if type(value) is not int:
             raise DimensionMismatchError(f"{key} must be an integer, got {value!r}")
-    check_prime(q)
     space = ModuleSpace(q, m, t)
     alphabet = Alphabet(q, m, k)
     if not isinstance(generators, list):

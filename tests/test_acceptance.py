@@ -6,10 +6,8 @@ same conditions.
 """
 
 import time
-from collections import Counter
 
 import numpy as np
-import pytest
 
 from modcode import (
     Alphabet,
@@ -29,7 +27,6 @@ from modcode import (
     fourier_of_indicator,
     is_isometry_bruteforce,
     is_isometry_criterion,
-    kernel_tuple,
     mds_extension_check,
     min_nontrivial_length,
     minimal_counterexample,

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from modcode import (
-    Alphabet,
     DomainRejectionError,
     EnumerationBudgetError,
     ModuleSpace,
@@ -322,6 +321,11 @@ class TestMinimalitySearch:
                 min_nontrivial_length(13, 1, 2, 16)
         finally:
             sys.setrecursionlimit(old)
+
+    def test_node_budget_stops_search_unexhausted(self, monkeypatch):
+        monkeypatch.setattr(forge, "NODE_BUDGET", 10)
+        r = min_nontrivial_length(2, 2, 3, 20)
+        assert not r.exhausted
 
     def test_witness_in_kernel(self):
         for q, m, t, b in [(2, 1, 2, 5), (3, 1, 2, 6)]:

@@ -23,7 +23,7 @@ from modcode import (
 )
 from modcode.codes import Alphabet, Code, Hom, module_elements
 from modcode.errors import DimensionMismatchError
-from modcode.linalg import enumerate_subspaces, subspaces_up_to_dim
+from modcode.linalg import subspaces_up_to_dim
 
 from conftest import random_subspace
 

@@ -1,5 +1,6 @@
 """Code-file JSON round trips and command-line behavior."""
 
+import ast
 import gc
 import json
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import modcode
+from modcode import forge
 from modcode import Alphabet, Code, ModuleSpace, load_code, minimal_counterexample, save_code
 from modcode.errors import DimensionMismatchError
 from modcode.linalg import SubspaceLattice, matrix_rank
@@ -238,6 +240,22 @@ class TestCheckCommand:
         result = cli(["check", "--lambda", lp, "--mu", str(other)])
         assert result.exit_code == 4
 
+    def test_codes_of_different_lengths_decided(self, cli, tmp_path):
+        short, long = str(tmp_path / "short.json"), str(tmp_path / "long.json")
+        space, alphabet = ModuleSpace(2, 1, 1), Alphabet(2, 1, 1)
+        save_code(Code(alphabet, space, [np.array([[1]])]), short)
+        save_code(Code(alphabet, space, [np.array([[1]]), np.array([[0]])]), long)
+        for lp, mp, longer in [(short, long, "mu_only"), (long, short, "lambda_only")]:
+            result = cli(["check", "--lambda", lp, "--mu", mp, "--oracle", "--json"])
+            assert result.exit_code == 0
+            report = json.loads(result.output)
+            assert report["isometry"] is True and report["isometry_oracle"] is True
+            assert report["extendable"] is False
+            # The zero column's kernel is the full space, on the longer side only.
+            expected = {"lambda_only": [], "mu_only": []}
+            expected[longer] = [[[[1]], 1]]
+            assert report["kernel_diff"] == expected
+
 
 class TestMinlenCommand:
     def test_defaults_q2_m1(self, cli):
@@ -267,6 +285,12 @@ class TestMinlenCommand:
         result = cli(["minlen", "--q", "2", "--m", "1", "--cyclic-only", "--json"])
         report = json.loads(result.output)
         assert report["min_length"] is None and report["exhausted"]
+
+    def test_node_budget_exits_3(self, cli, monkeypatch):
+        monkeypatch.setattr(forge, "NODE_BUDGET", 10)
+        result = cli(["minlen", "--q", "2", "--m", "2", "--bound", "20", "--json"])
+        assert result.exit_code == 3
+        assert json.loads(result.output)["exhausted"] is False
 
 
 class TestMdsCommand:
@@ -315,12 +339,12 @@ class TestMdsCommand:
         block = np.concatenate([np.array(cols[i]) for i in report["witnesses"]], axis=1)
         assert matrix_rank(block, 2) < report["kappa"]
 
-    def test_subset_budget_exit_3(self, cli, tmp_path, monkeypatch):
+    def test_more_subsets_than_budget_decided(self, cli, tmp_path, monkeypatch):
         path = tmp_path / "rep20.json"
         save_code(Code(Alphabet(2, 1, 1), ModuleSpace(2, 1, 1), [np.array([[1]])] * 20), path)
         monkeypatch.setenv("MODCODE_BUDGET", "10")
         result = cli(["mds", "--code", str(path), "--json"])
-        assert result.exit_code == 3 and "error:" in result.output
+        assert result.exit_code == 0 and json.loads(result.output)["is_mds"] is True
 
     def test_non_injective_code_exit_2(self, cli, tmp_path):
         path = tmp_path / "zero.json"
@@ -383,6 +407,25 @@ class TestLeanImports:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError):
             modcode.no_such_name  # noqa: B018
+
+    def test_no_unused_imports(self):
+        root = Path(modcode.__file__).resolve().parent
+        unused = []
+        for path in sorted([*root.glob("*.py"), *Path(__file__).parent.glob("*.py")]):
+            source = path.read_text()
+            lines = source.splitlines()
+            tree = ast.parse(source)
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                        unused.append(f"{path.name}:{alias.lineno} {name}")
+        assert not unused
 
 
 def python(*args, **env):

@@ -1,7 +1,5 @@
 """Exact prime-field linear algebra and subspace lattice tests."""
 
-import itertools
-
 import numpy as np
 import pytest
 

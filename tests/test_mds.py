@@ -162,6 +162,10 @@ class TestIsMds:
         report = is_mds(code)
         d = int(weights[weights > 0].min())
         assert (report.d, report.kappa) == (d, n - d + 1)
+        # Every kappa-column block of an injective code has rank t, so every
+        # kappa-subset is an information set iff t = kappa k.
+        for subset in itertools.combinations(range(n), report.kappa):
+            assert block_rank(code, subset) == t
         # |C| = q^(mt) / #{weight-0 elements}, counted without any rank.
         assert report.is_mds == (q ** (m * t) // kernel_size == code.alphabet.size**report.kappa)
         assert report.is_mds == (report.witnesses is None)
@@ -172,11 +176,12 @@ class TestIsMds:
             assert len(report.witnesses) == report.kappa
             assert block_rank(code, report.witnesses) < report.kappa * k
 
-    def test_subset_scan_is_budgeted(self, monkeypatch):
+    def test_verdict_enumerates_no_column_subsets(self, monkeypatch):
         monkeypatch.setenv("MODCODE_BUDGET", "10")
-        # kappa = 1: an MDS verdict needs all 20 one-column subsets.
-        with pytest.raises(EnumerationBudgetError):
-            is_mds(repetition_code(n=20))
+        # kappa = 1 with 20 one-column subsets, more than the budget: the
+        # Singleton equality decides the verdict without visiting any.
+        report = is_mds(repetition_code(n=20))
+        assert report.is_mds and report.kappa == 1
         # The first subset of a non-MDS code fails, so its witness needs none of the rest.
         monkeypatch.setenv("MODCODE_BUDGET", "4")
         code = binary_columns((1, 0), (0, 1), (1, 1), *[(1, 0)] * 17)
