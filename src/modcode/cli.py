@@ -87,7 +87,6 @@ def cmd_forge(q, m, k, out_lambda, out_mu, as_json) -> int:
     """Forge the minimum-length unextendable isometric pair (needs k > m)."""
     from .forge import counterexample_length, minimal_counterexample
 
-    check_prime(q)
     start = time.perf_counter()
     lam, mu = minimal_counterexample(q, m, k)
     save_code(lam, out_lambda)
@@ -139,7 +138,6 @@ def cmd_minlen(q, m, t, bound, cyclic_only, as_json) -> int:
     """Search the minimum length of a nontrivial solution."""
     from .forge import counterexample_length, min_nontrivial_length
 
-    check_prime(q)
     if t is None:
         t = m + 1
     if bound is None:
@@ -196,6 +194,8 @@ def cmd_mds(code_file, scan, as_json) -> int:
 def cmd_identities(q, tmax, as_json) -> int:
     """Run the exact q-binomial identity suite for t = 1 .. tmax."""
     check_prime(q)
+    if tmax < 1:
+        raise ValueError(f"need tmax >= 1, got {tmax}")
     results = {}
     all_pass = True
     for t in range(1, tmax + 1):

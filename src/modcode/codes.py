@@ -57,10 +57,11 @@ class Alphabet:
     k: int
 
     def __post_init__(self):
+        # The bound first: trial division of a huge modulus would not end.
+        _check_exact(self.q, self.m, self.k)
         check_prime(self.q)
         if self.m < 1 or self.k < 1:
             raise ValueError("alphabet parameters m and k must be >= 1")
-        _check_exact(self.q, self.m, self.k)
 
     @property
     def size(self) -> int:
@@ -76,10 +77,11 @@ class ModuleSpace:
     t: int
 
     def __post_init__(self):
+        # The bound first: trial division of a huge modulus would not end.
+        _check_exact(self.q, self.m, self.t)
         check_prime(self.q)
         if self.m < 1 or self.t < 0:
             raise ValueError("need m >= 1 and t >= 0")
-        _check_exact(self.q, self.m, self.t)
 
     @property
     def size(self) -> int:
@@ -347,23 +349,40 @@ def is_isometry_bruteforce(lam: Code, mu: Code) -> bool:
     return bool(np.array_equal(codeword_weights(lam), codeword_weights(mu)))
 
 
-def _support_difference(V, U) -> tuple[ModuleSpace, Counter]:
-    """The common source module of two nonempty kernel tuples and their support-count difference.
+def support_difference(V, Us):
+    """Number the supports of one nonempty kernel tuple against many and count their difference.
 
-    The weight of a codeword is the length minus the kernel indicator sum, so
-    a length difference counts as that many full-space kernels (the kernels
-    of zero generators) on the shorter side.
+    Returns ``(space, supports, ids, W)``: the common source module, the
+    distinct supports with F_q^t last, the support id of every kernel of V
+    and then of each tuple of Us in order, and the integer matrix W whose
+    row i is the count of each support among V minus that among Us[i].  The
+    weight of a codeword is the length minus the kernel indicator sum, so the
+    last column also counts a length difference as that many full-space
+    kernels (the kernels of zero generators) on the shorter side.
     """
-    V, U = tuple(V), tuple(U)
-    if not V or not U:
+    V, Us = tuple(V), [tuple(U) for U in Us]
+    if not V or not all(Us):
         raise DimensionMismatchError("kernel tuples must be nonempty")
     sp = V[0].space
-    if any(sub.space != sp for sub in V + U):
+    full = Subspace.full(sp.q, sp.t)
+    kernels = list(itertools.chain(V, *Us))
+    # Tuples share their few kernel objects, so ids are looked up once per
+    # object; F_q^t is numbered -1, which wraps to the last id.
+    distinct = {id(K): K for K in kernels}
+    if any(K.space != sp for K in distinct.values()):
         raise DimensionMismatchError("kernel tuples must share their source module")
-    diff = Counter(s.support for s in V)
-    diff.subtract(s.support for s in U)
-    diff[Subspace.full(sp.q, sp.t)] -= len(V) - len(U)
-    return sp, diff
+    numbering = {full: -1}
+    by_object = {key: numbering.setdefault(K.support, len(numbering) - 1)
+                 for key, K in distinct.items()}
+    supports = [*list(numbering)[1:], full]
+    ids = np.array([by_object[id(K)] for K in kernels], dtype=np.int64) % len(supports)
+    lengths = np.array([len(U) for U in Us], dtype=np.int64)
+    cells = np.repeat(np.arange(len(Us)), lengths) * len(supports) + ids[len(V) :]
+    W = np.bincount(ids[: len(V)], minlength=len(supports)) - np.bincount(
+        cells, minlength=len(Us) * len(supports)
+    ).reshape(len(Us), len(supports))
+    W[:, -1] += lengths - len(V)
+    return sp, supports, ids, W
 
 
 def satisfies_isometry_equation(V, U) -> bool:
@@ -375,8 +394,8 @@ def satisfies_isometry_equation(V, U) -> bool:
     common to both sides cancel first, so the counts run over the distinct
     supports of the multiset difference only.
     """
-    sp, diff = _support_difference(V, U)
-    return subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced(diff)
+    sp, supports, _, W = support_difference(V, [U])
+    return bool(subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced_rows(supports, W)[0])
 
 
 def is_isometry_criterion(lam: Code, mu: Code) -> bool:
@@ -411,12 +430,6 @@ def transport_automorphisms(Gs, Hs, q: int) -> np.ndarray:
     return P
 
 
-def _occurrence(ids: np.ndarray, count: int) -> np.ndarray:
-    """How many earlier entries along the last axis hold the same id, for ids below count."""
-    onehot = ids[..., None] == np.arange(count)
-    return (onehot.cumsum(axis=-2) * onehot).sum(axis=-1) - 1
-
-
 def extend_to_monomials(lam: Code, mus) -> list:
     """Extend the isometries sending lam to each of many images.
 
@@ -425,12 +438,11 @@ def extend_to_monomials(lam: Code, mus) -> list:
     the kernel-multiset difference, or None when the kernel-count criterion
     rejects the image.
 
-    All images are decided together.  Each distinct kernel support gets an
-    integer id, and D[i, j] is the count of support j among the column
-    kernels of lam minus that among the column kernels of image i.  One
-    containment table and one product decide the criterion of every row of
-    D, an image extends iff its row is zero, and the automorphisms of all
-    extendable images come from one batched transport.
+    All images are decided together on the count difference W of
+    :func:`support_difference`.  One containment table and one product
+    decide the criterion of every row of W, an image of lam's length extends
+    iff its row is zero outside the full-space column, and the automorphisms
+    of all extendable images come from one batched transport.
     """
     mus = list(mus)
     for mu in mus:
@@ -439,31 +451,21 @@ def extend_to_monomials(lam: Code, mus) -> list:
     if not mus:
         return []
     sp, n = lam.space, lam.length
-    kernels = hom_kernels(itertools.chain(lam.columns, *(mu.columns for mu in mus)))
-    # Images share their few kernel objects, so ids are looked up once per object.
-    ids: dict[Subspace, int] = {}
-    distinct = {id(K): K for K in kernels}
-    by_object = {key: ids.setdefault(K.support, len(ids)) for key, K in distinct.items()}
-    flat = np.array([by_object[id(K)] for K in kernels])
-    supports = list(ids)
+    # One batched elimination for every kernel not yet cached.
+    kernels = iter(hom_kernels(itertools.chain(lam.columns, *(mu.columns for mu in mus))))
+    V, *Us = (tuple(itertools.islice(kernels, code.length)) for code in [lam, *mus])
+    _, supports, ids, W = support_difference(V, Us)
+    isometric = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced_rows(supports, W)
     lengths = np.array([mu.length for mu in mus])
-    rows = np.repeat(np.arange(len(mus)), lengths)
-    D = np.bincount(flat[:n], minlength=len(ids)) - np.bincount(
-        rows * len(ids) + flat[n:], minlength=len(mus) * len(ids)
-    ).reshape(len(mus), len(ids))
-    # As in _support_difference, the criterion counts a length difference as
-    # full-space kernels on the shorter side.  An image of another length has
-    # a nonzero row of D, so it is never extendable.
-    W = np.column_stack([D, lengths - n])
-    W_supports = supports + [Subspace.full(sp.q, sp.t)]
-    isometric = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced_rows(W_supports, W)
-    extendable = ~D.any(axis=1)
+    extendable = ~W[:, :-1].any(axis=1) & (lengths == n)
 
     results: list = [None] * len(mus)
     witnesses: dict[bytes, Unextendable] = {}
-    by_key = sorted(range(len(ids)), key=lambda j: supports[j].sort_key())
+    by_key = sorted(range(len(supports)), key=lambda j: supports[j].sort_key())
     for i in np.flatnonzero(isometric & ~extendable):
-        d = D[i]
+        # The witness is the raw multiset difference, without the length padding.
+        d = W[i].copy()
+        d[-1] += n - lengths[i]
         if d.tobytes() not in witnesses:
             witnesses[d.tobytes()] = Unextendable(
                 tuple((supports[j], int(d[j])) for j in by_key if d[j] > 0),
@@ -476,10 +478,11 @@ def extend_to_monomials(lam: Code, mus) -> list:
         # Equal supports pair up in index order: the r-th image column with
         # support j comes from the r-th column of lam with support j.
         offsets = n + np.concatenate([[0], np.cumsum(lengths)])[chosen]
-        mu_ids = flat[offsets[:, None] + np.arange(n)]
-        source = np.empty((len(ids), n), dtype=np.int64)
-        source[flat[:n], _occurrence(flat[:n], len(ids))] = np.arange(n)
-        perms = source[mu_ids, _occurrence(mu_ids, len(ids))]
+        mu_ids = ids[offsets[:, None] + np.arange(n)]
+        perms = np.empty_like(mu_ids)
+        np.put_along_axis(
+            perms, np.argsort(mu_ids, axis=1, kind="stable"), np.argsort(ids[:n], kind="stable"), 1
+        )
         Gs = np.stack([col.matrix for col in lam.columns])[perms]
         Hs = np.stack([col.matrix for i in chosen for col in mus[i].columns])
         k = lam.alphabet.k

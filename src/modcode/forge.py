@@ -68,13 +68,11 @@ class SolutionPair:
                     raise ValueError("multiplicities must be positive")
         if self.length(self.V) != self.length(self.U):
             raise ValueError("the two sides must have equal total multiplicity")
-        diff: Counter = Counter()
-        for K, mult in self.V:
-            diff[K] += mult
-        for K, mult in self.U:
-            diff[K] -= mult
+        # Object entries keep multiplicities of any size exact.
+        weights = np.array([[c for _, c in self.V] + [-c for _, c in self.U]], dtype=object)
         sp = self.space
-        if not subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced(diff):
+        lattice = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t))
+        if not lattice.balanced_rows([K for K, _ in self.V + self.U], weights)[0]:
             raise ValueError("the pair does not satisfy the isometry equation")
 
     @staticmethod
@@ -184,12 +182,12 @@ def minimal_counterexample(q: int, m: int, k: int) -> tuple[Code, Code]:
     the first contains exactly one zero column and the second none, so the
     pair is an unextendable Hamming isometry.
     """
+    t = m + 1
+    space = ModuleSpace(q, m, t)
     if k <= m:
         raise DomainRejectionError(
             f"k={k} <= m={m}: the alphabet has the extension property, no counterexample exists"
         )
-    t = m + 1
-    space = ModuleSpace(q, m, t)
     lam_cols: list[Hom] = []
     mu_cols: list[Hom] = []
     supports = subspaces_up_to_dim(q, t, t)
@@ -248,6 +246,7 @@ class IncidenceSystem:
 
 def incidence_matrix(q: int, m: int, t: int, max_col_dim: int | None = None) -> IncidenceSystem:
     """Build the containment system for subspaces of F_q^t."""
+    ModuleSpace(q, m, t)  # rejects q, m and t outside the exact domain
     rows = subspace_lattice(q, t, min(m, t))
     if max_col_dim is None:
         max_col_dim = t

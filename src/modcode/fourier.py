@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codes import Hom, Submodule, _support_difference, module_elements
+from .codes import Hom, Submodule, module_elements, support_difference
 from .errors import DimensionMismatchError
 from .linalg import Subspace, orthogonal, subspace_lattice
 
@@ -68,9 +68,12 @@ def verify_dual_equation(V, U) -> bool:
     cancel first and each remaining orthogonal support carries its count
     difference times that size, an exact integer however large.
     """
-    sp, diff = _support_difference(V, U)
-    weights = {orthogonal(K): c * sp.q ** (sp.m * K.dim) for K, c in diff.items() if c}
-    return subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced(weights)
+    sp, supports, _, W = support_difference(V, [U])
+    live = np.flatnonzero(W[0])
+    weights = np.array([[int(W[0, j]) * sp.q ** (sp.m * supports[j].dim) for j in live]],
+                       dtype=object)
+    lattice = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t))
+    return bool(lattice.balanced_rows([orthogonal(supports[j]) for j in live], weights)[0])
 
 
 def image_kernel_duality_check(h: Hom) -> bool:

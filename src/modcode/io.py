@@ -48,6 +48,9 @@ def code_from_dict(data: dict) -> Code:
     # take the (n, t, k) shape, and one type pass rejects floats, bools,
     # strings and lists among the entries.
     G = np.array(generators, dtype=object)
+    if t == 0 and G.shape == (len(generators), 0):
+        # Empty 0 x k matrices carry no k for numpy to infer.
+        G = G.reshape(len(generators), 0, k)
     if G.ndim != 3 or G.shape[0] == 0 or G.shape[1:] != (t, k):
         raise DimensionMismatchError(f"generators must be a nonempty list of {t}x{k} matrices")
     if not set(map(type, G.flat)) <= {int}:

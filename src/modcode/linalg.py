@@ -523,17 +523,6 @@ class SubspaceLattice:
             sums = Z.astype(object) @ W.astype(object).T
         return ~sums.any(axis=0)
 
-    def balanced(self, weights) -> bool:
-        """True iff sum over K of weights[K] * [S <= K] is 0 at every lattice subspace S.
-
-        ``weights`` maps supports to integers, however large: the one-row
-        case of :meth:`balanced_rows`.
-        """
-        supports = list(weights)
-        row = np.empty((1, len(supports)), dtype=object)
-        row[0] = [weights[K] for K in supports]
-        return bool(self.balanced_rows(supports, row)[0])
-
 
 @budget.checked_cache(_check_subspaces_up_to_dim)
 def subspace_lattice(q: int, t: int, max_dim: int) -> SubspaceLattice:

@@ -32,6 +32,7 @@ from .codes import (
     is_isometry_criterion,  # noqa: F401
     kernel_support_multiset,  # noqa: F401
     module_elements,
+    support_difference,
 )
 from .errors import DomainRejectionError, ZeroCodeError
 from .linalg import matrix_rank
@@ -158,10 +159,9 @@ def exhaustive_isometry_scan(code: Code) -> list[tuple[Code, bool]]:
     budget.check_vectors(q ** (t * k * n), "isometry scan enumeration")
     candidates = module_elements(q, t, k)
     # One Hom per candidate, shared by every match, so each candidate kernel
-    # is computed once, all in one batched elimination, and gets a support id.
+    # is computed once, all in one batched elimination.
     homs = [Hom(sp, code.alphabet, G) for G in candidates]
-    ids: dict = {}
-    candidate_ids = np.array([ids.setdefault(K.support, len(ids)) for K in hom_kernels(homs)])
+    kernels = hom_kernels(homs)
     E = module_elements(q, sp.m, t)
     # indicators[c, e] = 1 when source element e has a nonzero block under candidate c.
     Y = np.tensordot(candidates, E, axes=([1], [2])) % q
@@ -185,15 +185,11 @@ def exhaustive_isometry_scan(code: Code) -> list[tuple[Code, bool]]:
         for i, row in enumerate(half_sums(left))
         for j in wanted.get(row.tobytes(), ())
     ]
-    combos = np.array(np.unravel_index(matches, (len(candidates),) * n), dtype=np.int64).T
-
-    # A match extends iff its kernel-support ids have the code's histogram.
-    s = len(ids)
-    own = np.bincount([ids[K.support] for K in hom_kernels(code.columns)], minlength=s)
-    cells = np.arange(len(combos))[:, None] * s + candidate_ids[combos]
-    histograms = np.bincount(cells.ravel(), minlength=len(combos) * s).reshape(-1, s)
-    extendable = (histograms == own).all(axis=1)
+    combos = np.array(np.unravel_index(matches, (len(candidates),) * n), dtype=np.int64).T.tolist()
+    # A match extends iff it has the code's kernel multiset: a zero row of W.
+    images = [[kernels[c] for c in combo] for combo in combos]
+    _, _, _, W = support_difference(hom_kernels(code.columns), images)
     return [
-        (Code(code.alphabet, sp, [homs[c] for c in combo]), bool(ok))
-        for combo, ok in zip(combos.tolist(), extendable)
+        (Code(code.alphabet, sp, [homs[c] for c in combo]), ok)
+        for combo, ok in zip(combos, (~W.any(axis=1)).tolist())
     ]

@@ -110,6 +110,7 @@ class TestCodeFiles:
         generators = ",\n".join(map(json.dumps, data.pop("generators")))
         expected = json.dumps(data)[:-1] + f', "generators": [\n{generators}\n]}}\n'
         assert path.read_text() == expected
+        assert load_code(path) == code
 
     def test_rejects_non_prime(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -373,6 +374,20 @@ class TestExitCodes:
         assert result.exit_code == 4
         assert result.output.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minlen", "--q", "2", "--m", "0"],
+            ["identities", "--q", "3", "--tmax", "0"],
+            ["identities", "--q", "3", "--tmax", "-2"],
+        ],
+        ids=["minlen-m0", "identities-tmax0", "identities-tmax-negative"],
+    )
+    def test_empty_range_exit_4(self, cli, argv):
+        result = cli(argv)
+        assert result.exit_code == 4
+        assert result.output.startswith("error: ")
+
     def test_first_matching_class_wins(self):
         from modcode.cli import EXIT_CODES
         from modcode.errors import EnumerationBudgetError, ModcodeError
@@ -428,13 +443,52 @@ class TestLeanImports:
         assert not unused
 
 
-def python(*args, **env):
+class TestNoDeadCode:
+    def test_every_definition_is_named_elsewhere(self):
+        """Each top-level function, class and method of the package is used somewhere.
+
+        A use is a Name, an Attribute, an import alias or a string constant
+        (the benchmark probes functions by name) in src/, tests/ or bench/.
+        A definition statement itself is not a use; dunders are exempt.
+        """
+        root = Path(modcode.__file__).resolve().parent
+        repo = root.parent.parent
+        files = [*root.glob("*.py"), *(repo / "tests").glob("*.py"), *(repo / "bench").glob("*.py")]
+        used = set()
+        defined = []
+        for path in sorted(files):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.update(node.name.split("."))
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.add(node.value)
+            if path.parent != root:
+                continue
+            for node in tree.body:
+                members = node.body if isinstance(node, ast.ClassDef) else []
+                for item in [node, *members]:
+                    if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
+                        defined.append((path.name, item.lineno, item.name))
+        unused = [
+            f"{file}:{line} {name}"
+            for file, line, name in defined
+            if name not in used and not (name.startswith("__") and name.endswith("__"))
+        ]
+        assert not unused
+
+
+def python(*args, timeout=None, **env):
     """Run a fresh interpreter on these sources; OPENBLAS_NUM_THREADS is unset unless given."""
     src = str(Path(modcode.__file__).resolve().parent.parent)
     base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     base.pop("MODCODE_BUDGET", None)
     return subprocess.run([sys.executable, *args], env=dict(base, PYTHONPATH=src, **env),
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestProcessEntry:
@@ -473,6 +527,17 @@ class TestProcessEntry:
             assert json.loads(proc.stdout)["all_pass"]
         elif code in (3, 4):
             assert proc.stdout == "" and proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["mds", "minlen"])
+    def test_huge_prime_modulus_exits_4_before_trial_division(self, tmp_path, command):
+        # 2^61 - 1 is prime; trial division up to its square root would not end.
+        q = 2**61 - 1
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"q": q, "m": 1, "k": 1, "t": 1, "generators": [[[1]]]}))
+        argv = {"mds": ["--code", str(path)], "minlen": ["--q", str(q), "--m", "1"]}[command]
+        proc = python("-m", "modcode.cli", command, *argv, timeout=20)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("error: ") and "int64" in proc.stderr
 
     def test_entry_freezes_and_keeps_atexit(self):
         script = (
