@@ -39,16 +39,31 @@ def vector_budget() -> int:
     return _env_override() or DEFAULT_VECTOR_BUDGET
 
 
+def _count_text(count: int) -> str:
+    """A count for an error message: in decimal, or by bit length when it is huge.
+
+    Python refuses to print an int of more than 4300 decimal digits, and a
+    budget error must never fail while it is being raised.
+    """
+    if count.bit_length() <= 256:
+        return str(count)
+    return f"at least 2^{count.bit_length() - 1}"
+
+
 def check_subspaces(count: int, what: str = "subspace enumeration") -> None:
     limit = subspace_budget()
     if count > limit:
-        raise EnumerationBudgetError(f"{what} needs {count} subspaces, budget is {limit}")
+        raise EnumerationBudgetError(
+            f"{what} needs {_count_text(count)} subspaces, budget is {limit}"
+        )
 
 
 def check_vectors(count: int, what: str = "vector enumeration") -> None:
     limit = vector_budget()
     if count > limit:
-        raise EnumerationBudgetError(f"{what} needs {count} vectors, budget is {limit}")
+        raise EnumerationBudgetError(
+            f"{what} needs {_count_text(count)} vectors, budget is {limit}"
+        )
 
 
 def checked_cache(check):

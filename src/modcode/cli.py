@@ -25,6 +25,7 @@ import time
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .codes import (  # noqa: E402
+    ModuleSpace,
     MonomialMap,
     Unextendable,
     extend_to_monomial,
@@ -37,7 +38,7 @@ from .errors import (  # noqa: E402
     NotAnIsometryError,
 )
 from .io import load_code, save_code  # noqa: E402
-from .linalg import cauchy_identities_check, check_prime  # noqa: E402
+from .linalg import cauchy_identities_check, subspace_lattice  # noqa: E402
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -141,7 +142,13 @@ def cmd_minlen(q, m, t, bound, cyclic_only, as_json) -> int:
     if t is None:
         t = m + 1
     if bound is None:
-        bound = counterexample_length(q, m) + 5
+        # The incidence system's domain and row-budget checks run before N is
+        # computed, so a huge m is refused at once; the search reuses the
+        # cached lattice.  The system depends on m only through min(m, t), and
+        # so does the default.
+        ModuleSpace(q, m, t)
+        subspace_lattice(q, t, min(m, t))
+        bound = counterexample_length(q, min(m, t)) + 5
     start = time.perf_counter()
     result = min_nontrivial_length(q, m, t, bound, max_col_dim=m if cyclic_only else None)
     witness_summary = None
@@ -193,7 +200,9 @@ def cmd_mds(code_file, scan, as_json) -> int:
 
 def cmd_identities(q, tmax, as_json) -> int:
     """Run the exact q-binomial identity suite for t = 1 .. tmax."""
-    check_prime(q)
+    # ModuleSpace applies the int64 bound before its primality test, so trial
+    # division of a huge q never starts.
+    ModuleSpace(q, 1, 1)
     if tmax < 1:
         raise ValueError(f"need tmax >= 1, got {tmax}")
     results = {}
@@ -242,7 +251,8 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("--q", type=int, required=True)
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--t", type=int, default=None, help="Ambient dimension; defaults to m + 1.")
-    sub.add_argument("--bound", type=int, default=None, help="Length bound; defaults to N + 5.")
+    sub.add_argument("--bound", type=int, default=None,
+                     help="Length bound; defaults to N + 5, with N taken at min(m, t).")
     sub.add_argument("--cyclic-only", action="store_true",
                      help="Restrict supports to dimension <= m.")
 

@@ -29,7 +29,6 @@ from .linalg import (
     enumerate_subspaces,
     mat_mul,
     matrix_rank,
-    row_kernel,
     row_kernels,
     rref_stack,
     subspace_lattice,
@@ -139,10 +138,7 @@ class Hom:
 
     def kernel(self) -> Submodule:
         """The kernel submodule, computed on the first call and then reused."""
-        if self._kernel is None:
-            kernel = Submodule(self.space, row_kernel(self.matrix, self.space.q))
-            object.__setattr__(self, "_kernel", kernel)
-        return self._kernel
+        return hom_kernels((self,))[0]
 
     def __eq__(self, other):
         return (

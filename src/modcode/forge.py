@@ -23,7 +23,6 @@ from .codes import Alphabet, Code, Hom, ModuleSpace, Submodule
 from .errors import (
     DimensionMismatchError,
     DomainRejectionError,
-    EnumerationBudgetError,
     NotACoverError,
     RankInfeasibleError,
 )
@@ -276,16 +275,6 @@ class SearchResult:
 NODE_BUDGET = 20_000_000
 
 
-class _NodeBudgetHit(Exception):
-    pass
-
-
-def _nest(calls: int) -> None:
-    """Nest this many calls; raises RecursionError if they exceed the recursion limit."""
-    if calls:
-        _nest(calls - 1)
-
-
 def min_nontrivial_length(
     q: int,
     m: int,
@@ -301,8 +290,9 @@ def min_nontrivial_length(
     last remaining column containing some evaluation row, its value is forced
     by that row's partial sum, which collapses the search.  Ties between
     optimal witnesses are broken by the lexicographically smallest assignment
-    in search order.  Raises EnumerationBudgetError before searching when its
-    recursion, one frame per column, will not fit under the recursion limit.
+    in search order.  The search runs on an explicit stack of columns, so its
+    depth is not bounded by the recursion limit; after NODE_BUDGET nodes it
+    stops and reports the best witness found so far with exhausted False.
     """
     if t < 1 or length_bound < 1:
         raise ValueError("need t >= 1 and length_bound >= 1")
@@ -311,27 +301,18 @@ def min_nontrivial_length(
     order = sorted(range(n_cols), key=lambda j: (-system.cols[j].dim, system.cols[j].sort_key()))
     Z = system.Z
 
-    # dfs nests one call per column, and record_leaf's tuple comparison 3 more.
-    try:
-        _nest(n_cols + 3)
-    except RecursionError:
-        raise EnumerationBudgetError(f"{n_cols} nested calls exceed the recursion limit") from None
-
     rows_of_col = [np.flatnonzero(Z[:, j]).tolist() for j in order]
     last_col_of_row = [-1] * n_rows
     for pos, j in enumerate(order):
         for r in rows_of_col[pos]:
             last_col_of_row[r] = pos
+    open_rows = [
+        [r for r in rows if last_col_of_row[r] > pos] for pos, rows in enumerate(rows_of_col)
+    ]
     closes_at = [[] for _ in range(n_cols)]
     for r, pos in enumerate(last_col_of_row):
         if pos >= 0:
             closes_at[pos].append(r)
-
-    l1_cap = 2 * length_bound
-    partial = [0] * n_rows
-    assignment = [0] * n_cols
-    best: dict = {"l1": None, "vec": None}
-    counter = {"nodes": 0}
 
     def candidate_values(limit: int):
         yield 0
@@ -339,68 +320,71 @@ def min_nontrivial_length(
             yield -v
             yield v
 
-    def record_leaf(used: int) -> None:
-        if used == 0:
-            return
-        vec = tuple(assignment)
-        if best["l1"] is None or used < best["l1"] or (used == best["l1"] and vec < best["vec"]):
-            best["l1"] = used
-            best["vec"] = vec
-
-    def dfs(pos: int, used: int) -> None:
-        counter["nodes"] += 1
-        if counter["nodes"] > NODE_BUDGET:
-            raise _NodeBudgetHit
+    l1_cap = 2 * length_bound
+    partial = [0] * n_rows
+    assignment = [0] * n_cols
+    best_l1 = best_vec = None
+    # One frame per entered column: its position, the L1 used before it, the
+    # slack fixed on entry and the values still to try.  assignment[pos]
+    # holds the value the frame last added to the partial row sums.
+    stack: list = []
+    nodes = pos = used = 0
+    while True:
+        # Enter the node at column position pos with L1 norm used so far.
+        nodes += 1
+        if nodes > NODE_BUDGET:
+            break
         if pos == n_cols:
-            record_leaf(used)
-            return
-        slack = l1_cap - used
-        if best["l1"] is not None:
-            slack = min(slack, best["l1"] - used)
-        if slack < 0:
-            return
-        closing = closes_at[pos]
-        if closing:
-            forced = -partial[closing[0]]
-            if any(-partial[r] != forced for r in closing[1:]):
-                return
-            values = (forced,) if abs(forced) <= slack else ()
+            if used and (best_l1 is None or (used, assignment) < (best_l1, best_vec)):
+                best_l1, best_vec = used, assignment.copy()
         else:
-            values = candidate_values(slack)
-        touched = rows_of_col[pos]
-        for v in values:
-            assignment[pos] = v
-            if v != 0:
-                for r in touched:
-                    partial[r] += v
-            # An open row's remaining columns can absorb at most the leftover
-            # L1 budget, so a partial sum beyond it can never return to zero.
-            feasible = all(
-                abs(partial[r]) <= slack - abs(v)
-                for r in touched
-                if last_col_of_row[r] > pos
-            )
-            if feasible:
-                dfs(pos + 1, used + abs(v))
-            if v != 0:
+            slack = l1_cap - used if best_l1 is None else min(l1_cap, best_l1) - used
+            closing = closes_at[pos]
+            if slack >= 0:
+                if not closing:
+                    stack.append((pos, used, slack, candidate_values(slack)))
+                else:
+                    forced = -partial[closing[0]]
+                    if abs(forced) <= slack and all(-partial[r] == forced for r in closing[1:]):
+                        stack.append((pos, used, slack, iter((forced,))))
+        # Move the deepest frame to its next feasible value; pop spent frames.
+        while stack:
+            frame_pos, frame_used, slack, values = stack[-1]
+            touched = rows_of_col[frame_pos]
+            v = assignment[frame_pos]
+            if v:
                 for r in touched:
                     partial[r] -= v
-        assignment[pos] = 0
+            for v in values:
+                if v:
+                    for r in touched:
+                        partial[r] += v
+                # An open row's remaining columns can absorb at most the leftover
+                # L1 budget, so a partial sum beyond it can never return to zero.
+                room = slack - abs(v)
+                if all(abs(partial[r]) <= room for r in open_rows[frame_pos]):
+                    break
+                if v:
+                    for r in touched:
+                        partial[r] -= v
+            else:
+                assignment[frame_pos] = 0
+                stack.pop()
+                continue
+            assignment[frame_pos] = v
+            pos, used = frame_pos + 1, frame_used + abs(v)
+            break
+        else:
+            break
 
-    exhausted = True
-    try:
-        dfs(0, 0)
-    except _NodeBudgetHit:
-        exhausted = False
-
-    if best["l1"] is None:
+    exhausted = nodes <= NODE_BUDGET
+    if best_l1 is None:
         return SearchResult(None, None, exhausted, system)
     witness = np.zeros(n_cols, dtype=np.int64)
-    for pos, j in enumerate(order):
-        witness[j] = best["vec"][pos]
+    witness[order] = best_vec
     if (Z.astype(np.int64) @ witness).any():
         raise AssertionError("search produced a vector outside the kernel")
-    return SearchResult(best["l1"] // 2, witness, exhausted, system)
+    return SearchResult(best_l1 // 2, witness, exhausted, system)
 
 
 def solution_to_codes(sol: SolutionPair, k: int) -> tuple[Code, Code]:

@@ -273,31 +273,11 @@ def subspace_sum(S: Subspace, T: Subspace) -> Subspace:
     return Subspace.from_rows(stacked, S.q, S.ambient)
 
 
-def row_kernel(M, q: int) -> Subspace:
-    """Kernel of the row action v -> v M, as a subspace of F_q^rows(M)."""
-    M = as_matrix(M, q)
-    n_rows = M.shape[0]
-    R, rank, pivots = rref(M.T, q)
-    # Solve x M = 0  <=>  M^T x^T = 0: free variables give a kernel basis.
-    free = [c for c in range(n_rows) if c not in pivots]
-    rows = []
-    for f in free:
-        v = np.zeros(n_rows, dtype=np.int64)
-        v[f] = 1
-        for r, p in enumerate(pivots):
-            v[p] = (-R[r, f]) % q
-        rows.append(v)
-    if not rows:
-        return Subspace.zero(q, n_rows)
-    return Subspace.from_rows(np.array(rows, dtype=np.int64), q, n_rows)
-
-
 def row_kernels(Ms, q: int) -> list[Subspace]:
     """Row kernels of an (n, r, c) stack, from one batched RREF of ``[M | I]``.
 
     The rows below rank(M) vanish on the M block, and their identity block
-    is the kernel basis, already in RREF.  Entry i equals
-    ``row_kernel(Ms[i], q)``; equal kernels share one Subspace.
+    is the kernel basis, already in RREF.  Equal kernels share one Subspace.
     """
     Ms = np.asarray(Ms, dtype=np.int64)
     n, n_rows, n_cols = Ms.shape
@@ -314,6 +294,11 @@ def row_kernels(Ms, q: int) -> list[Subspace]:
             shared[key] = Subspace(q, n_rows, basis)
         out.append(shared[key])
     return out
+
+
+def row_kernel(M, q: int) -> Subspace:
+    """Kernel of the row action v -> v M, as a subspace of F_q^rows(M)."""
+    return row_kernels(as_matrix(M, q)[None], q)[0]
 
 
 def complete_bases(A, q: int) -> np.ndarray:

@@ -103,6 +103,11 @@ class TestModuleElements:
         with pytest.raises(EnumerationBudgetError):
             module_elements(3, 1, 3)
 
+    def test_count_too_long_to_print_is_a_budget_error(self):
+        # 2^20000 has more decimal digits than Python converts to a string.
+        with pytest.raises(EnumerationBudgetError, match=r"at least 2\^20000 vectors"):
+            module_elements(2, 200, 100)
+
 
 class TestIsometry:
     def test_code_is_isometric_to_itself(self):

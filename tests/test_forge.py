@@ -9,7 +9,6 @@ import pytest
 
 from modcode import (
     DomainRejectionError,
-    EnumerationBudgetError,
     ModuleSpace,
     NotACoverError,
     RankInfeasibleError,
@@ -296,31 +295,18 @@ class TestMinimalitySearch:
         r = min_nontrivial_length(2, 1, 3, 4)
         assert r.min_length == 3 and r.exhausted
 
-    def test_recursion_depth_budgeted_before_search(self, monkeypatch):
-        n_cols = len(incidence_matrix(13, 1, 2).cols)
-        frame, limit = sys._getframe(), n_cols + 40
+    def test_search_runs_past_the_recursion_limit(self):
+        # (2, 3, 4) has 67 columns, more than the 40 frames left under this limit.
+        frame, limit = sys._getframe(), 40
         while frame is not None:
             frame, limit = frame.f_back, limit + 1
-        start, old = limit, sys.getrecursionlimit()
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
         try:
-            # Lower the limit until the search is refused: until then it must
-            # run to its answer, never into a RecursionError.
-            while True:
-                sys.setrecursionlimit(limit)
-                try:
-                    assert min_nontrivial_length(13, 1, 2, 16).min_length == 14
-                except EnumerationBudgetError:
-                    break
-                limit -= 1
-            assert limit < start
-            # The refusal costs at most two frames: unchecked, the search
-            # overflows two frames below the lowest limit it was allowed.
-            monkeypatch.setattr(forge, "_nest", lambda calls: None)
-            sys.setrecursionlimit(limit - 1)
-            with pytest.raises(RecursionError):
-                min_nontrivial_length(13, 1, 2, 16)
+            r = min_nontrivial_length(2, 3, 4, 140)
         finally:
             sys.setrecursionlimit(old)
+        assert r.min_length == 135 and r.exhausted
 
     def test_node_budget_stops_search_unexhausted(self, monkeypatch):
         monkeypatch.setattr(forge, "NODE_BUDGET", 10)

@@ -275,13 +275,6 @@ class TestMinlenCommand:
         report = json.loads(result.output)
         assert report["min_length"] == 15 and report["exhausted"]
 
-    def test_recursion_past_the_limit_exits_3(self, cli):
-        # 2825 columns do not fit under the default recursion limit.
-        result = cli(["minlen", "--q", "2", "--m", "1", "--t", "6"])
-        assert result.exit_code == 3
-        assert "error:" in result.output and "recursion limit" in result.output
-        assert "Traceback" not in result.output
-
     def test_cyclic_only_is_empty(self, cli):
         result = cli(["minlen", "--q", "2", "--m", "1", "--cyclic-only", "--json"])
         report = json.loads(result.output)
@@ -512,7 +505,7 @@ class TestProcessEntry:
         "argv, code",
         [
             (["identities", "--q", "2", "--tmax", "3", "--json"], 0),
-            (["minlen", "--q", "2", "--m", "1", "--t", "6"], 3),
+            (["minlen", "--q", "2", "--m", "20000", "--bound", "5"], 3),
             (["identities", "--q", "4", "--tmax", "2"], 4),
             (["identities", "--q", "2"], 2),
             (["no-such-command"], 2),
@@ -528,16 +521,38 @@ class TestProcessEntry:
         elif code in (3, 4):
             assert proc.stdout == "" and proc.stderr.startswith("error: ")
 
-    @pytest.mark.parametrize("command", ["mds", "minlen"])
+    @pytest.mark.parametrize("command", ["mds", "minlen", "identities"])
     def test_huge_prime_modulus_exits_4_before_trial_division(self, tmp_path, command):
         # 2^61 - 1 is prime; trial division up to its square root would not end.
         q = 2**61 - 1
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"q": q, "m": 1, "k": 1, "t": 1, "generators": [[[1]]]}))
-        argv = {"mds": ["--code", str(path)], "minlen": ["--q", str(q), "--m", "1"]}[command]
+        argv = {
+            "mds": ["--code", str(path)],
+            "minlen": ["--q", str(q), "--m", "1"],
+            "identities": ["--q", str(q), "--tmax", "1"],
+        }[command]
         proc = python("-m", "modcode.cli", command, *argv, timeout=20)
         assert proc.returncode == 4, proc.stderr
         assert proc.stderr.startswith("error: ") and "int64" in proc.stderr
+
+    @pytest.mark.parametrize("bound", [[], ["--bound", "5"]], ids=["default-bound", "bound"])
+    def test_minlen_huge_m_exits_3_at_once(self, bound):
+        # F_2^20001 has 2^20001 - 1 lines, a count too long to print in decimal,
+        # and the default bound N(2, 20000) would have about 2 * 10^8 bits.
+        proc = python("-m", "modcode.cli", "minlen", "--q", "2", "--m", "20000", *bound,
+                      timeout=20)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: ") and "budget is" in proc.stderr
+
+    def test_minlen_default_bound_taken_at_min_m_t(self):
+        # With t <= m the system has no nontrivial solution, and N(2, m=2000)
+        # would be too long to print: the default is N(2, 2) + 5.
+        proc = python("-m", "modcode.cli", "minlen", "--q", "2", "--m", "2000", "--t", "2",
+                      "--json", timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["min_length"] is None and report["exhausted"] and report["bound"] == 20
 
     def test_entry_freezes_and_keeps_atexit(self):
         script = (
