@@ -38,7 +38,7 @@ from .errors import (  # noqa: E402
     NotAnIsometryError,
 )
 from .io import load_code, save_code  # noqa: E402
-from .linalg import cauchy_identities_check, subspace_lattice  # noqa: E402
+from .linalg import cauchy_identities_check, check_identities_budget, subspace_lattice  # noqa: E402
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -205,6 +205,7 @@ def cmd_identities(q, tmax, as_json) -> int:
     ModuleSpace(q, 1, 1)
     if tmax < 1:
         raise ValueError(f"need tmax >= 1, got {tmax}")
+    check_identities_budget(tmax, q)
     results = {}
     all_pass = True
     for t in range(1, tmax + 1):

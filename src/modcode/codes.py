@@ -29,7 +29,7 @@ from .linalg import (
     enumerate_subspaces,
     mat_mul,
     matrix_rank,
-    row_kernels,
+    row_kernel_ids,
     rref_stack,
     subspace_lattice,
 )
@@ -125,16 +125,19 @@ class Hom:
                 f"generator must be {space.t}x{alphabet.k}, got {G.shape}"
             )
         G.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "matrix", G)
-        object.__setattr__(self, "_kernel", None)
+        for name, value in zip(Hom.__slots__, (space, alphabet, G, None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of_generator(cls, space: ModuleSpace, alphabet: Alphabet, G: np.ndarray) -> "Hom":
+        """A view of one read-only generator that its code has validated."""
+        hom = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (space, alphabet, G, None)):
+            object.__setattr__(hom, name, value)
+        return hom
 
     def __setattr__(self, name, value):
         raise AttributeError("Hom is immutable")
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        return mat_mul(X, self.matrix, self.space.q)
 
     def kernel(self) -> Submodule:
         """The kernel submodule, computed on the first call and then reused."""
@@ -156,45 +159,68 @@ class Hom:
 
 
 class Code:
-    """A length-n code parametrized by n homomorphisms with common source."""
+    """A length-n code parametrized by n homomorphisms with common source.
 
-    __slots__ = ("alphabet", "space", "columns")
+    The code holds one read-only (n, t, k) stack of generator matrices;
+    ``columns`` views it as Hom objects, built on first access.  Columns may
+    be given as that stack, or as Homs and matrices in any mix.
+    """
+
+    __slots__ = ("alphabet", "space", "generators", "_columns")
 
     def __init__(self, alphabet: Alphabet, space: ModuleSpace, columns):
-        cols = tuple(columns)
-        if not cols:
-            raise ValueError("a code needs at least one column")
-        homs = []
-        for col in cols:
-            hom = col if isinstance(col, Hom) else Hom(space, alphabet, col)
+        if space.q != alphabet.q or space.m != alphabet.m:
+            raise DimensionMismatchError("source and target live over different rings")
+        if not isinstance(columns, np.ndarray):
+            columns = list(columns)
+            homs = [col for col in columns if isinstance(col, Hom)]
             # Tuple comparison skips __eq__ for the shared space and alphabet objects.
-            if (hom.space, hom.alphabet) != (space, alphabet):
+            if any((hom.space, hom.alphabet) != (space, alphabet) for hom in homs):
                 raise DimensionMismatchError("all columns must share source and target")
-            homs.append(hom)
+            columns = [col.matrix if isinstance(col, Hom) else col for col in columns]
+        if len(columns) == 0:
+            raise ValueError("a code needs at least one column")
+        try:
+            G = np.asarray(columns, dtype=np.int64) % space.q
+        except ValueError as exc:
+            raise DimensionMismatchError(f"generators have unequal shapes: {exc}") from exc
+        if G.shape[1:] != (space.t, alphabet.k):
+            raise DimensionMismatchError(
+                f"generators must be {space.t}x{alphabet.k}, got {G.shape[1:]}"
+            )
+        G.setflags(write=False)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "columns", tuple(homs))
+        object.__setattr__(self, "generators", G)
+        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Code is immutable")
 
     @property
+    def columns(self) -> tuple[Hom, ...]:
+        if self._columns is None:
+            views = tuple(Hom._of_generator(self.space, self.alphabet, G) for G in self.generators)
+            object.__setattr__(self, "_columns", views)
+        return self._columns
+
+    @property
     def length(self) -> int:
-        return len(self.columns)
+        return len(self.generators)
 
     def encode(self, X: np.ndarray) -> list[np.ndarray]:
-        return [col(X) for col in self.columns]
+        return list(X @ self.generators % self.space.q)
 
     def __eq__(self, other):
         return (
             isinstance(other, Code)
             and self.alphabet == other.alphabet
             and self.space == other.space
-            and self.columns == other.columns
+            and np.array_equal(self.generators, other.generators)
         )
 
     def __hash__(self):
-        return hash((self.alphabet, self.space, self.columns))
+        return hash((self.alphabet, self.space, self.generators.shape, self.generators.tobytes()))
 
     def __repr__(self):
         return f"Code(n={self.length}, {self.alphabet}, t={self.space.t})"
@@ -266,25 +292,20 @@ def hamming_weight(word) -> int:
 def hom_kernels(homs) -> tuple[Submodule, ...]:
     """Kernels of many homomorphisms, in order.
 
-    Every kernel not yet cached is computed in one batched elimination over
-    the distinct generator matrices; homomorphisms with equal matrices, and
-    equal kernels, share one Submodule.
+    Every kernel not yet cached is numbered by one :func:`row_kernel_ids`
+    call per source module and alphabet; homomorphisms with equal kernels
+    share one Submodule.
     """
     homs = tuple(homs)
     groups: dict = {}
     for hom in homs:
         if hom._kernel is None:
-            key = (hom.space, hom.alphabet.k)
-            groups.setdefault(key, {}).setdefault(hom.matrix.tobytes(), []).append(hom)
-    for (space, _), by_matrix in groups.items():
-        same = list(by_matrix.values())
-        supports = row_kernels([hs[0].matrix for hs in same], space.q)
-        shared: dict[Subspace, Submodule] = {}
-        for hs, S in zip(same, supports):
-            if S not in shared:
-                shared[S] = Submodule(space, S)
-            for hom in hs:
-                object.__setattr__(hom, "_kernel", shared[S])
+            groups.setdefault((hom.space, hom.alphabet.k), []).append(hom)
+    for (space, _), todo in groups.items():
+        supports, ids = row_kernel_ids([hom.matrix for hom in todo], space.q)
+        kernels = [Submodule(space, S) for S in supports]
+        for hom, i in zip(todo, ids.tolist()):
+            object.__setattr__(hom, "_kernel", kernels[i])
     return tuple(hom._kernel for hom in homs)
 
 
@@ -294,7 +315,7 @@ def kernel_tuple(code: Code) -> tuple[Submodule, ...]:
 
 
 def kernel_support_multiset(code: Code) -> Counter:
-    return Counter(K.support for K in hom_kernels(code.columns))
+    return Counter(K.support for K in kernel_tuple(code))
 
 
 def _check_module_elements(q: int, m: int, t: int) -> None:
@@ -326,7 +347,7 @@ def codeword_weights(code: Code) -> np.ndarray:
     sp = code.space
     q, m, t = sp.q, sp.m, sp.t
     _check_module_elements(q, m, t)
-    gens = np.stack([col.matrix for col in code.columns])
+    gens = code.generators
     vectors = module_elements(q, 1, t)[:, 0, :]
     kills = (np.tensordot(gens, vectors, axes=([1], [1])) % q == 0).all(axis=1)
     # Generators with equal row kernels have equal indicators: one row each.
@@ -345,40 +366,60 @@ def is_isometry_bruteforce(lam: Code, mu: Code) -> bool:
     return bool(np.array_equal(codeword_weights(lam), codeword_weights(mu)))
 
 
-def support_difference(V, Us):
-    """Number the supports of one nonempty kernel tuple against many and count their difference.
+def support_difference(ids, lengths, width: int) -> np.ndarray:
+    """Count the kernel supports of one code against many.
 
-    Returns ``(space, supports, ids, W)``: the common source module, the
-    distinct supports with F_q^t last, the support id of every kernel of V
-    and then of each tuple of Us in order, and the integer matrix W whose
-    row i is the count of each support among V minus that among Us[i].  The
-    weight of a codeword is the length minus the kernel indicator sum, so the
-    last column also counts a length difference as that many full-space
-    kernels (the kernels of zero generators) on the shorter side.
+    ``ids`` holds the support id, in range(width), of every column kernel of
+    a code V and then of each code of Us; ``lengths`` holds their lengths.
+    Row i of the returned W is the count of each support among V minus that
+    among Us[i].  F_q^t has id width - 1: the weight of a codeword is the
+    length minus the kernel indicator sum, so the last column also counts a
+    length difference as that many full-space kernels on the shorter side.
     """
-    V, Us = tuple(V), [tuple(U) for U in Us]
-    if not V or not all(Us):
+    n, lengths = lengths[0], np.asarray(lengths[1:], dtype=np.int64)
+    cells = np.repeat(np.arange(len(lengths)), lengths) * width + ids[n:]
+    W = np.bincount(ids[:n], minlength=width) - np.bincount(
+        cells, minlength=len(lengths) * width
+    ).reshape(len(lengths), width)
+    W[:, -1] += lengths - n
+    return W
+
+
+def kernel_difference(V, U):
+    """Number the supports of two nonempty kernel tuples and count their difference.
+
+    Returns ``(space, supports, W)``: the common source module, the distinct
+    supports with F_q^t last, and the one-row :func:`support_difference`.
+    """
+    V, U = tuple(V), tuple(U)
+    if not V or not U:
         raise DimensionMismatchError("kernel tuples must be nonempty")
     sp = V[0].space
-    full = Subspace.full(sp.q, sp.t)
-    kernels = list(itertools.chain(V, *Us))
-    # Tuples share their few kernel objects, so ids are looked up once per
-    # object; F_q^t is numbered -1, which wraps to the last id.
-    distinct = {id(K): K for K in kernels}
-    if any(K.space != sp for K in distinct.values()):
+    if any(K.space != sp for K in V + U):
         raise DimensionMismatchError("kernel tuples must share their source module")
-    numbering = {full: -1}
-    by_object = {key: numbering.setdefault(K.support, len(numbering) - 1)
-                 for key, K in distinct.items()}
-    supports = [*list(numbering)[1:], full]
-    ids = np.array([by_object[id(K)] for K in kernels], dtype=np.int64) % len(supports)
-    lengths = np.array([len(U) for U in Us], dtype=np.int64)
-    cells = np.repeat(np.arange(len(Us)), lengths) * len(supports) + ids[len(V) :]
-    W = np.bincount(ids[: len(V)], minlength=len(supports)) - np.bincount(
-        cells, minlength=len(Us) * len(supports)
-    ).reshape(len(Us), len(supports))
-    W[:, -1] += lengths - len(V)
-    return sp, supports, ids, W
+    full = Subspace.full(sp.q, sp.t)
+    supports = [*dict.fromkeys(K.support for K in V + U if K.support != full), full]
+    index = {S: j for j, S in enumerate(supports)}
+    ids = np.array([index[K.support] for K in V + U], dtype=np.int64)
+    return sp, supports, support_difference(ids, [len(V), len(U)], len(supports))
+
+
+def code_difference(lam: Code, mus):
+    """Number the column kernels of lam and many codes at once and count their difference.
+
+    Returns ``(supports, ids, W)`` of :func:`support_difference`, numbered
+    by one :func:`row_kernel_ids` call over all the generators.  Generators
+    of a narrower alphabet get zero columns, which keep their row kernels.
+    """
+    codes = [lam, *mus]
+    k = max(code.alphabet.k for code in codes)
+    stack = np.concatenate([
+        np.pad(code.generators, ((0, 0), (0, 0), (0, k - code.alphabet.k)))
+        if code.alphabet.k < k else code.generators
+        for code in codes
+    ])
+    supports, ids = row_kernel_ids(stack, lam.space.q)
+    return supports, ids, support_difference(ids, [code.length for code in codes], len(supports))
 
 
 def satisfies_isometry_equation(V, U) -> bool:
@@ -390,7 +431,7 @@ def satisfies_isometry_equation(V, U) -> bool:
     common to both sides cancel first, so the counts run over the distinct
     supports of the multiset difference only.
     """
-    sp, supports, _, W = support_difference(V, [U])
+    sp, supports, W = kernel_difference(V, U)
     return bool(subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced_rows(supports, W)[0])
 
 
@@ -398,7 +439,9 @@ def is_isometry_criterion(lam: Code, mu: Code) -> bool:
     """Decide whether two codes are Hamming-isometric via kernel counts."""
     if lam.space != mu.space:
         raise DimensionMismatchError("codes must share their source module")
-    return satisfies_isometry_equation(kernel_tuple(lam), kernel_tuple(mu))
+    sp = lam.space
+    supports, _, W = code_difference(lam, [mu])
+    return bool(subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced_rows(supports, W)[0])
 
 
 def transport_automorphisms(Gs, Hs, q: int) -> np.ndarray:
@@ -435,7 +478,7 @@ def extend_to_monomials(lam: Code, mus) -> list:
     rejects the image.
 
     All images are decided together on the count difference W of
-    :func:`support_difference`.  One containment table and one product
+    :func:`code_difference`.  One containment table and one product
     decide the criterion of every row of W, an image of lam's length extends
     iff its row is zero outside the full-space column, and the automorphisms
     of all extendable images come from one batched transport.
@@ -447,10 +490,7 @@ def extend_to_monomials(lam: Code, mus) -> list:
     if not mus:
         return []
     sp, n = lam.space, lam.length
-    # One batched elimination for every kernel not yet cached.
-    kernels = iter(hom_kernels(itertools.chain(lam.columns, *(mu.columns for mu in mus))))
-    V, *Us = (tuple(itertools.islice(kernels, code.length)) for code in [lam, *mus])
-    _, supports, ids, W = support_difference(V, Us)
+    supports, ids, W = code_difference(lam, mus)
     isometric = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced_rows(supports, W)
     lengths = np.array([mu.length for mu in mus])
     extendable = ~W[:, :-1].any(axis=1) & (lengths == n)
@@ -479,10 +519,11 @@ def extend_to_monomials(lam: Code, mus) -> list:
         np.put_along_axis(
             perms, np.argsort(mu_ids, axis=1, kind="stable"), np.argsort(ids[:n], kind="stable"), 1
         )
-        Gs = np.stack([col.matrix for col in lam.columns])[perms]
-        Hs = np.stack([col.matrix for i in chosen for col in mus[i].columns])
         k = lam.alphabet.k
-        autos = transport_automorphisms(Gs.reshape(-1, sp.t, k), Hs, sp.q).reshape(-1, n, k, k)
+        # A sized reshape: with t = 0 the stack is empty and -1 would be ambiguous.
+        Gs = lam.generators[perms].reshape(len(chosen) * n, sp.t, k)
+        Hs = np.concatenate([mus[i].generators for i in chosen])
+        autos = transport_automorphisms(Gs, Hs, sp.q).reshape(-1, n, k, k)
         for i, perm, own in zip(chosen, perms.tolist(), autos):
             results[i] = MonomialMap._of_invertible(tuple(perm), tuple(own), sp.q)
     return results
@@ -504,14 +545,10 @@ def extend_to_monomial(lam: Code, mu: Code):
 
 def apply_monomial(mmap: MonomialMap, code: Code) -> Code:
     """Apply a monomial map, permuting columns and composing automorphisms."""
-    n = code.length
-    if len(mmap.permutation) != n:
+    if len(mmap.permutation) != code.length:
         raise DimensionMismatchError("monomial map size does not match code length")
-    cols = []
-    for i in range(n):
-        G = code.columns[mmap.permutation[i]].matrix
-        cols.append(mat_mul(G, mmap.automorphisms[i], code.space.q))
-    return Code(code.alphabet, code.space, cols)
+    G = code.generators[list(mmap.permutation)] @ np.array(mmap.automorphisms)
+    return Code(code.alphabet, code.space, G % code.space.q)
 
 
 def alphabet_has_extension_property(alphabet: Alphabet) -> bool:

@@ -137,8 +137,8 @@ def _verify_cover(module: Submodule, covering) -> None:
         raise NotACoverError("an element of the module escapes every covering submodule")
 
 
-def homs_with_kernels(space: ModuleSpace, supports, k: int) -> list[Hom]:
-    """Deterministic t x k generators whose row kernels are exactly the given supports.
+def kernel_generators(space: ModuleSpace, supports, k: int) -> np.ndarray:
+    """A stack of deterministic t x k generators whose row kernels are exactly the given supports.
 
     With F the basis of F_q^t formed by the basis of S followed by the
     greedy unit vectors that complete it, G = F^-1 maps the completing rows
@@ -155,7 +155,6 @@ def homs_with_kernels(space: ModuleSpace, supports, k: int) -> list[Hom]:
             raise RankInfeasibleError(
                 f"kernel of codimension {t - S.dim} needs k >= {t - S.dim}, got {k}"
             )
-    alphabet = Alphabet(q, space.m, k)
     G = np.zeros((len(supports), t, k), dtype=np.int64)
     for d in sorted({S.dim for S in supports}):
         same = [i for i, S in enumerate(supports) if S.dim == d]
@@ -163,12 +162,12 @@ def homs_with_kernels(space: ModuleSpace, supports, k: int) -> list[Hom]:
         eye = np.broadcast_to(np.eye(t, dtype=np.int64), F.shape)
         R, _ = rref_stack(np.concatenate([F, eye], axis=2), q)
         G[same, :, : t - d] = R[:, :, t + d :]
-    return [Hom(space, alphabet, g) for g in G]
+    return G
 
 
 def hom_with_kernel(space: ModuleSpace, S: Subspace, k: int) -> Hom:
     """Deterministic t x k generator whose row kernel is exactly S."""
-    return homs_with_kernels(space, [S], k)[0]
+    return Hom(space, Alphabet(space.q, space.m, k), kernel_generators(space, [S], k)[0])
 
 
 def minimal_counterexample(q: int, m: int, k: int) -> tuple[Code, Code]:
@@ -187,17 +186,15 @@ def minimal_counterexample(q: int, m: int, k: int) -> tuple[Code, Code]:
         raise DomainRejectionError(
             f"k={k} <= m={m}: the alphabet has the extension property, no counterexample exists"
         )
-    lam_cols: list[Hom] = []
-    mu_cols: list[Hom] = []
     supports = subspaces_up_to_dim(q, t, t)
-    for S, hom in zip(supports, homs_with_kernels(space, supports, k)):
-        j = t - S.dim
-        mult = q ** (j * (j - 1) // 2)
-        side = lam_cols if j % 2 == 0 else mu_cols
-        side.extend([hom] * mult)
+    G = kernel_generators(space, supports, k)
+    codim = [t - S.dim for S in supports]
+    # Python ints: a multiplicity beyond int64 must fail, not wrap around.
+    mult = np.array([q ** (j * (j - 1) // 2) for j in codim])
+    even = np.array(codim) % 2 == 0
     alphabet = Alphabet(q, m, k)
-    lam = Code(alphabet, space, lam_cols)
-    mu = Code(alphabet, space, mu_cols)
+    lam = Code(alphabet, space, np.repeat(G[even], mult[even], axis=0))
+    mu = Code(alphabet, space, np.repeat(G[~even], mult[~even], axis=0))
     assert lam.length == mu.length == counterexample_length(q, m)
     return lam, mu
 
@@ -391,14 +388,8 @@ def solution_to_codes(sol: SolutionPair, k: int) -> tuple[Code, Code]:
     """Realize a solution pair as two codes with the prescribed kernel tuples."""
     space = sol.space
     alphabet = Alphabet(space.q, space.m, k)
-    homs = iter(homs_with_kernels(space, [S for S, _ in sol.V + sol.U], k))
-
-    def side_to_columns(side):
-        cols: list[Hom] = []
-        for _, mult in side:
-            cols.extend([next(homs)] * mult)
-        return cols
-
-    lam = Code(alphabet, space, side_to_columns(sol.V))
-    mu = Code(alphabet, space, side_to_columns(sol.U))
+    G = kernel_generators(space, [S for S, _ in sol.V + sol.U], k)
+    mult = [c for _, c in sol.V + sol.U]
+    lam = Code(alphabet, space, np.repeat(G[: len(sol.V)], mult[: len(sol.V)], axis=0))
+    mu = Code(alphabet, space, np.repeat(G[len(sol.V) :], mult[len(sol.V) :], axis=0))
     return lam, mu

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codes import Hom, Submodule, module_elements, support_difference
+from .codes import Hom, Submodule, kernel_difference, module_elements
 from .errors import DimensionMismatchError
 from .linalg import Subspace, orthogonal, subspace_lattice
 
@@ -68,7 +68,7 @@ def verify_dual_equation(V, U) -> bool:
     cancel first and each remaining orthogonal support carries its count
     difference times that size, an exact integer however large.
     """
-    sp, supports, _, W = support_difference(V, [U])
+    sp, supports, W = kernel_difference(V, U)
     live = np.flatnonzero(W[0])
     weights = np.array([[int(W[0, j]) * sp.q ** (sp.m * supports[j].dim) for j in live]],
                        dtype=object)

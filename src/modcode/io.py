@@ -26,7 +26,7 @@ def code_to_dict(code: Code) -> dict:
         "m": code.alphabet.m,
         "k": code.alphabet.k,
         "t": code.space.t,
-        "generators": [col.matrix.tolist() for col in code.columns],
+        "generators": code.generators.tolist(),
     }
 
 
@@ -68,12 +68,14 @@ def save_code(code: Code, path) -> None:
     """Write a code file with one generator matrix per line.
 
     The generator list is encoded in one call and then split into lines.
+    The repr of a nested list of ints is its JSON text, and unlike
+    json.dumps it holds no list of small chunks (1.5 MB at N = 1120).
     Rows inside a matrix are separated by "], [", so "]], [[" occurs only
     between two generators (and "], [" between two empty ones when t = 0).
     """
     data = code_to_dict(code)
     between = "]], [[" if code.space.t else "], ["
-    one_line = json.dumps(data.pop("generators"))[1:-1]
+    one_line = repr(data.pop("generators"))[1:-1]
     generators = one_line.replace(between, between.replace(" ", "\n"))
     Path(path).write_text(json.dumps(data)[:-1] + f', "generators": [\n{generators}\n]}}\n')
 

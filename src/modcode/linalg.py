@@ -12,6 +12,7 @@ All arithmetic is exact: field operations use Python integer inverses
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -150,7 +151,9 @@ def rref_stack(A, q: int):
         R[every, r] = top
         factors = R[:, :, c] * found[:, None]
         factors[every, r] = 0
-        R[:, :, c:] = (R[:, :, c:] - factors[:, :, None] * top[:, None, c:]) % q
+        tail = R[:, :, c:]
+        tail -= factors[:, :, None] * top[:, None, c:]
+        tail %= q
         pivots[:, c] = found
         rank += found
     return R, pivots
@@ -273,27 +276,63 @@ def subspace_sum(S: Subspace, T: Subspace) -> Subspace:
     return Subspace.from_rows(stacked, S.q, S.ambient)
 
 
-def row_kernels(Ms, q: int) -> list[Subspace]:
-    """Row kernels of an (n, r, c) stack, from one batched RREF of ``[M | I]``.
+def distinct_rows(A) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of equal entries of an integer stack, numbered by first appearance.
 
-    The rows below rank(M) vanish on the M block, and their identity block
-    is the kernel basis, already in RREF.  Equal kernels share one Subspace.
+    Returns ``(first, inverse)``: the index of the first entry of each class
+    and the class of every entry.  Entries are hashed as byte strings in the
+    narrowest integer type that holds them all, with no sort.
+    """
+    A = np.asarray(A)
+    flat = A.reshape(len(A), math.prod(A.shape[1:]))
+    if flat.size:
+        small = np.result_type(np.min_scalar_type(flat.min()), np.min_scalar_type(flat.max()))
+        flat = np.ascontiguousarray(flat, dtype=small)
+    width = flat.itemsize * flat.shape[1]
+    keys = flat.view(np.dtype((np.void, width))).ravel().tolist() if width else [b""] * len(flat)
+    classes: dict = {}
+    inverse = np.array([classes.setdefault(key, len(classes)) for key in keys], dtype=np.int64)
+    # A new class is one more than every class before it: the running maximum steps there.
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(inverse), prepend=-1))
+    return first, inverse
+
+
+def row_kernel_ids(Ms, q: int) -> tuple[list[Subspace], np.ndarray]:
+    """Number the distinct row kernels of an (n, r, c) stack.
+
+    Returns ``(kernels, ids)``: the distinct row kernels, F_q^r always last,
+    and the index of each matrix's kernel among them.  Equal matrices merge
+    first.  The kernel is orthogonal to the column space of M, whose key is
+    the RREF C of M^T with its columns reversed: one batched elimination of
+    the distinct c x r keys.  With P[f, p] the entry at column f of C's row
+    with pivot p, row f of I - P is the null vector of C with free
+    coordinate f; read with both axes reversed, these rows are the kernel's
+    RREF basis, with no further elimination.
     """
     Ms = np.asarray(Ms, dtype=np.int64)
-    n, n_rows, n_cols = Ms.shape
-    eye = np.broadcast_to(np.eye(n_rows, dtype=np.int64), (n, n_rows, n_rows))
-    R, pivots = rref_stack(np.concatenate([Ms, eye], axis=2), q)
-    ranks = pivots[:, :n_cols].sum(axis=1)
-    kernels = R[:, :, n_cols:]
-    shared: dict[bytes, Subspace] = {}
-    out = []
-    for K, rank in zip(kernels, ranks):
-        basis = K[rank:]
-        key = basis.tobytes()
-        if key not in shared:
-            shared[key] = Subspace(q, n_rows, basis)
-        out.append(shared[key])
-    return out
+    if Ms.ndim != 3:
+        raise DimensionMismatchError(f"expected an (n, r, c) stack, got ndim={Ms.ndim}")
+    _, n_rows, n_cols = Ms.shape
+    first, of_matrix = distinct_rows(Ms)
+    R, pivots = rref_stack(np.ascontiguousarray(Ms[first].transpose(0, 2, 1)[:, :, ::-1]), q)
+    # The zero key, of the kernel F_q^r, leads the keys so that F_q^r is always numbered.
+    zero = np.zeros((1, n_cols, n_rows), dtype=np.int64)
+    first, of_key = distinct_rows(np.concatenate([zero, R]))
+    R, pivots = R[first[1:] - 1], pivots[first[1:] - 1]
+    # Row i of a key is nonzero iff i < rank, and its pivot is the i-th pivot column.
+    j, i = np.nonzero(R.any(axis=2))
+    P = np.zeros((len(R), n_rows, n_rows), dtype=np.int64)
+    P[j, :, np.nonzero(pivots)[1]] = R[j, i]
+    bases = ((np.eye(n_rows, dtype=np.int64) - P) % q)[:, ::-1, ::-1]
+    kernels = [Subspace(q, n_rows, B[free]) for B, free in zip(bases, ~pivots[:, ::-1])]
+    # Key 0 is the zero key; F_q^r is numbered last.
+    return [*kernels, Subspace.full(q, n_rows)], (of_key[1:][of_matrix] - 1) % len(first)
+
+
+def row_kernels(Ms, q: int) -> list[Subspace]:
+    """Row kernels of an (n, r, c) stack, in order; equal kernels share one Subspace."""
+    kernels, ids = row_kernel_ids(Ms, q)
+    return [kernels[i] for i in ids.tolist()]
 
 
 def row_kernel(M, q: int) -> Subspace:
@@ -347,28 +386,43 @@ def gaussian_binomial(t: int, i: int, q: int) -> int:
     return num // den
 
 
+def check_identities_budget(tmax: int, q: int) -> None:
+    """Budget the identity checks for t = 1 .. tmax in 64-bit words of exact integers.
+
+    Row t has t + 1 terms q^binom(i,2) C(t,i)_q, each below q^(t^2), so the
+    rows up to tmax hold at most sum_t (t + 1) t^2 bit_length(q) bits.
+    """
+    squares = tmax * (tmax + 1) * (2 * tmax + 1) // 6
+    cubes = (tmax * (tmax + 1) // 2) ** 2
+    words = q.bit_length() * (cubes + squares) // 64
+    budget.check_vectors(words, "q-binomial identity check (one vector per 64-bit word)")
+
+
 def cauchy_identities_check(t: int, q: int) -> bool:
     """Check the two exact q-binomial sum identities for the given t, q.
 
     Alternating:  sum_{i=0}^{t-1} (-1)^i q^binom(i,2) C(t,i)_q = (-1)^(t-1) q^binom(t,2)
     Plain:        sum_{i=0}^{t}   q^binom(i,2) C(t,i)_q = prod_{i=0}^{t-1} (1 + q^i)
+
+    Row t of the q-binomials is built term by term,
+    C(t,i)_q = C(t,i-1)_q (q^(t-i+1) - 1) / (q^i - 1), and each division is exact.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-
-    def binom2(i: int) -> int:
-        return i * (i - 1) // 2
-
-    alternating = sum(
-        (-1) ** i * q ** binom2(i) * gaussian_binomial(t, i, q) for i in range(t)
-    )
-    if alternating != (-1) ** (t - 1) * q ** binom2(t):
+    check_identities_budget(t, q)
+    terms = []  # q^binom(i,2) C(t,i)_q for i = 0 .. t
+    binom = power = 1
+    for i in range(t + 1):
+        terms.append(power * binom)
+        binom = binom * (q ** (t - i) - 1) // (q ** (i + 1) - 1)
+        power *= q**i
+    alternating = sum(term if i % 2 == 0 else -term for i, term in enumerate(terms[:-1]))
+    if alternating != (-1) ** (t - 1) * terms[-1]:
         return False
-    plain = sum(q ** binom2(i) * gaussian_binomial(t, i, q) for i in range(t + 1))
     product = 1
     for i in range(t):
         product *= 1 + q**i
-    return plain == product
+    return sum(terms) == product
 
 
 def count_subspaces_containing(X: Subspace, i: int) -> int:
@@ -440,9 +494,11 @@ class SubspaceLattice:
     containment pass decides ``S <= K`` for every lattice subspace S and
     every given support K at once, by the annihilator test: with P_K the
     projection that rebuilds a vector from its pivot coordinates in K's RREF
-    basis, v lies in K iff v (P_K - I) = 0 mod q.  So S <= K iff
-    B_S (P_K - I) = 0 for a basis B_S of S.  Use :func:`subspace_lattice`,
-    which caches one lattice per (q, t, max_dim).
+    basis, v lies in K iff v (P_K - I) = 0 mod q.  So S <= K iff every row
+    of S's RREF basis passes.  Those rows are normalised points of
+    PG(t-1, q), shared by many subspaces, so the lattice numbers its
+    distinct rows once and each is tested once per support.  Use
+    :func:`subspace_lattice`, which caches one lattice per (q, t, max_dim).
     """
 
     def __init__(self, q: int, t: int, max_dim: int):
@@ -454,8 +510,11 @@ class SubspaceLattice:
         bases = np.zeros((len(self.subspaces), width, t), dtype=np.int64)
         for i, S in enumerate(self.subspaces):
             bases[i, : S.dim] = S.basis
-        self._rows = bases.reshape(len(self.subspaces) * width, t)
-        self._width = width
+        rows = bases.reshape(len(self.subspaces) * width, t)
+        first, of_row = distinct_rows(rows)
+        self._points = rows[first]
+        # Column c lists the point of row c of each subspace's padded basis.
+        self._index = of_row.reshape(len(self.subspaces), width).T.copy()
 
     def __len__(self) -> int:
         return len(self.subspaces)
@@ -469,21 +528,21 @@ class SubspaceLattice:
                 raise DimensionMismatchError(
                     f"support lives in F_{K.q}^{K.ambient}, the lattice in F_{q}^{t}"
                 )
-        Z = np.empty((len(self), len(supports)), dtype=bool)
-        eye = np.eye(t, dtype=np.int64)
-        chunk = max(1, _CONTAINMENT_CHUNK // max(1, self._rows.size))
+        # residual[j] = P_K - I for K = supports[j], built per support dimension.
+        residual = np.tile(-np.eye(t, dtype=np.int64), (len(supports), 1, 1))
+        dims = np.array([K.dim for K in supports], dtype=np.int64)
+        for d in set(dims.tolist()) - {0}:
+            same = np.flatnonzero(dims == d)
+            B = np.stack([supports[j].basis for j in same])
+            residual[same[:, None], np.argmax(B != 0, axis=2)] += B
+        Z = np.ones((len(self), len(supports)), dtype=bool)
+        chunk = max(1, _CONTAINMENT_CHUNK // max(1, self._points.size, len(self)))
         for start in range(0, len(supports), chunk):
-            block = supports[start : start + chunk]
-            residual = np.empty((t, len(block), t), dtype=np.int64)
-            for j, K in enumerate(block):
-                R = -eye
-                if K.dim:
-                    R[np.argmax(K.basis != 0, axis=1)] += K.basis
-                residual[:, j] = R
-            hits = self._rows @ residual.reshape(t, len(block) * t)
+            hits = self._points @ residual[start : start + chunk]
             hits %= q
-            hits = hits.reshape(len(self), self._width, len(block), t)
-            Z[:, start : start + len(block)] = ~hits.any(axis=(1, 3))
+            inside = ~hits.any(axis=2).T
+            for column in self._index:
+                Z[:, start : start + chunk] &= inside[column]
         return Z
 
     def balanced_rows(self, supports, W) -> np.ndarray:

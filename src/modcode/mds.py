@@ -21,12 +21,10 @@ import numpy as np
 from . import budget
 from .codes import (
     Code,
-    Hom,
     Unextendable,
     codeword_weights,
     extend_to_monomial,
     extend_to_monomials,
-    hom_kernels,
     # Not called here, but the traced replay in bench/traced.py probes them
     # under this module's name.
     is_isometry_criterion,  # noqa: F401
@@ -35,7 +33,7 @@ from .codes import (
     support_difference,
 )
 from .errors import DomainRejectionError, ZeroCodeError
-from .linalg import matrix_rank
+from .linalg import matrix_rank, row_kernel_ids
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ def min_distance(code: Code) -> int:
 def code_cardinality(code: Code) -> int:
     """|C| = q^(m r), with r the rank of the t x nk concatenation [G_1 | ... | G_n]."""
     sp = code.space
-    joint = np.concatenate([col.matrix for col in code.columns], axis=1)
+    joint = np.concatenate(code.generators, axis=1)
     return sp.q ** (sp.m * matrix_rank(joint, sp.q))
 
 
@@ -94,7 +92,7 @@ def is_mds(code: Code) -> MdsReport:
     if cardinality != code.alphabet.size**kappa:
         k = code.alphabet.k
         witnesses = next(
-            ((i,) for i, col in enumerate(code.columns) if matrix_rank(col.matrix, sp.q) != k),
+            ((i,) for i, G in enumerate(code.generators) if matrix_rank(G, sp.q) != k),
             tuple(range(kappa)),
         )
     return MdsReport(n=n, d=d, kappa=kappa, is_mds=witnesses is None, witnesses=witnesses)
@@ -158,10 +156,8 @@ def exhaustive_isometry_scan(code: Code) -> list[tuple[Code, bool]]:
     q, t, k, n = sp.q, sp.t, code.alphabet.k, code.length
     budget.check_vectors(q ** (t * k * n), "isometry scan enumeration")
     candidates = module_elements(q, t, k)
-    # One Hom per candidate, shared by every match, so each candidate kernel
-    # is computed once, all in one batched elimination.
-    homs = [Hom(sp, code.alphabet, G) for G in candidates]
-    kernels = hom_kernels(homs)
+    # The code's kernels and every candidate's, numbered by one elimination.
+    supports, ids = row_kernel_ids(np.concatenate([code.generators, candidates]), q)
     E = module_elements(q, sp.m, t)
     # indicators[c, e] = 1 when source element e has a nonzero block under candidate c.
     Y = np.tensordot(candidates, E, axes=([1], [2])) % q
@@ -185,11 +181,13 @@ def exhaustive_isometry_scan(code: Code) -> list[tuple[Code, bool]]:
         for i, row in enumerate(half_sums(left))
         for j in wanted.get(row.tobytes(), ())
     ]
-    combos = np.array(np.unravel_index(matches, (len(candidates),) * n), dtype=np.int64).T.tolist()
+    combos = np.array(np.unravel_index(matches, (len(candidates),) * n), dtype=np.int64).T
     # A match extends iff it has the code's kernel multiset: a zero row of W.
-    images = [[kernels[c] for c in combo] for combo in combos]
-    _, _, _, W = support_difference(hom_kernels(code.columns), images)
+    W = support_difference(
+        np.concatenate([ids[:n], ids[n + combos].ravel()]), [n] * (len(combos) + 1),
+        len(supports),
+    )
     return [
-        (Code(code.alphabet, sp, [homs[c] for c in combo]), ok)
+        (Code(code.alphabet, sp, candidates[combo]), ok)
         for combo, ok in zip(combos, (~W.any(axis=1)).tolist())
     ]

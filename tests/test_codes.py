@@ -156,6 +156,18 @@ class TestIsometry:
         assert not is_isometry_criterion(lam2, mu3)
         assert not is_isometry_bruteforce(lam2, mu3)
 
+    def test_criterion_across_alphabets_matches_oracle(self, rng):
+        for _ in range(60):
+            q = int(rng.choice([2, 3]))
+            m, t, n = (int(x) for x in rng.integers(1, 4, size=3))
+            lam = random_code(rng, q, m, t, 1, n)
+            # A zero column keeps every row kernel, so the widened code is isometric to lam.
+            widened = np.pad(lam.generators, ((0, 0), (0, 0), (0, 1)))
+            wide = Code(Alphabet(q, m, 2), lam.space, widened)
+            for mu in (wide, random_code(rng, q, m, t, 2, n)):
+                assert is_isometry_criterion(lam, mu) == is_isometry_bruteforce(lam, mu)
+            assert is_isometry_criterion(lam, wide)
+
     def test_criterion_matches_oracle_on_random_pairs(self, rng):
         for _ in range(200):
             q = int(rng.choice([2, 3]))
@@ -231,6 +243,12 @@ class TestTrivialSolution:
 class TestExtendToMonomial:
     def test_identical_codes_extend(self):
         code = identity_code(2, 1, 2, 3)
+        result = extend_to_monomial(code, code)
+        assert isinstance(result, MonomialMap)
+        assert apply_monomial(result, code) == code
+
+    def test_zero_dimensional_source_extends(self):
+        code = Code(Alphabet(3, 1, 2), ModuleSpace(3, 1, 0), np.zeros((2, 0, 2), dtype=int))
         result = extend_to_monomial(code, code)
         assert isinstance(result, MonomialMap)
         assert apply_monomial(result, code) == code
@@ -530,6 +548,41 @@ def same_extension(a, b) -> bool:
 def fresh_copy(code):
     """The same code with new Hom objects, so no kernel is cached or shared."""
     return Code(code.alphabet, code.space, [col.matrix.copy() for col in code.columns])
+
+
+class TestColumnarCode:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        q=st.sampled_from([2, 3, 5]),
+        m=st.integers(1, 2),
+        t=st.integers(1, 3),
+        k=st.integers(1, 3),
+        n=st.integers(3, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_matches_hom_list(self, q, m, t, k, n, seed):
+        rng = np.random.default_rng(seed)
+        G = rng.integers(0, q, size=(n, t, k))
+        # A zero column, a repeated column and a column with another's kernel.
+        G[0] = 0
+        G[1] = G[-1]
+        G[2] = G[-1] @ random_invertible(rng, q, k) % q
+        sp, al = ModuleSpace(q, m, t), Alphabet(q, m, k)
+        from_stack = Code(al, sp, G)
+        from_homs = Code(al, sp, [Hom(sp, al, g) for g in G])
+        assert from_stack == from_homs and hash(from_stack) == hash(from_homs)
+        assert not from_stack.generators.flags.writeable
+        kernels = [K.support for K in kernel_tuple(from_stack)]
+        assert kernels == [row_kernel(g, q) for g in G]
+        for K, g in zip(kernels, G):  # checked by the scalar rref alone
+            assert K.dim == t - matrix_rank(g, q) and not (K.basis @ g % q).any()
+            assert Subspace.from_rows(K.basis, q, t) == K
+        images = [apply_monomial(random_monomial(rng, q, k, n), from_stack) for _ in range(2)]
+        images += [from_homs, random_code(rng, q, m, t, k, n), Code(al, sp, G[1:])]
+        expected = reference_extend(from_homs, images)
+        batch = extend_to_monomials(from_stack, images)
+        assert len(batch) == len(expected)
+        assert all(same_extension(a, b) for a, b in zip(batch, expected))
 
 
 class TestBatchedImages:

@@ -33,7 +33,7 @@ from modcode import (
 )
 from modcode import forge
 from modcode.codes import module_elements
-from modcode.forge import _verify_cover, homs_with_kernels
+from modcode.forge import _verify_cover, kernel_generators
 from modcode.linalg import contains, enumerate_subspaces, subspaces_up_to_dim
 
 from conftest import random_subspace
@@ -162,11 +162,11 @@ class TestHomWithKernel:
         for q, m, t, k in [(2, 1, 3, 3), (3, 1, 2, 2), (2, 2, 3, 4)]:
             sp = ModuleSpace(q, m, t)
             supports = [random_subspace(rng, q, t) for _ in range(12)]
-            homs = homs_with_kernels(sp, supports, k)
-            for S, h in zip(supports, homs):
-                assert h == hom_with_kernel(sp, S, k)
-                assert row_kernel(h.matrix, q) == S
-        assert homs_with_kernels(ModuleSpace(2, 1, 2), [], 2) == []
+            stack = kernel_generators(sp, supports, k)
+            for S, G in zip(supports, stack):
+                assert np.array_equal(G, hom_with_kernel(sp, S, k).matrix)
+                assert row_kernel(G, q) == S
+        assert kernel_generators(ModuleSpace(2, 1, 2), [], 2).shape == (0, 2, 2)
 
     def test_rank_infeasible(self):
         sp = ModuleSpace(2, 1, 3)

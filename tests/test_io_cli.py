@@ -15,7 +15,7 @@ import modcode
 from modcode import forge
 from modcode import Alphabet, Code, ModuleSpace, load_code, minimal_counterexample, save_code
 from modcode.errors import DimensionMismatchError
-from modcode.linalg import SubspaceLattice, matrix_rank
+from modcode.linalg import SubspaceLattice, gaussian_binomial, matrix_rank
 
 
 class TestCodeFiles:
@@ -583,6 +583,28 @@ class TestIdentitiesCommand:
         result = cli(["identities", "--q", "5", "--tmax", "4", "--json"])
         assert result.exit_code == 0
         assert json.loads(result.output)["all_pass"]
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_small_tmax_results_match_direct_sums(self, cli, q):
+        # The direct sums over gaussian_binomial, one call per term.
+        def direct(t):
+            terms = [q ** (i * (i - 1) // 2) * gaussian_binomial(t, i, q) for i in range(t + 1)]
+            alternating = sum((-1) ** i * term for i, term in enumerate(terms[:-1]))
+            product = 1
+            for i in range(t):
+                product *= 1 + q**i
+            return alternating == (-1) ** (t - 1) * q ** (t * (t - 1) // 2) and sum(terms) == product
+
+        result = cli(["identities", "--q", str(q), "--tmax", "8", "--json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["results"] == {str(t): direct(t) for t in range(1, 9)}
+
+    @pytest.mark.parametrize("tmax, codes", [("300", (0, 3)), ("1000000", (3,))])
+    def test_large_tmax_ends_within_budget(self, tmax, codes):
+        proc = python("-m", "modcode.cli", "identities", "--q", "2", "--tmax", tmax, timeout=20)
+        assert proc.returncode in codes, proc.stderr
+        if proc.returncode == 3:
+            assert proc.stderr.startswith("error: ") and "budget is" in proc.stderr
 
 
 class TestBudgetEnv:

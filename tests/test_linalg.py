@@ -241,6 +241,27 @@ class TestSubspaceLattice:
         expected = np.array([[contains(spaces[j], S) for j in cols] for S in spaces])
         assert np.array_equal(Z, expected)
 
+    @pytest.mark.parametrize("q,t,max_dim", [(13, 3, 2), (31, 3, 2), (2, 6, 2), (3, 4, 3)])
+    def test_containment_matches_pairwise_contains_on_kernels(self, q, t, max_dim):
+        rng = np.random.default_rng(q * 100 + t)
+        lattice = subspace_lattice(q, t, max_dim)
+        # A seeded sample of supports of every dimension ...
+        supports = []
+        for d in range(t + 1):
+            spaces = enumerate_subspaces(q, t, d)
+            picks = rng.choice(len(spaces), min(len(spaces), 6), replace=False)
+            supports += [spaces[i] for i in sorted(picks.tolist())]
+        # ... and the row kernels of random generators, zero and repeated ones among them.
+        for k in range(1, t + 1):
+            G = rng.integers(0, q, size=(6, t, k))
+            G[0] = 0
+            G[1] = G[2]
+            supports += row_kernels(G, q)
+        assert {K.dim for K in supports} == set(range(t + 1))
+        Z = lattice.containment(supports)
+        expected = np.array([[contains(K, S) for K in supports] for S in lattice.subspaces])
+        assert np.array_equal(Z, expected)
+
     def test_rows_are_the_low_dimensional_prefix(self):
         low = subspace_lattice(2, 4, 2)
         full = subspace_lattice(2, 4, 4)
