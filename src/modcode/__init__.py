@@ -50,7 +50,6 @@ _EXPORTS = {
         "SearchResult",
         "SolutionPair",
         "counterexample_length",
-        "hom_with_kernel",
         "incidence_matrix",
         "inclusion_exclusion_solution",
         "min_nontrivial_length",

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 domain rejection, 3 budget exceeded (or a search
-bound hit without exhaustion), 4 input error, 5 theorem-violation defect.
+bound hit without exhaustion), 4 input error, 5 defect (a theorem violation,
+a failed identity, or a criterion that rejects a known isometry).
 Every command prints a human-readable summary; ``--json`` switches to a
 machine-readable report mirroring the library return values.
 
@@ -47,11 +48,14 @@ EXIT_INPUT = 4
 EXIT_VIOLATION = 5
 
 # Exception class -> exit code, first match wins.  ValueError covers bad
-# command-line values (a non-prime q) and malformed code files.
+# command-line values (a non-prime q) and malformed code files.  check takes a
+# NotAnIsometryError as its verdict; forge's pair is isometric by construction
+# and every mds --scan image by brute force, so elsewhere it is a defect.
 EXIT_CODES = (
     (EnumerationBudgetError, EXIT_BUDGET),
     (DimensionMismatchError, EXIT_INPUT),
     (ValueError, EXIT_INPUT),
+    (NotAnIsometryError, EXIT_VIOLATION),
     (ModcodeError, EXIT_DOMAIN),
 )
 

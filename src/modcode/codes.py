@@ -29,6 +29,7 @@ from .linalg import (
     enumerate_subspaces,
     mat_mul,
     matrix_rank,
+    row_kernel,
     row_kernel_ids,
     rref_stack,
     subspace_lattice,
@@ -114,7 +115,7 @@ class Submodule:
 class Hom:
     """A module homomorphism W -> A given by a t x k generator matrix."""
 
-    __slots__ = ("space", "alphabet", "matrix", "_kernel")
+    __slots__ = ("space", "alphabet", "matrix")
 
     def __init__(self, space: ModuleSpace, alphabet: Alphabet, matrix):
         if space.q != alphabet.q or space.m != alphabet.m:
@@ -125,34 +126,15 @@ class Hom:
                 f"generator must be {space.t}x{alphabet.k}, got {G.shape}"
             )
         G.setflags(write=False)
-        for name, value in zip(Hom.__slots__, (space, alphabet, G, None)):
+        for name, value in zip(Hom.__slots__, (space, alphabet, G)):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def _of_generator(cls, space: ModuleSpace, alphabet: Alphabet, G: np.ndarray) -> "Hom":
-        """A view of one read-only generator that its code has validated."""
-        hom = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (space, alphabet, G, None)):
-            object.__setattr__(hom, name, value)
-        return hom
 
     def __setattr__(self, name, value):
         raise AttributeError("Hom is immutable")
 
     def kernel(self) -> Submodule:
-        """The kernel submodule, computed on the first call and then reused."""
-        return hom_kernels((self,))[0]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Hom)
-            and self.space == other.space
-            and self.alphabet == other.alphabet
-            and np.array_equal(self.matrix, other.matrix)
-        )
-
-    def __hash__(self):
-        return hash((self.space, self.alphabet, self.matrix.tobytes()))
+        """The kernel submodule, computed afresh on every call."""
+        return Submodule(self.space, row_kernel(self.matrix, self.space.q))
 
     def __repr__(self):
         return f"Hom({self.space}, {self.alphabet}, {[list(map(int, r)) for r in self.matrix]})"
@@ -161,27 +143,20 @@ class Hom:
 class Code:
     """A length-n code parametrized by n homomorphisms with common source.
 
-    The code holds one read-only (n, t, k) stack of generator matrices;
-    ``columns`` views it as Hom objects, built on first access.  Columns may
-    be given as that stack, or as Homs and matrices in any mix.
+    The code holds one read-only (n, t, k) stack of generator matrices, given
+    as an array-like of n t x k matrices; ``columns`` are the matching Hom
+    objects, built on first access.
     """
 
     __slots__ = ("alphabet", "space", "generators", "_columns")
 
-    def __init__(self, alphabet: Alphabet, space: ModuleSpace, columns):
+    def __init__(self, alphabet: Alphabet, space: ModuleSpace, generators):
         if space.q != alphabet.q or space.m != alphabet.m:
             raise DimensionMismatchError("source and target live over different rings")
-        if not isinstance(columns, np.ndarray):
-            columns = list(columns)
-            homs = [col for col in columns if isinstance(col, Hom)]
-            # Tuple comparison skips __eq__ for the shared space and alphabet objects.
-            if any((hom.space, hom.alphabet) != (space, alphabet) for hom in homs):
-                raise DimensionMismatchError("all columns must share source and target")
-            columns = [col.matrix if isinstance(col, Hom) else col for col in columns]
-        if len(columns) == 0:
+        if len(generators) == 0:
             raise ValueError("a code needs at least one column")
         try:
-            G = np.asarray(columns, dtype=np.int64) % space.q
+            G = np.asarray(generators, dtype=np.int64) % space.q
         except ValueError as exc:
             raise DimensionMismatchError(f"generators have unequal shapes: {exc}") from exc
         if G.shape[1:] != (space.t, alphabet.k):
@@ -200,8 +175,8 @@ class Code:
     @property
     def columns(self) -> tuple[Hom, ...]:
         if self._columns is None:
-            views = tuple(Hom._of_generator(self.space, self.alphabet, G) for G in self.generators)
-            object.__setattr__(self, "_columns", views)
+            homs = tuple(Hom(self.space, self.alphabet, G) for G in self.generators)
+            object.__setattr__(self, "_columns", homs)
         return self._columns
 
     @property
@@ -289,29 +264,11 @@ def hamming_weight(word) -> int:
     return sum(1 for block in word if np.asarray(block).any())
 
 
-def hom_kernels(homs) -> tuple[Submodule, ...]:
-    """Kernels of many homomorphisms, in order.
-
-    Every kernel not yet cached is numbered by one :func:`row_kernel_ids`
-    call per source module and alphabet; homomorphisms with equal kernels
-    share one Submodule.
-    """
-    homs = tuple(homs)
-    groups: dict = {}
-    for hom in homs:
-        if hom._kernel is None:
-            groups.setdefault((hom.space, hom.alphabet.k), []).append(hom)
-    for (space, _), todo in groups.items():
-        supports, ids = row_kernel_ids([hom.matrix for hom in todo], space.q)
-        kernels = [Submodule(space, S) for S in supports]
-        for hom, i in zip(todo, ids.tolist()):
-            object.__setattr__(hom, "_kernel", kernels[i])
-    return tuple(hom._kernel for hom in homs)
-
-
 def kernel_tuple(code: Code) -> tuple[Submodule, ...]:
-    """Column kernels of a code, in column order."""
-    return hom_kernels(code.columns)
+    """Column kernels of a code, in column order; equal kernels share one Submodule."""
+    supports, ids = row_kernel_ids(code.generators, code.space.q)
+    kernels = [Submodule(code.space, S) for S in supports]
+    return tuple(kernels[i] for i in ids.tolist())
 
 
 def kernel_support_multiset(code: Code) -> Counter:
@@ -404,24 +361,6 @@ def kernel_difference(V, U):
     return sp, supports, support_difference(ids, [len(V), len(U)], len(supports))
 
 
-def code_difference(lam: Code, mus):
-    """Number the column kernels of lam and many codes at once and count their difference.
-
-    Returns ``(supports, ids, W)`` of :func:`support_difference`, numbered
-    by one :func:`row_kernel_ids` call over all the generators.  Generators
-    of a narrower alphabet get zero columns, which keep their row kernels.
-    """
-    codes = [lam, *mus]
-    k = max(code.alphabet.k for code in codes)
-    stack = np.concatenate([
-        np.pad(code.generators, ((0, 0), (0, 0), (0, k - code.alphabet.k)))
-        if code.alphabet.k < k else code.generators
-        for code in codes
-    ])
-    supports, ids = row_kernel_ids(stack, lam.space.q)
-    return supports, ids, support_difference(ids, [code.length for code in codes], len(supports))
-
-
 def satisfies_isometry_equation(V, U) -> bool:
     """Equality of the two kernel indicator sums, decided by counts.
 
@@ -439,9 +378,7 @@ def is_isometry_criterion(lam: Code, mu: Code) -> bool:
     """Decide whether two codes are Hamming-isometric via kernel counts."""
     if lam.space != mu.space:
         raise DimensionMismatchError("codes must share their source module")
-    sp = lam.space
-    supports, _, W = code_difference(lam, [mu])
-    return bool(subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced_rows(supports, W)[0])
+    return satisfies_isometry_equation(kernel_tuple(lam), kernel_tuple(mu))
 
 
 def transport_automorphisms(Gs, Hs, q: int) -> np.ndarray:
@@ -478,10 +415,12 @@ def extend_to_monomials(lam: Code, mus) -> list:
     rejects the image.
 
     All images are decided together on the count difference W of
-    :func:`code_difference`.  One containment table and one product
-    decide the criterion of every row of W, an image of lam's length extends
-    iff its row is zero outside the full-space column, and the automorphisms
-    of all extendable images come from one batched transport.
+    :func:`support_difference`, numbered by one :func:`row_kernel_ids` call
+    over all the generators.  One containment table and one product
+    decide the criterion of every row of W, an image of lam's length that
+    passes it extends iff its row is zero outside the full-space column, and
+    the automorphisms of all extendable images come from one batched
+    transport.
     """
     mus = list(mus)
     for mu in mus:
@@ -490,10 +429,14 @@ def extend_to_monomials(lam: Code, mus) -> list:
     if not mus:
         return []
     sp, n = lam.space, lam.length
-    supports, ids, W = code_difference(lam, mus)
-    isometric = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced_rows(supports, W)
     lengths = np.array([mu.length for mu in mus])
-    extendable = ~W[:, :-1].any(axis=1) & (lengths == n)
+    # The stack stays unnamed, so it is freed before the containment table is built.
+    supports, ids = row_kernel_ids(
+        np.concatenate([lam.generators, *(mu.generators for mu in mus)]), sp.q
+    )
+    W = support_difference(ids, [n, *lengths], len(supports))
+    isometric = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced_rows(supports, W)
+    extendable = isometric & ~W[:, :-1].any(axis=1) & (lengths == n)
 
     results: list = [None] * len(mus)
     witnesses: dict[bytes, Unextendable] = {}

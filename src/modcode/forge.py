@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budget
-from .codes import Alphabet, Code, Hom, ModuleSpace, Submodule
+from .codes import Alphabet, Code, ModuleSpace, Submodule
 from .errors import (
     DimensionMismatchError,
     DomainRejectionError,
@@ -163,11 +163,6 @@ def kernel_generators(space: ModuleSpace, supports, k: int) -> np.ndarray:
         R, _ = rref_stack(np.concatenate([F, eye], axis=2), q)
         G[same, :, : t - d] = R[:, :, t + d :]
     return G
-
-
-def hom_with_kernel(space: ModuleSpace, S: Subspace, k: int) -> Hom:
-    """Deterministic t x k generator whose row kernel is exactly S."""
-    return Hom(space, Alphabet(space.q, space.m, k), kernel_generators(space, [S], k)[0])
 
 
 def minimal_counterexample(q: int, m: int, k: int) -> tuple[Code, Code]:

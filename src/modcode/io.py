@@ -77,12 +77,16 @@ def save_code(code: Code, path) -> None:
     between = "]], [[" if code.space.t else "], ["
     one_line = repr(data.pop("generators"))[1:-1]
     generators = one_line.replace(between, between.replace(" ", "\n"))
-    Path(path).write_text(json.dumps(data)[:-1] + f', "generators": [\n{generators}\n]}}\n')
+    try:
+        Path(path).write_text(json.dumps(data)[:-1] + f', "generators": [\n{generators}\n]}}\n')
+    except OSError as exc:
+        raise DimensionMismatchError(f"cannot write code file {path}: {exc}") from exc
 
 
 def load_code(path) -> Code:
     try:
+        # A list nested past the recursion limit stops json.loads with a RecursionError.
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, json.JSONDecodeError) as exc:
         raise DimensionMismatchError(f"cannot read code file {path}: {exc}") from exc
     return code_from_dict(data)

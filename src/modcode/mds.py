@@ -32,7 +32,7 @@ from .codes import (
     module_elements,
     support_difference,
 )
-from .errors import DomainRejectionError, ZeroCodeError
+from .errors import DomainRejectionError, NotAnIsometryError, ZeroCodeError
 from .linalg import matrix_rank, row_kernel_ids
 
 
@@ -126,16 +126,19 @@ def theorem_violations(code: Code, images) -> list[TheoremViolation]:
 
     The MDS preconditions on ``code`` are checked once, not per image; each
     image still gets the kernel-count criterion and the monomial-map
-    construction, all in one :func:`extend_to_monomials` call.  Images that
-    the criterion rejects are skipped.  Returns the violations found, which
-    the theorem says is always an empty list.
+    construction, all in one :func:`extend_to_monomials` call.  Every image
+    must be an isometry: one that the criterion rejects raises
+    NotAnIsometryError.  Returns the violations found, which the theorem
+    says is always an empty list.
     """
     _check_theorem_scope(code)
-    return [
-        TheoremViolation(result.lambda_only, result.mu_only)
-        for result in extend_to_monomials(code, images)
-        if isinstance(result, Unextendable)
-    ]
+    violations = []
+    for i, result in enumerate(extend_to_monomials(code, images)):
+        if result is None:
+            raise NotAnIsometryError(f"the kernel-count criterion rejects image {i}, an isometry")
+        if isinstance(result, Unextendable):
+            violations.append(TheoremViolation(result.lambda_only, result.mu_only))
+    return violations
 
 
 def exhaustive_isometry_scan(code: Code) -> list[tuple[Code, bool]]:

@@ -34,7 +34,7 @@ from modcode import (
     verify_dual_equation,
 )
 from modcode import codes, save_code
-from modcode.codes import codeword_weights, hom_kernels, module_elements, transport_automorphisms
+from modcode.codes import codeword_weights, module_elements, transport_automorphisms
 from modcode.errors import DimensionMismatchError
 from modcode.forge import SolutionPair
 from modcode.linalg import inverse, mat_mul, matrix_rank, row_kernel
@@ -83,10 +83,11 @@ class TestKernelTuple:
         )
         assert kernel_tuple(code)[0].support == Subspace.full(2, 2)
 
-    def test_kernel_computed_once_per_hom(self):
-        _, mu = minimal_counterexample(2, 1, 2)
-        assert kernel_tuple(mu) == kernel_tuple(mu)
-        assert all(a is b for a, b in zip(kernel_tuple(mu), kernel_tuple(mu)))
+    def test_equal_kernels_share_one_submodule(self):
+        lam, _ = minimal_counterexample(2, 2, 3)
+        kernels = kernel_tuple(lam)
+        assert kernel_tuple(lam) == kernels
+        assert len({id(K) for K in kernels}) == len(set(kernels)) < len(kernels)
 
     def test_forged_mu_kernels_are_the_three_lines(self):
         _, mu = minimal_counterexample(2, 1, 2)
@@ -137,17 +138,15 @@ class TestIsometry:
         assert not is_isometry_criterion(lam, mu)
 
     def test_multiplicities_cancel_across_equal_homs(self):
-        # A forged pair repeats one Hom object per kernel; a loaded code holds
-        # distinct but equal Hom objects.  Shared columns cancel either way.
+        # Shared columns cancel whether they repeat one matrix or equal copies.
         lam, mu = minimal_counterexample(2, 1, 2)
         line_kernel = np.array([[1, 0], [0, 0]])
         injective = np.array([[0, 1], [1, 1]])
-        shared = Hom(lam.space, lam.alphabet, line_kernel)
 
         def extend(code, columns):
-            return Code(code.alphabet, code.space, code.columns + tuple(columns))
+            return Code(code.alphabet, code.space, [*code.generators, *columns])
 
-        lam2 = extend(lam, [shared, shared, injective])
+        lam2 = extend(lam, [line_kernel, line_kernel, injective])
         mu2 = extend(mu, [injective, line_kernel, line_kernel.copy()])
         assert is_isometry_criterion(lam2, mu2)
         assert is_isometry_bruteforce(lam2, mu2)
@@ -399,7 +398,7 @@ def reference_transport(G, H, q, k):
 
 class TestBatchedKernels:
     def test_batch_matches_scalar_with_repeated_homs(self):
-        lam, _ = minimal_counterexample(2, 2, 3)  # one Hom object per kernel, repeated
+        lam, _ = minimal_counterexample(2, 2, 3)  # repeated kernels
         fresh = Code(lam.alphabet, lam.space, [col.matrix.copy() for col in lam.columns])
         kernels = kernel_tuple(fresh)
         assert [K.support for K in kernels] == [
@@ -409,20 +408,18 @@ class TestBatchedKernels:
 
     def test_batch_shares_kernels_of_equal_matrices(self):
         sp, al = ModuleSpace(3, 1, 2), Alphabet(3, 1, 2)
-        a = Hom(sp, al, [[1, 0], [0, 0]])
-        b = Hom(sp, al, [[1, 0], [0, 0]])
-        c = Hom(sp, al, [[2, 0], [0, 0]])  # another matrix with the same kernel
-        d = Hom(sp, al, [[0, 0], [0, 1]])
-        kernels = hom_kernels([a, b, a, c, d])
+        a = [[1, 0], [0, 0]]
+        c = [[2, 0], [0, 0]]  # another matrix with the same kernel
+        d = [[0, 0], [0, 1]]
+        code = Code(al, sp, [a, list(a), a, c, d])
+        kernels = kernel_tuple(code)
         assert kernels[0] is kernels[1] is kernels[2] is kernels[3]
         assert kernels[4] != kernels[0]
-        assert a.kernel() is kernels[0] and d.kernel() is kernels[4]
-        assert hom_kernels([]) == ()
+        assert code.columns[0].kernel() == kernels[0] and code.columns[4].kernel() == kernels[4]
 
-    def test_batch_keeps_cached_kernels(self):
+    def test_batch_matches_hom_kernels(self):
         code = identity_code(2, 1, 2, 3)
-        first = code.columns[0].kernel()
-        assert kernel_tuple(code)[0] is first
+        assert kernel_tuple(code) == tuple(col.kernel() for col in code.columns)
 
 
 class TestBatchedTransport:
@@ -546,7 +543,7 @@ def same_extension(a, b) -> bool:
 
 
 def fresh_copy(code):
-    """The same code with new Hom objects, so no kernel is cached or shared."""
+    """The same code with a new generator stack."""
     return Code(code.alphabet, code.space, [col.matrix.copy() for col in code.columns])
 
 
@@ -569,11 +566,13 @@ class TestColumnarCode:
         G[2] = G[-1] @ random_invertible(rng, q, k) % q
         sp, al = ModuleSpace(q, m, t), Alphabet(q, m, k)
         from_stack = Code(al, sp, G)
-        from_homs = Code(al, sp, [Hom(sp, al, g) for g in G])
+        homs = from_stack.columns
+        assert all(isinstance(h, Hom) and np.array_equal(h.matrix, g) for h, g in zip(homs, G))
+        from_homs = Code(al, sp, [h.matrix for h in homs])
         assert from_stack == from_homs and hash(from_stack) == hash(from_homs)
         assert not from_stack.generators.flags.writeable
         kernels = [K.support for K in kernel_tuple(from_stack)]
-        assert kernels == [row_kernel(g, q) for g in G]
+        assert kernels == [row_kernel(g, q) for g in G] == [h.kernel().support for h in homs]
         for K, g in zip(kernels, G):  # checked by the scalar rref alone
             assert K.dim == t - matrix_rank(g, q) and not (K.basis @ g % q).any()
             assert Subspace.from_rows(K.basis, q, t) == K

@@ -142,7 +142,7 @@ class TestDualEquation:
 
     def test_perturbed_pair_fails_both(self):
         lam, mu = minimal_counterexample(2, 1, 2)
-        broken = Code(mu.alphabet, mu.space, mu.columns[:-1] + (mu.columns[0],))
+        broken = Code(mu.alphabet, mu.space, [*mu.generators[:-1], mu.generators[0]])
         V, U = kernel_tuple(lam), kernel_tuple(broken)
         assert not satisfies_isometry_equation(V, U)
         assert not verify_dual_equation(V, U)

@@ -1,7 +1,9 @@
 """Code-file JSON round trips and command-line behavior."""
 
 import ast
+import functools
 import gc
+import importlib
 import json
 import os
 import subprocess
@@ -111,6 +113,25 @@ class TestCodeFiles:
         expected = json.dumps(data)[:-1] + f', "generators": [\n{generators}\n]}}\n'
         assert path.read_text() == expected
         assert load_code(path) == code
+
+    def test_nesting_past_recursion_limit_exit_4(self, cli, tmp_path):
+        path = tmp_path / "deep.json"
+        depth = 100_000
+        path.write_text('{"q": 2, "m": 1, "k": 1, "t": 1, "generators": '
+                        + "[" * depth + "]" * depth + "}")
+        with pytest.raises(DimensionMismatchError, match="cannot read code file"):
+            load_code(path)
+        result = cli(["mds", "--code", str(path)])
+        assert result.exit_code == 4 and "cannot read code file" in result.output
+
+    @pytest.mark.parametrize("target", ["missing/l.json", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_output_exit_4(self, cli, tmp_path, target):
+        path = str(tmp_path / target)
+        with pytest.raises(DimensionMismatchError, match="cannot write code file"):
+            save_code(minimal_counterexample(2, 1, 2)[0], path)
+        result = cli(["forge", "--q", "2", "--m", "1", "--k", "2",
+                      "--out-lambda", path, "--out-mu", str(tmp_path / "m.json")])
+        assert result.exit_code == 4 and "cannot write code file" in result.output
 
     def test_rejects_non_prime(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -353,6 +374,25 @@ class TestMdsCommand:
         result = cli(["mds", "--code", str(path), "--scan"])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("command", ["mds", "forge"])
+    def test_criterion_rejecting_a_known_isometry_exit_5(self, cli, tmp_path, monkeypatch, command):
+        # A scanned image is an isometry by brute force, a forged pair by construction.
+        path = tmp_path / "rep.json"
+        save_code(Code(Alphabet(2, 1, 1), ModuleSpace(2, 1, 1), [np.array([[1]])] * 3), path)
+        argv = {"mds": ["mds", "--code", str(path), "--scan"],
+                "forge": ["forge", "--q", "2", "--m", "1", "--k", "2", "--out-lambda",
+                          str(tmp_path / "l.json"), "--out-mu", str(tmp_path / "m.json")]}
+        decide = SubspaceLattice.balanced_rows
+
+        def reject_first(self, supports, W):
+            rows = decide(self, supports, W).copy()
+            rows[0] = False
+            return rows
+
+        monkeypatch.setattr(SubspaceLattice, "balanced_rows", reject_first)
+        result = cli(argv[command])
+        assert result.exit_code == 5 and "error:" in result.output
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("command", ["forge", "minlen", "identities"])
@@ -434,6 +474,38 @@ class TestLeanImports:
                     if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                         unused.append(f"{path.name}:{alias.lineno} {name}")
         assert not unused
+
+
+class TestBenchNames:
+    def test_traced_replay_names_resolve(self):
+        """Every name the traced benchmark replay probes or reads exists.
+
+        The probes are read from bench/traced.py with ast, without importing
+        the bench; so are its module-attribute reads such as ``linalg.contains``.
+        """
+        traced = Path(__file__).resolve().parent.parent / "bench" / "traced.py"
+        tree = ast.parse(traced.read_text())
+        probes = next(
+            node.value for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["PROBES"]
+        )
+        names = {(module, attr) for module, attr, _ in ast.literal_eval(probes)}
+        home = {name: f"modcode.{name}" for name in ("codes", "forge", "fourier", "io", "linalg", "mds")}
+        home["modcode"] = "modcode"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in home:
+                names.add((home[node.value.id], node.attr))
+        # Read on objects, not modules, so the walk above cannot find them.
+        names |= {("modcode.codes", "Code.columns"), ("modcode.codes", "Hom.kernel")}
+        assert {
+            ("modcode.mds", "TheoremViolation"),
+            ("modcode.linalg", "contains"),
+            ("modcode.linalg", "subspaces_up_to_dim"),
+            ("modcode.linalg", "check_prime"),
+        } <= names
+        for module, path in sorted(names):
+            functools.reduce(getattr, path.split("."), importlib.import_module(module))
 
 
 class TestNoDeadCode:

@@ -252,10 +252,12 @@ class TestTheoremViolations:
         with pytest.raises(DomainRejectionError):
             theorem_violations(lam, [mu])
 
-    def test_non_isometries_skipped(self):
+    def test_non_isometry_raises(self):
         code = repetition_code()
         other = Code(code.alphabet, code.space, [np.array([[1]])] * 2 + [np.zeros((1, 1), dtype=int)])
-        assert theorem_violations(code, [other, code]) == []
+        assert theorem_violations(code, [code]) == []
+        with pytest.raises(NotAnIsometryError, match="rejects image 1"):
+            theorem_violations(code, [code, other])
 
 
 class TestExhaustiveScan:
