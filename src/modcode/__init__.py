@@ -23,12 +23,10 @@ _EXPORTS = {
         "MonomialMap",
         "Submodule",
         "Unextendable",
-        "alphabet_has_extension_property",
         "apply_monomial",
         "covering_by_proper_submodules",
         "extend_to_monomial",
         "extend_to_monomials",
-        "hamming_weight",
         "is_cyclic_submodule",
         "is_isometry_bruteforce",
         "is_isometry_criterion",
@@ -58,9 +56,7 @@ _EXPORTS = {
     ),
     "fourier": (
         "fourier_of_indicator",
-        "image_kernel_duality_check",
         "orthogonal_submodule",
-        "pairing",
         "verify_dual_equation",
     ),
     "io": ("load_code", "save_code"),

@@ -16,6 +16,8 @@ from .errors import EnumerationBudgetError
 
 DEFAULT_SUBSPACE_BUDGET = 10**6
 DEFAULT_VECTOR_BUDGET = 10**7
+# Entries each checked_cache keeps; one CLI command uses far fewer keys per cache.
+CACHE_ENTRIES = 32
 
 
 def _env_override() -> int | None:
@@ -67,14 +69,15 @@ def check_vectors(count: int, what: str = "vector enumeration") -> None:
 
 
 def checked_cache(check):
-    """Cache a pure function without bound, running ``check(*args)`` on every call.
+    """Cache a pure function, running ``check(*args)`` on every call.
 
-    A plain ``lru_cache`` skips the function body on a hit, so a budget check
-    inside it would miss a lower ``MODCODE_BUDGET`` set after the first call.
+    The cache keeps the CACHE_ENTRIES most recently used results.  A plain
+    ``lru_cache`` skips the function body on a hit, so a budget check inside
+    it would miss a lower ``MODCODE_BUDGET`` set after the first call.
     """
 
     def decorate(fn):
-        cached = lru_cache(maxsize=None)(fn)
+        cached = lru_cache(maxsize=CACHE_ENTRIES)(fn)
 
         @wraps(fn)
         def checked(*args, **kwargs):
@@ -82,6 +85,7 @@ def checked_cache(check):
             return cached(*args, **kwargs)
 
         checked.cache_clear = cached.cache_clear
+        checked.cache_info = cached.cache_info
         return checked
 
     return decorate

@@ -92,6 +92,8 @@ def cmd_forge(q, m, k, out_lambda, out_mu, as_json) -> int:
     """Forge the minimum-length unextendable isometric pair (needs k > m)."""
     from .forge import counterexample_length, minimal_counterexample
 
+    if os.path.realpath(out_lambda) == os.path.realpath(out_mu):
+        raise ValueError(f"--out-lambda and --out-mu name one file: {out_mu}")
     start = time.perf_counter()
     lam, mu = minimal_counterexample(q, m, k)
     save_code(lam, out_lambda)

@@ -27,7 +27,6 @@ from .linalg import (
     check_prime,
     complete_bases,
     enumerate_subspaces,
-    mat_mul,
     matrix_rank,
     row_kernel,
     row_kernel_ids,
@@ -183,9 +182,6 @@ class Code:
     def length(self) -> int:
         return len(self.generators)
 
-    def encode(self, X: np.ndarray) -> list[np.ndarray]:
-        return list(X @ self.generators % self.space.q)
-
     def __eq__(self, other):
         return (
             isinstance(other, Code)
@@ -242,11 +238,6 @@ class MonomialMap:
         object.__setattr__(mmap, "q", q)
         return mmap
 
-    @classmethod
-    def identity(cls, n: int, k: int, q: int) -> "MonomialMap":
-        eye = np.eye(k, dtype=np.int64)
-        return cls(tuple(range(n)), tuple(eye for _ in range(n)), q)
-
 
 @dataclass(frozen=True)
 class Unextendable:
@@ -254,14 +245,6 @@ class Unextendable:
 
     lambda_only: tuple[tuple[Subspace, int], ...]
     mu_only: tuple[tuple[Subspace, int], ...]
-
-
-def hamming_weight(word) -> int:
-    """Number of nonzero blocks in a word over the matrix alphabet."""
-    shapes = {np.asarray(block).shape for block in word}
-    if len(shapes) > 1:
-        raise DimensionMismatchError(f"inconsistent block shapes: {shapes}")
-    return sum(1 for block in word if np.asarray(block).any())
 
 
 def kernel_tuple(code: Code) -> tuple[Submodule, ...]:
@@ -494,11 +477,6 @@ def apply_monomial(mmap: MonomialMap, code: Code) -> Code:
     return Code(code.alphabet, code.space, G % code.space.q)
 
 
-def alphabet_has_extension_property(alphabet: Alphabet) -> bool:
-    """Extension property holds for the matrix-module alphabet iff k <= m."""
-    return alphabet.k <= alphabet.m
-
-
 def is_cyclic_submodule(sub: Submodule) -> bool:
     """A submodule is cyclic iff its support dimension is at most m."""
     return sub.support.dim <= sub.space.m
@@ -517,7 +495,7 @@ def covering_by_proper_submodules(sub: Submodule):
     q = sub.space.q
     out = []
     for hyper in enumerate_subspaces(q, S.dim, S.dim - 1):
-        rows = mat_mul(hyper.basis, S.basis, q)
+        rows = hyper.basis @ S.basis % q
         out.append(Submodule(sub.space, Subspace.from_rows(rows, q, S.ambient)))
     out.sort(key=lambda s: s.support.sort_key())
     return out

@@ -85,13 +85,6 @@ class SolutionPair:
 
         return cls(space, canon(V), canon(U))
 
-    @property
-    def total_length(self) -> int:
-        return self.length(self.V)
-
-    def is_trivial(self) -> bool:
-        return Counter(dict(self.V)) == Counter(dict(self.U))
-
 
 def inclusion_exclusion_solution(module: Submodule, covering) -> SolutionPair:
     """Nontrivial solution from a covering of a module by proper submodules.
@@ -177,20 +170,24 @@ def minimal_counterexample(q: int, m: int, k: int) -> tuple[Code, Code]:
     """
     t = m + 1
     space = ModuleSpace(q, m, t)
+    # Before the domain check, so that k < 1 is an input error.
+    alphabet = Alphabet(q, m, k)
     if k <= m:
         raise DomainRejectionError(
             f"k={k} <= m={m}: the alphabet has the extension property, no counterexample exists"
         )
     supports = subspaces_up_to_dim(q, t, t)
+    N = counterexample_length(q, m)
+    # The pair's 2N generators of t x k entries, charged before any is allocated.
+    budget.check_vectors(2 * N * t * k, "forged pair (one vector per generator entry)")
     G = kernel_generators(space, supports, k)
     codim = [t - S.dim for S in supports]
     # Python ints: a multiplicity beyond int64 must fail, not wrap around.
     mult = np.array([q ** (j * (j - 1) // 2) for j in codim])
     even = np.array(codim) % 2 == 0
-    alphabet = Alphabet(q, m, k)
     lam = Code(alphabet, space, np.repeat(G[even], mult[even], axis=0))
     mu = Code(alphabet, space, np.repeat(G[~even], mult[~even], axis=0))
-    assert lam.length == mu.length == counterexample_length(q, m)
+    assert lam.length == mu.length == N
     return lam, mu
 
 
@@ -205,34 +202,9 @@ class IncidenceSystem:
     entries form one side, negative entries the other.
     """
 
-    q: int
-    m: int
-    t: int
     rows: tuple[Subspace, ...]
     cols: tuple[Subspace, ...]
     Z: np.ndarray
-
-    def vector_to_solution(self, c) -> SolutionPair:
-        c = np.asarray(c, dtype=np.int64)
-        if c.shape != (len(self.cols),):
-            raise DimensionMismatchError("vector length must match the column count")
-        V: Counter = Counter()
-        U: Counter = Counter()
-        for value, col in zip(c, self.cols):
-            if value > 0:
-                V[col] += int(value)
-            elif value < 0:
-                U[col] += int(-value)
-        return SolutionPair.from_counters(ModuleSpace(self.q, self.m, self.t), V, U)
-
-    def solution_to_vector(self, sol: SolutionPair) -> np.ndarray:
-        index = {col: i for i, col in enumerate(self.cols)}
-        c = np.zeros(len(self.cols), dtype=np.int64)
-        for S, mult in sol.V:
-            c[index[S]] += mult
-        for S, mult in sol.U:
-            c[index[S]] -= mult
-        return c
 
 
 def incidence_matrix(q: int, m: int, t: int, max_col_dim: int | None = None) -> IncidenceSystem:
@@ -245,7 +217,7 @@ def incidence_matrix(q: int, m: int, t: int, max_col_dim: int | None = None) -> 
     budget.check_subspaces(len(rows) * len(cols), "incidence matrix construction")
     Z = rows.containment(cols).astype(np.int8)
     Z.setflags(write=False)
-    return IncidenceSystem(q, m, t, rows.subspaces, cols, Z)
+    return IncidenceSystem(rows.subspaces, cols, Z)
 
 
 @dataclass(frozen=True)

@@ -13,18 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codes import Hom, Submodule, kernel_difference, module_elements
+from .codes import Submodule, kernel_difference, module_elements
 from .errors import DimensionMismatchError
-from .linalg import Subspace, orthogonal, subspace_lattice
-
-
-def pairing(X, Y, q: int) -> int:
-    """Trace pairing trace(X Y^T) mod q; bilinear and non-degenerate."""
-    X = np.asarray(X, dtype=np.int64)
-    Y = np.asarray(Y, dtype=np.int64)
-    if X.shape != Y.shape:
-        raise DimensionMismatchError(f"pairing shapes differ: {X.shape} vs {Y.shape}")
-    return int((X * Y).sum()) % q
+from .linalg import orthogonal, subspace_lattice
 
 
 def fourier_of_indicator(sub: Submodule, Y) -> tuple[int, ...]:
@@ -74,16 +65,3 @@ def verify_dual_equation(V, U) -> bool:
                        dtype=object)
     lattice = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t))
     return bool(lattice.balanced_rows([orthogonal(supports[j]) for j in live], weights)[0])
-
-
-def image_kernel_duality_check(h: Hom) -> bool:
-    """Verify that the orthogonal of the kernel support is the column space.
-
-    Under the trace pairing the dual of a hom X -> X G acts by Y -> Y G^T, so
-    the image of the dual hom is the submodule supported on the column space
-    of G; it must equal the orthogonal of the kernel support.
-    """
-    q = h.space.q
-    kernel_support = h.kernel().support
-    column_space = Subspace.from_rows(h.matrix.T, q, h.space.t)
-    return orthogonal(kernel_support) == column_space

@@ -49,10 +49,6 @@ def as_matrix(entries, q: int) -> np.ndarray:
     return M % q
 
 
-def mat_mul(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
-    return (A @ B) % q
-
-
 def rref(M, q: int):
     """Reduced row-echelon form over F_q.
 
@@ -279,7 +275,7 @@ def subspace_sum(S: Subspace, T: Subspace) -> Subspace:
 def distinct_rows(A) -> tuple[np.ndarray, np.ndarray]:
     """Classes of equal entries of an integer stack, numbered by first appearance.
 
-    Returns ``(first, inverse)``: the index of the first entry of each class
+    Returns ``(first, of_entry)``: the index of the first entry of each class
     and the class of every entry.  Entries are hashed as byte strings in the
     narrowest integer type that holds them all, with no sort.
     """
@@ -291,10 +287,10 @@ def distinct_rows(A) -> tuple[np.ndarray, np.ndarray]:
     width = flat.itemsize * flat.shape[1]
     keys = flat.view(np.dtype((np.void, width))).ravel().tolist() if width else [b""] * len(flat)
     classes: dict = {}
-    inverse = np.array([classes.setdefault(key, len(classes)) for key in keys], dtype=np.int64)
+    of_entry = np.array([classes.setdefault(key, len(classes)) for key in keys], dtype=np.int64)
     # A new class is one more than every class before it: the running maximum steps there.
-    first = np.flatnonzero(np.diff(np.maximum.accumulate(inverse), prepend=-1))
-    return first, inverse
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(of_entry), prepend=-1))
+    return first, of_entry
 
 
 def row_kernel_ids(Ms, q: int) -> tuple[list[Subspace], np.ndarray]:
@@ -329,15 +325,10 @@ def row_kernel_ids(Ms, q: int) -> tuple[list[Subspace], np.ndarray]:
     return [*kernels, Subspace.full(q, n_rows)], (of_key[1:][of_matrix] - 1) % len(first)
 
 
-def row_kernels(Ms, q: int) -> list[Subspace]:
-    """Row kernels of an (n, r, c) stack, in order; equal kernels share one Subspace."""
-    kernels, ids = row_kernel_ids(Ms, q)
-    return [kernels[i] for i in ids.tolist()]
-
-
 def row_kernel(M, q: int) -> Subspace:
     """Kernel of the row action v -> v M, as a subspace of F_q^rows(M)."""
-    return row_kernels(as_matrix(M, q)[None], q)[0]
+    kernels, ids = row_kernel_ids(as_matrix(M, q)[None], q)
+    return kernels[ids[0]]
 
 
 def complete_bases(A, q: int) -> np.ndarray:
@@ -363,7 +354,7 @@ def intersect(S: Subspace, T: Subspace) -> Subspace:
     if ker.dim == 0:
         return Subspace.zero(S.q, S.ambient)
     coeffs = ker.basis[:, : S.dim]
-    rows = mat_mul(coeffs, S.basis, S.q)
+    rows = coeffs @ S.basis % S.q
     return Subspace.from_rows(rows, S.q, S.ambient)
 
 

@@ -44,21 +44,21 @@ class TestInclusionExclusion:
         M = Submodule(sp, Subspace.full(2, 2))
         sol = inclusion_exclusion_solution(M, covering_by_proper_submodules(M))
         # 2^(r-1) = 4 terms per side before cancellation.
-        assert sol.total_length == 4
+        assert SolutionPair.length(sol.V) == 4
         V, U = Counter(dict(sol.V)), Counter(dict(sol.U))
         full, zero = Subspace.full(2, 2), Subspace.zero(2, 2)
         # Even side: M plus the three pairwise line intersections (all zero).
         assert V == Counter({full: 1, zero: 3})
         # Odd side: the three lines plus the triple intersection.
         assert U[zero] == 1 and sum(U[line] for line in enumerate_subspaces(2, 2, 1)) == 3
-        assert not sol.is_trivial()
+        assert V != U
 
     def test_f3_plane_four_lines(self):
         sp = ModuleSpace(3, 1, 2)
         M = Submodule(sp, Subspace.full(3, 2))
         sol = inclusion_exclusion_solution(M, covering_by_proper_submodules(M))
-        assert sol.total_length == 2 ** (4 - 1)
-        assert not sol.is_trivial()
+        assert SolutionPair.length(sol.V) == 2 ** (4 - 1)
+        assert Counter(dict(sol.V)) != Counter(dict(sol.U))
 
     def test_not_a_cover_rejected(self):
         sp = ModuleSpace(2, 1, 2)
@@ -243,19 +243,6 @@ class TestIncidenceSystem:
         zero_row = sys.rows.index(Subspace.zero(2, 3))
         assert sys.Z[zero_row].all()
 
-    def test_solution_vector_roundtrip(self):
-        sys = incidence_matrix(2, 1, 2)
-        lam, mu = minimal_counterexample(2, 1, 2)
-        sol = SolutionPair.from_counters(
-            ModuleSpace(2, 1, 2),
-            Counter(k.support for k in kernel_tuple(lam)),
-            Counter(k.support for k in kernel_tuple(mu)),
-        )
-        c = sys.solution_to_vector(sol)
-        assert not (sys.Z.astype(np.int64) @ c).any()
-        back = sys.vector_to_solution(c)
-        assert back == sol
-
 
 class TestMinimalitySearch:
     def test_q2_m1(self):
@@ -350,6 +337,18 @@ class TestSolutionToCodes:
         assert lam.length == 8
         assert is_isometry_criterion(lam, mu)
         assert isinstance(extend_to_monomial(lam, mu), Unextendable)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_covering_route_matches_minimal_pair(self, q):
+        # For m = 1 the inclusion-exclusion solution over the q + 1 lines of
+        # F_q^2, once its common supports cancel, is the minimal pair's.
+        M = Submodule(ModuleSpace(q, 1, 2), Subspace.full(q, 2))
+        sol = inclusion_exclusion_solution(M, covering_by_proper_submodules(M))
+        covering_pair = solution_to_codes(sol, 2)
+        assert covering_pair[0].length == 2**q
+        assert extend_to_monomial(*covering_pair) == extend_to_monomial(
+            *minimal_counterexample(q, 1, 2)
+        )
 
     def test_realizability_error(self):
         sp = ModuleSpace(2, 1, 3)

@@ -10,18 +10,17 @@ from modcode import (
     Submodule,
     Subspace,
     fourier_of_indicator,
-    image_kernel_duality_check,
     intersect,
     kernel_tuple,
     minimal_counterexample,
     orthogonal,
     orthogonal_submodule,
-    pairing,
+    row_kernel,
     satisfies_isometry_equation,
     subspace_sum,
     verify_dual_equation,
 )
-from modcode.codes import Alphabet, Code, Hom, module_elements
+from modcode.codes import Code, module_elements
 from modcode.errors import DimensionMismatchError
 from modcode.linalg import subspaces_up_to_dim
 
@@ -29,30 +28,27 @@ from conftest import random_subspace
 
 
 class TestPairing:
+    """The trace pairing, through the character sums that bucket its residues."""
+
     def test_zero_argument(self, rng):
+        # Every element pairs to 0 with the zero character.
+        sp = ModuleSpace(3, 2, 3)
         for _ in range(10):
-            X = rng.integers(0, 3, size=(2, 3))
-            assert pairing(X, np.zeros((2, 3), dtype=int), 3) == 0
-
-    def test_identity_with_itself_f2(self):
-        eye = np.eye(2, dtype=int)
-        assert pairing(eye, eye, 2) == 0  # trace 2 mod 2
-
-    def test_bilinear(self, rng):
-        q = 3
-        for _ in range(20):
-            X, Y, Z = (rng.integers(0, q, size=(2, 2)) for _ in range(3))
-            assert pairing((X + Y) % q, Z, q) == (pairing(X, Z, q) + pairing(Y, Z, q)) % q
+            sub = Submodule(sp, random_subspace(rng, 3, 3))
+            assert fourier_of_indicator(sub, np.zeros((2, 3), dtype=int)) == (sub.size, 0, 0)
 
     @pytest.mark.parametrize("m,t", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_nondegenerate_f2(self, m, t):
-        for X in module_elements(2, m, t):
-            if X.any():
-                assert any(pairing(X, Y, 2) != 0 for Y in module_elements(2, m, t))
+        # A nonzero character is nontrivial on the whole module: its residues balance.
+        full = Submodule(ModuleSpace(2, m, t), Subspace.full(2, t))
+        for Y in module_elements(2, m, t):
+            if Y.any():
+                assert fourier_of_indicator(full, Y) == (full.size // 2, full.size // 2)
 
     def test_shape_mismatch(self):
+        sub = Submodule(ModuleSpace(2, 1, 2), Subspace.full(2, 2))
         with pytest.raises(DimensionMismatchError):
-            pairing(np.zeros((1, 2)), np.zeros((2, 1)), 2)
+            fourier_of_indicator(sub, np.zeros((2, 1), dtype=int))
 
 
 class TestFourierOfIndicator:
@@ -164,18 +160,22 @@ class TestDualEquation:
             assert satisfies_isometry_equation(V, U) == verify_dual_equation(V, U)
 
 
+def image_is_kernel_dual(G, q: int) -> bool:
+    """The orthogonal of the row kernel of G is its column space.
+
+    Under the trace pairing the dual of a hom X -> X G acts by Y -> Y G^T,
+    so the image of the dual hom is supported on the column space of G.
+    """
+    return orthogonal(row_kernel(G, q)) == Subspace.from_rows(G.T, q, G.shape[0])
+
+
 class TestImageKernelDuality:
     def test_identity_generator(self):
-        h = Hom(ModuleSpace(2, 1, 2), Alphabet(2, 1, 2), np.eye(2, dtype=int))
-        assert image_kernel_duality_check(h)
+        assert image_is_kernel_dual(np.eye(2, dtype=int), 2)
 
     def test_zero_generator(self):
-        h = Hom(ModuleSpace(2, 1, 2), Alphabet(2, 1, 2), np.zeros((2, 2), dtype=int))
-        assert image_kernel_duality_check(h)
+        assert image_is_kernel_dual(np.zeros((2, 2), dtype=int), 2)
 
     def test_exhaustive_f2_t3_k2(self):
-        sp = ModuleSpace(2, 1, 3)
-        al = Alphabet(2, 1, 2)
         for bits in itertools.product(range(2), repeat=6):
-            G = np.array(bits, dtype=int).reshape(3, 2)
-            assert image_kernel_duality_check(Hom(sp, al, G))
+            assert image_is_kernel_dual(np.array(bits, dtype=int).reshape(3, 2), 2)

@@ -1,6 +1,7 @@
 """Code-file JSON round trips and command-line behavior."""
 
 import ast
+import collections
 import functools
 import gc
 import importlib
@@ -168,6 +169,25 @@ class TestForgeCommand:
         )
         assert result.exit_code == 2
         assert "extension property" in result.output
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_forge_rejects_k_below_1_as_input(self, cli, tmp_path, k):
+        result = cli(
+            ["forge", "--q", "2", "--m", "1", "--k", k,
+             "--out-lambda", str(tmp_path / "l"), "--out-mu", str(tmp_path / "m")],
+        )
+        assert result.exit_code == 4
+        assert "extension property" not in result.output
+
+    def test_forge_refuses_one_file_for_both_codes(self, cli, tmp_path):
+        path = tmp_path / "P.json"
+        result = cli(
+            ["forge", "--q", "2", "--m", "1", "--k", "2",
+             "--out-lambda", str(path), "--out-mu", os.path.join(tmp_path, ".", "P.json")],
+        )
+        assert result.exit_code == 4
+        assert result.output.startswith("error: ")
+        assert not path.exists()
 
     def test_forge_rejects_modulus_beyond_int64(self, cli, tmp_path):
         result = cli(
@@ -450,7 +470,7 @@ class TestLeanImports:
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) == len(modcode.__all__) > 60
+        assert int(proc.stdout) == len(modcode.__all__) == 60
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError):
@@ -508,43 +528,86 @@ class TestBenchNames:
             functools.reduce(getattr, path.split("."), importlib.import_module(module))
 
 
+def ast_names(node):
+    """Every Name, Attribute, import alias and string constant under an ast node."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.alias):
+            yield from child.name.split(".")
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            yield child.value
+
+
+# Package definitions that nothing in src/modcode or bench/ names, each kept
+# as an independent reference that the named test compares the package with.
+REFERENCES = {
+    "inverse": "test_codes.py::TestBatchedTransport::test_batch_matches_per_pair_reference",
+    "subspace_sum": "test_linalg.py::TestSubspaceOps::test_modular_law",
+    "count_subspaces_containing": "test_acceptance.py::test_criterion_4_identity_suites",
+    "apply_monomial": "test_acceptance.py::test_criterion_7_monomial_roundtrip",
+    "fourier_of_indicator": "test_acceptance.py::test_criterion_5_fourier_duality",
+    "orthogonal_submodule": "test_acceptance.py::test_criterion_5_fourier_duality",
+    "covering_by_proper_submodules":
+        "test_forge.py::TestSolutionToCodes::test_covering_route_matches_minimal_pair",
+    "inclusion_exclusion_solution":
+        "test_forge.py::TestSolutionToCodes::test_covering_route_matches_minimal_pair",
+    "solution_to_codes":
+        "test_forge.py::TestSolutionToCodes::test_covering_route_matches_minimal_pair",
+}
+
+
 class TestNoDeadCode:
     def test_every_definition_is_named_elsewhere(self):
-        """Each top-level function, class and method of the package is used somewhere.
+        """Each top-level function, class and method of the package is used by the program.
 
         A use is a Name, an Attribute, an import alias or a string constant
-        (the benchmark probes functions by name) in src/, tests/ or bench/.
-        A definition statement itself is not a use; dunders are exempt.
+        (the benchmark probes functions by name) in src/modcode or bench/,
+        outside the definition's own body.  The _EXPORTS strings of
+        __init__.py are not uses, and dunders are exempt.  The definitions
+        without a use are exactly the keys of REFERENCES.
         """
         root = Path(modcode.__file__).resolve().parent
-        repo = root.parent.parent
-        files = [*root.glob("*.py"), *(repo / "tests").glob("*.py"), *(repo / "bench").glob("*.py")]
-        used = set()
-        defined = []
-        for path in sorted(files):
-            tree = ast.parse(path.read_text())
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    used.update(node.name.split("."))
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    used.add(node.value)
+        uses = collections.Counter()
+        unused = {}
+        files = [*root.glob("*.py"), *(root.parent.parent / "bench").glob("*.py")]
+        trees = {path: ast.parse(path.read_text()) for path in sorted(files)}
+        for path, tree in trees.items():
+            for node in tree.body:
+                targets = [getattr(t, "id", None) for t in getattr(node, "targets", [])]
+                if not (path.name == "__init__.py" and targets == ["_EXPORTS"]):
+                    uses.update(ast_names(node))
+        for path, tree in trees.items():
             if path.parent != root:
                 continue
             for node in tree.body:
                 members = node.body if isinstance(node, ast.ClassDef) else []
                 for item in [node, *members]:
-                    if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
-                        defined.append((path.name, item.lineno, item.name))
-        unused = [
-            f"{file}:{line} {name}"
-            for file, line, name in defined
-            if name not in used and not (name.startswith("__") and name.endswith("__"))
-        ]
-        assert not unused
+                    if not isinstance(item, (ast.FunctionDef, ast.ClassDef)):
+                        continue
+                    name = item.name
+                    inside = sum(1 for used in ast_names(item) if used == name)
+                    if uses[name] == inside and not (name.startswith("__") and name.endswith("__")):
+                        unused[name] = f"{path.name}:{item.lineno}"
+        dead = sorted(f"{where} {name}" for name, where in unused.items() if name not in REFERENCES)
+        stale = sorted(REFERENCES.keys() - unused.keys())
+        assert not dead and not stale, {"dead": dead, "stale references": stale}
+
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    def test_reference_is_used_by_its_test(self, name):
+        """The test a REFERENCES entry names uses the definition, itself or in a helper."""
+        file, *path = REFERENCES[name].split("::")
+        tree = ast.parse((Path(__file__).parent / file).read_text())
+        node = tree
+        for part in path:
+            node = next((n for n in node.body if getattr(n, "name", None) == part), None)
+            assert node is not None, f"{REFERENCES[name]} does not exist"
+        names = set(ast_names(node))
+        helpers = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        names.update(*(ast_names(helpers[h]) for h in names & helpers.keys()))
+        assert name in names
 
 
 def python(*args, timeout=None, **env):
@@ -616,6 +679,15 @@ class TestProcessEntry:
                       timeout=20)
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("error: ") and "budget is" in proc.stderr
+
+    def test_forge_oversized_pair_exits_3_at_once(self, tmp_path):
+        proc = python("-m", "modcode.cli", "forge", "--q", "2", "--m", "1", "--k", str(10**12),
+                      "--out-lambda", str(tmp_path / "l.json"),
+                      "--out-mu", str(tmp_path / "m.json"), timeout=20)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and "budget is" in proc.stderr
+        assert not (tmp_path / "l.json").exists()
 
     def test_minlen_default_bound_taken_at_min_m_t(self):
         # With t <= m the system has no nontrivial solution, and N(2, m=2000)
@@ -705,3 +777,29 @@ class TestBudgetEnv:
         monkeypatch.setenv("MODCODE_BUDGET", "20")
         result = cli(["mds", "--code", str(path)])
         assert result.exit_code == 3
+
+    def test_caches_keep_at_most_cache_entries(self):
+        from modcode.budget import CACHE_ENTRIES
+        from modcode.codes import module_elements
+        from modcode.linalg import enumerate_subspaces, subspace_lattice, subspaces_up_to_dim
+
+        for cached, dims in [(module_elements, (1, 1)), (enumerate_subspaces, (1, 0)),
+                             (subspaces_up_to_dim, (1, 0)), (subspace_lattice, (1, 0))]:
+            for q in range(2, CACHE_ENTRIES + 12):
+                cached(q, *dims)
+            assert cached.cache_info().currsize == CACHE_ENTRIES
+
+    def test_one_command_evicts_nothing(self, cli, tmp_path):
+        from modcode.codes import module_elements
+        from modcode.linalg import enumerate_subspaces, subspace_lattice, subspaces_up_to_dim
+
+        caches = (module_elements, enumerate_subspaces, subspaces_up_to_dim, subspace_lattice)
+        lp, mp = str(tmp_path / "l.json"), str(tmp_path / "m.json")
+        for argv in (["forge", "--q", "3", "--m", "3", "--k", "4", "--out-lambda", lp, "--out-mu", mp],
+                     ["check", "--lambda", lp, "--mu", mp, "--oracle"],
+                     ["minlen", "--q", "2", "--m", "2", "--t", "3", "--bound", "20"]):
+            for cached in caches:
+                cached.cache_clear()
+            assert cli(argv).exit_code == 0
+            # Every miss is still cached, so nothing was built twice.
+            assert all(c.cache_info().misses == c.cache_info().currsize for c in caches)
