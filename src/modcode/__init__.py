@@ -70,7 +70,6 @@ _EXPORTS = {
         "intersect",
         "orthogonal",
         "rref",
-        "rref_stack",
         "row_kernel",
         "subspace_lattice",
         "subspace_sum",

@@ -20,26 +20,21 @@ import os
 import sys
 import time
 
-# All arithmetic is exact int64 and never calls BLAS, so an OpenBLAS worker
-# thread only competes with the command for the CPU.  This must run before
-# numpy is imported; a value the user has set is kept.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-from .codes import (  # noqa: E402
+from .codes import (
     ModuleSpace,
     MonomialMap,
     Unextendable,
     extend_to_monomial,
     is_isometry_bruteforce,
 )
-from .errors import (  # noqa: E402
+from .errors import (
     DimensionMismatchError,
     EnumerationBudgetError,
     ModcodeError,
     NotAnIsometryError,
 )
-from .io import load_code, save_code  # noqa: E402
-from .linalg import cauchy_identities_check, check_identities_budget, subspace_lattice  # noqa: E402
+from .io import load_code, save_code
+from .linalg import cauchy_identities_check, check_identities_budget, subspace_lattice
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -71,13 +66,13 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def _subspace_repr(S) -> list[list[int]]:
-    return [[int(x) for x in row] for row in S.basis]
+    return [list(row) for row in S.basis]
 
 
 def _monomial_repr(mmap: MonomialMap) -> dict:
     return {
         "permutation": list(mmap.permutation),
-        "automorphisms": [[[int(x) for x in row] for row in P] for P in mmap.automorphisms],
+        "automorphisms": [[list(row) for row in P] for P in mmap.automorphisms],
     }
 
 
@@ -160,7 +155,7 @@ def cmd_minlen(q, m, t, bound, cyclic_only, as_json) -> int:
     witness_summary = None
     if result.witness is not None:
         witness_summary = [
-            [_subspace_repr(col), int(c)]
+            [_subspace_repr(col), c]
             for col, c in zip(result.system.cols, result.witness)
             if c != 0
         ]

@@ -15,9 +15,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import budget
 from .errors import DimensionMismatchError, NotAnIsometryError
@@ -25,21 +22,25 @@ from .linalg import (
     Subspace,
     as_matrix,
     check_prime,
-    complete_bases,
+    complete_basis,
     enumerate_subspaces,
+    gaussian_binomial,
+    mat_mul,
     matrix_rank,
+    members,
+    number_row_kernels,
     row_kernel,
-    row_kernel_ids,
-    rref_stack,
+    rref,
     subspace_lattice,
+    vector_points,
 )
 
 
 def _check_exact(q: int, *dims: int) -> None:
-    """Reject a modulus for which an int64 product sum could overflow.
+    """Reject a modulus beyond the documented domain of int64 product sums.
 
     Every product sum in the package adds at most max(m, t, k) products of
-    two residues, so (q - 1)^2 * max(m, t, k) < 2^63 keeps them all exact.
+    two residues, and (q - 1)^2 * max(m, t, k) < 2^63 bounds them all.
     """
     if (q - 1) ** 2 * max(dims) >= 2**63:
         raise DimensionMismatchError(
@@ -47,15 +48,61 @@ def _check_exact(q: int, *dims: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Record:
+    """An immutable record whose positional fields are its ``__slots__``.
+
+    Equality, hashing and the repr use the field values in slot order, and
+    ``_check`` validates them once they are set.  Assignment raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes fields {', '.join(self.__slots__)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    @classmethod
+    def _unchecked(cls, *values):
+        """A record from fields the caller has already validated; ``_check`` is skipped."""
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(record, name, value)
+        return record
+
+    def _check(self) -> None:
+        """Validate the fields; a subclass overrides it."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Alphabet(Record):
     """The alphabet of m x k matrices over F_q, a module over m x m matrices."""
 
-    q: int
-    m: int
-    k: int
+    __slots__ = ("q", "m", "k")
 
-    def __post_init__(self):
+    def _check(self):
         # The bound first: trial division of a huge modulus would not end.
         _check_exact(self.q, self.m, self.k)
         check_prime(self.q)
@@ -67,15 +114,12 @@ class Alphabet:
         return self.q ** (self.m * self.k)
 
 
-@dataclass(frozen=True)
-class ModuleSpace:
+class ModuleSpace(Record):
     """The source module W of m x t matrices over F_q."""
 
-    q: int
-    m: int
-    t: int
+    __slots__ = ("q", "m", "t")
 
-    def __post_init__(self):
+    def _check(self):
         # The bound first: trial division of a huge modulus would not end.
         _check_exact(self.q, self.m, self.t)
         check_prime(self.q)
@@ -87,28 +131,18 @@ class ModuleSpace:
         return self.q ** (self.m * self.t)
 
 
-@dataclass(frozen=True, slots=True)
-class Submodule:
+class Submodule(Record):
     """A submodule of a ModuleSpace, encoded by its row-support subspace.
 
     The underlying element set is { X : rowspace(X) <= support }, of
     cardinality q**(m * support.dim).
     """
 
-    space: ModuleSpace
-    support: Subspace
+    __slots__ = ("space", "support")
 
-    def __post_init__(self):
+    def _check(self):
         if self.support.q != self.space.q or self.support.ambient != self.space.t:
             raise DimensionMismatchError("support must be a subspace of F_q^t")
-
-    @property
-    def dim(self) -> int:
-        return self.support.dim
-
-    @property
-    def size(self) -> int:
-        return self.space.q ** (self.space.m * self.support.dim)
 
 
 class Hom:
@@ -120,11 +154,8 @@ class Hom:
         if space.q != alphabet.q or space.m != alphabet.m:
             raise DimensionMismatchError("source and target live over different rings")
         G = as_matrix(matrix, space.q)
-        if G.shape != (space.t, alphabet.k):
-            raise DimensionMismatchError(
-                f"generator must be {space.t}x{alphabet.k}, got {G.shape}"
-            )
-        G.setflags(write=False)
+        if len(G) != space.t or any(len(row) != alphabet.k for row in G):
+            raise DimensionMismatchError(f"generator must be {space.t}x{alphabet.k}")
         for name, value in zip(Hom.__slots__, (space, alphabet, G)):
             object.__setattr__(self, name, value)
 
@@ -136,14 +167,14 @@ class Hom:
         return Submodule(self.space, row_kernel(self.matrix, self.space.q))
 
     def __repr__(self):
-        return f"Hom({self.space}, {self.alphabet}, {[list(map(int, r)) for r in self.matrix]})"
+        return f"Hom({self.space}, {self.alphabet}, {[list(r) for r in self.matrix]})"
 
 
 class Code:
     """A length-n code parametrized by n homomorphisms with common source.
 
-    The code holds one read-only (n, t, k) stack of generator matrices, given
-    as an array-like of n t x k matrices; ``columns`` are the matching Hom
+    The code holds its n t x k generator matrices as one tuple of row
+    tuples, given as any nested sequence; ``columns`` are the matching Hom
     objects, built on first access.
     """
 
@@ -154,19 +185,28 @@ class Code:
             raise DimensionMismatchError("source and target live over different rings")
         if len(generators) == 0:
             raise ValueError("a code needs at least one column")
+        q, t, k = space.q, space.t, alphabet.k
+        reduced: dict = {}  # each distinct row is reduced once: a code repeats few rows
         try:
-            G = np.asarray(generators, dtype=np.int64) % space.q
-        except ValueError as exc:
-            raise DimensionMismatchError(f"generators have unequal shapes: {exc}") from exc
-        if G.shape[1:] != (space.t, alphabet.k):
-            raise DimensionMismatchError(
-                f"generators must be {space.t}x{alphabet.k}, got {G.shape[1:]}"
+            G = tuple(
+                tuple([reduced[r] if r in reduced else reduced.setdefault(r, as_matrix([r], q)[0])
+                       for r in map(tuple, M)])
+                for M in generators
             )
-        G.setflags(write=False)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "generators", G)
-        object.__setattr__(self, "_columns", None)
+        except TypeError as exc:
+            raise DimensionMismatchError(f"generators must be {t}x{k} matrices: {exc}") from exc
+        if any(len(M) != t for M in G) or any(len(r) != k for r in reduced.values()):
+            raise DimensionMismatchError(f"generators must be {t}x{k}")
+        for name, value in zip(Code.__slots__, (alphabet, space, G, None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of_canonical(cls, alphabet: Alphabet, space: ModuleSpace, generators) -> "Code":
+        """A code from a nonempty sequence of t x k row tuples already reduced mod q."""
+        code = object.__new__(cls)
+        for name, value in zip(Code.__slots__, (alphabet, space, tuple(generators), None)):
+            object.__setattr__(code, name, value)
+        return code
 
     def __setattr__(self, name, value):
         raise AttributeError("Code is immutable")
@@ -187,18 +227,17 @@ class Code:
             isinstance(other, Code)
             and self.alphabet == other.alphabet
             and self.space == other.space
-            and np.array_equal(self.generators, other.generators)
+            and self.generators == other.generators
         )
 
     def __hash__(self):
-        return hash((self.alphabet, self.space, self.generators.shape, self.generators.tobytes()))
+        return hash((self.alphabet, self.space, self.generators))
 
     def __repr__(self):
         return f"Code(n={self.length}, {self.alphabet}, t={self.space.t})"
 
 
-@dataclass(frozen=True)
-class MonomialMap:
+class MonomialMap(Record):
     """A coordinate permutation plus per-coordinate alphabet automorphisms.
 
     Automorphisms act by right multiplication with invertible k x k matrices.
@@ -206,11 +245,9 @@ class MonomialMap:
     composed with automorphisms[i].
     """
 
-    permutation: tuple[int, ...]
-    automorphisms: tuple[np.ndarray, ...]
-    q: int
+    __slots__ = ("permutation", "automorphisms", "q")
 
-    def __post_init__(self):
+    def _check(self):
         n = len(self.permutation)
         if sorted(self.permutation) != list(range(n)):
             raise ValueError("permutation must be a bijection of range(n)")
@@ -219,39 +256,33 @@ class MonomialMap:
         frozen = []
         for P in self.automorphisms:
             P = as_matrix(P, self.q)
-            if P.shape[0] != P.shape[1] or matrix_rank(P, self.q) != P.shape[0]:
+            if any(len(row) != len(P) for row in P) or matrix_rank(P, self.q) != len(P):
                 raise ValueError("automorphisms must be invertible square matrices")
-            P.setflags(write=False)
             frozen.append(P)
         object.__setattr__(self, "automorphisms", tuple(frozen))
 
-    @classmethod
-    def _of_invertible(cls, permutation, automorphisms, q: int) -> "MonomialMap":
-        """A map from a permutation and read-only automorphisms already proven invertible.
 
-        Skips the per-matrix validation of ``__post_init__``:
-        :func:`transport_automorphisms` proves a whole batch invertible at once.
-        """
-        mmap = object.__new__(cls)
-        object.__setattr__(mmap, "permutation", permutation)
-        object.__setattr__(mmap, "automorphisms", automorphisms)
-        object.__setattr__(mmap, "q", q)
-        return mmap
-
-
-@dataclass(frozen=True)
-class Unextendable:
+class Unextendable(Record):
     """Witness that no monomial map exists: the kernel-multiset difference."""
 
-    lambda_only: tuple[tuple[Subspace, int], ...]
-    mu_only: tuple[tuple[Subspace, int], ...]
+    __slots__ = ("lambda_only", "mu_only")
+
+
+def _kernel_ids(codes) -> tuple[list[Subspace], list[int]]:
+    """One numbering of the column kernels of codes with a common source module.
+
+    Returns the distinct supports, F_q^t last, and the support id of every
+    column of every code in order.
+    """
+    sp = codes[0].space
+    return number_row_kernels([G for code in codes for G in code.generators], sp.q, sp.t)
 
 
 def kernel_tuple(code: Code) -> tuple[Submodule, ...]:
     """Column kernels of a code, in column order; equal kernels share one Submodule."""
-    supports, ids = row_kernel_ids(code.generators, code.space.q)
+    supports, ids = _kernel_ids([code])
     kernels = [Submodule(code.space, S) for S in supports]
-    return tuple(kernels[i] for i in ids.tolist())
+    return tuple(kernels[i] for i in ids)
 
 
 def kernel_support_multiset(code: Code) -> Counter:
@@ -263,50 +294,55 @@ def _check_module_elements(q: int, m: int, t: int) -> None:
 
 
 @budget.checked_cache(_check_module_elements)
-def module_elements(q: int, m: int, t: int) -> np.ndarray:
-    """All m x t matrices over F_q as one (q^(m t), m, t) array."""
-    count = q ** (m * t)
-    flat = np.array(list(itertools.product(range(q), repeat=m * t)), dtype=np.int64)
-    E = flat.reshape(count, m, t)
-    E.setflags(write=False)
-    return E
+def module_elements(q: int, m: int, t: int) -> tuple:
+    """All m x t matrices over F_q, as row tuples, in ``itertools.product`` order."""
+    return tuple(
+        tuple(entries[i * t : (i + 1) * t] for i in range(m))
+        for entries in itertools.product(range(q), repeat=m * t)
+    )
 
 
-def codeword_weights(code: Code) -> np.ndarray:
-    """Hamming weight of the codeword of every source element, in one array.
+def vanishing_columns(space: ModuleSpace, supports, ids) -> list[int]:
+    """For every source element, the bitset of the columns that vanish at it.
 
-    Entry e belongs to ``module_elements(q, m, t)[e]``.  X G = 0 exactly when
-    every row x_i of X lies in the row kernel of G, so
-    wt(X) = n - sum over distinct indicators z_c of mult_c * prod_i z_c[x_i],
-    with z_c the indicator of the q^t row vectors that a generator kills and
-    mult_c the number of generators with that indicator.
-    The rows x_1 .. x_(m-1) are folded in by m - 1 outer products and x_0
-    by one matmul.  Every partial sum is an integer in [0, n], so the int64
-    arithmetic is exact.
+    Column c has row kernel ``supports[ids[c]]``; entry e belongs to
+    ``module_elements(q, m, t)[e]``.  X G = 0 exactly when every row x_i of
+    X lies in the row kernel of G, so with killed(v) the bitset of the
+    columns whose kernel holds the vector v, read off the kernels' point
+    bitsets, the columns vanishing at X are the AND of killed(x_i) over its
+    rows.  The rows are folded in by m list products.
     """
-    sp = code.space
-    q, m, t = sp.q, sp.m, sp.t
+    q, m, t = space.q, space.m, space.t
     _check_module_elements(q, m, t)
-    gens = code.generators
-    vectors = module_elements(q, 1, t)[:, 0, :]
-    kills = (np.tensordot(gens, vectors, axes=([1], [1])) % q == 0).all(axis=1)
-    # Generators with equal row kernels have equal indicators: one row each.
-    mult = Counter(row.tobytes() for row in kills)
-    z = np.array([np.frombuffer(key, dtype=bool) for key in mult], dtype=np.int64)
-    tail = np.array(list(mult.values()), dtype=np.int64)[:, None]
-    for _ in range(m - 1):
-        tail = (tail[:, :, None] * z[:, None, :]).reshape(len(z), -1)
-    return code.length - (z.T @ tail).ravel()
+    at_point = [0] * gaussian_binomial(t, 1, q)
+    for c, j in enumerate(ids):
+        for p in members(supports[j].points):
+            at_point[p] |= 1 << c
+    every = (1 << len(ids)) - 1
+    killed_by = [every if p < 0 else at_point[p] for p in vector_points(q, t)]
+    killed = [every]
+    for _ in range(m):
+        killed = [a & b for a in killed for b in killed_by]
+    return killed
+
+
+def codeword_weights(code: Code) -> list[int]:
+    """Hamming weight of the codeword of every source element, in module_elements order.
+
+    wt(X) is the length minus the number of columns that vanish at X.
+    """
+    killed = vanishing_columns(code.space, *_kernel_ids([code]))
+    return [code.length - bits.bit_count() for bits in killed]
 
 
 def is_isometry_bruteforce(lam: Code, mu: Code) -> bool:
     """Exhaustive oracle: weights agree at every element of the source module."""
     if lam.space != mu.space:
         raise DimensionMismatchError("codes must share their source module")
-    return bool(np.array_equal(codeword_weights(lam), codeword_weights(mu)))
+    return codeword_weights(lam) == codeword_weights(mu)
 
 
-def support_difference(ids, lengths, width: int) -> np.ndarray:
+def support_difference(ids, lengths, width: int) -> list[list[int]]:
     """Count the kernel supports of one code against many.
 
     ``ids`` holds the support id, in range(width), of every column kernel of
@@ -316,12 +352,19 @@ def support_difference(ids, lengths, width: int) -> np.ndarray:
     length minus the kernel indicator sum, so the last column also counts a
     length difference as that many full-space kernels on the shorter side.
     """
-    n, lengths = lengths[0], np.asarray(lengths[1:], dtype=np.int64)
-    cells = np.repeat(np.arange(len(lengths)), lengths) * width + ids[n:]
-    W = np.bincount(ids[:n], minlength=width) - np.bincount(
-        cells, minlength=len(lengths) * width
-    ).reshape(len(lengths), width)
-    W[:, -1] += lengths - n
+    n = lengths[0]
+    base = [0] * width
+    for j in ids[:n]:
+        base[j] += 1
+    W = []
+    start = n
+    for length in lengths[1:]:
+        row = base.copy()
+        for j in ids[start : start + length]:
+            row[j] -= 1
+        row[-1] += length - n
+        W.append(row)
+        start += length
     return W
 
 
@@ -340,7 +383,7 @@ def kernel_difference(V, U):
     full = Subspace.full(sp.q, sp.t)
     supports = [*dict.fromkeys(K.support for K in V + U if K.support != full), full]
     index = {S: j for j, S in enumerate(supports)}
-    ids = np.array([index[K.support] for K in V + U], dtype=np.int64)
+    ids = [index[K.support] for K in V + U]
     return sp, supports, support_difference(ids, [len(V), len(U)], len(supports))
 
 
@@ -354,39 +397,56 @@ def satisfies_isometry_equation(V, U) -> bool:
     supports of the multiset difference only.
     """
     sp, supports, W = kernel_difference(V, U)
-    return bool(subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced_rows(supports, W)[0])
+    return subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced_rows(supports, W)[0]
+
+
+def _count_difference(lam: Code, mus: list):
+    """The support numbering of lam and the images and their count difference.
+
+    Returns ``(supports, ids, W, isometric)``: one :func:`_kernel_ids` call
+    over every code, the :func:`support_difference` rows of lam against
+    each image, and the kernel-count criterion of every row.
+    """
+    sp = lam.space
+    supports, ids = _kernel_ids([lam, *mus])
+    W = support_difference(ids, [lam.length, *(mu.length for mu in mus)], len(supports))
+    lattice = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t))
+    return supports, ids, W, lattice.balanced_rows(supports, W)
 
 
 def is_isometry_criterion(lam: Code, mu: Code) -> bool:
     """Decide whether two codes are Hamming-isometric via kernel counts."""
     if lam.space != mu.space:
         raise DimensionMismatchError("codes must share their source module")
-    return satisfies_isometry_equation(kernel_tuple(lam), kernel_tuple(mu))
+    return _count_difference(lam, [mu])[3][0]
 
 
-def transport_automorphisms(Gs, Hs, q: int) -> np.ndarray:
-    """Invertible P_i with G_i P_i = H_i, for a stack of t x k pairs with equal row kernels.
+def transport_automorphisms(Gs, Hs, q: int, k: int) -> list:
+    """Invertible P_i with G_i P_i = H_i, for t x k pairs with equal row kernels.
 
     F_G completes the greedy independent rows of G with unit vectors to a
     basis of F_q^k, and F_H does the same for H, whose independent rows sit
     at the same indices.  P = F_G^-1 F_H, the right block of the RREF of
     [F_G | F_H], maps a basis of rowspace(G) to the matching rows of H and a
     complement to a complement: the semisimple splitting argument made
-    concrete.  Two batched eliminations serve the whole stack, and a third
-    proves every P invertible by a full pivot mask.  The result is read-only.
+    concrete.  A pivot-free left block or a rank-deficient P fails loudly.
     """
-    Gs = np.asarray(Gs, dtype=np.int64) % q
-    Hs = np.asarray(Hs, dtype=np.int64) % q
-    n, _, k = Gs.shape
-    frames = complete_bases(np.concatenate([Gs, Hs]), q)
-    R, _ = rref_stack(np.concatenate([frames[:n], frames[n:]], axis=2), q)
-    P = np.ascontiguousarray(R[:, :, k:])
-    if ((Gs @ P) % q != Hs).any():
-        raise AssertionError("transport automorphism failed; kernels were not equal")
-    if not rref_stack(P, q)[1].all():
-        raise AssertionError("transport automorphism is singular")
-    P.setflags(write=False)
-    return P
+    out = []
+    solved: dict = {}  # equal pairs share one automorphism
+    for G, H in zip(Gs, Hs):
+        if (G, H) in solved:
+            out.append(solved[G, H])
+            continue
+        frames = zip(complete_basis(G, q, k), complete_basis(H, q, k))
+        R, _, pivots = rref([tuple(f) + tuple(h) for f, h in frames], q)
+        P = tuple(row[k:] for row in R)
+        if pivots[:k] != list(range(k)) or rref(P, q)[1] != k:
+            raise AssertionError("transport automorphism is singular")
+        if mat_mul(G, P, q) != H:
+            raise AssertionError("transport automorphism failed; kernels were not equal")
+        out.append(P)
+        solved[G, H] = P
+    return out
 
 
 def extend_to_monomials(lam: Code, mus) -> list:
@@ -397,13 +457,10 @@ def extend_to_monomials(lam: Code, mus) -> list:
     the kernel-multiset difference, or None when the kernel-count criterion
     rejects the image.
 
-    All images are decided together on the count difference W of
-    :func:`support_difference`, numbered by one :func:`row_kernel_ids` call
-    over all the generators.  One containment table and one product
-    decide the criterion of every row of W, an image of lam's length that
-    passes it extends iff its row is zero outside the full-space column, and
-    the automorphisms of all extendable images come from one batched
-    transport.
+    All images are decided together by :func:`_count_difference`: one
+    kernel numbering over all the generators and one containment table
+    decide the criterion of every row of W.  An image of lam's length that
+    passes it extends iff its row is zero outside the full-space column.
     """
     mus = list(mus)
     for mu in mus:
@@ -412,46 +469,42 @@ def extend_to_monomials(lam: Code, mus) -> list:
     if not mus:
         return []
     sp, n = lam.space, lam.length
-    lengths = np.array([mu.length for mu in mus])
-    # The stack stays unnamed, so it is freed before the containment table is built.
-    supports, ids = row_kernel_ids(
-        np.concatenate([lam.generators, *(mu.generators for mu in mus)]), sp.q
-    )
-    W = support_difference(ids, [n, *lengths], len(supports))
-    isometric = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced_rows(supports, W)
-    extendable = isometric & ~W[:, :-1].any(axis=1) & (lengths == n)
-
-    results: list = [None] * len(mus)
-    witnesses: dict[bytes, Unextendable] = {}
+    supports, ids, W, isometric = _count_difference(lam, mus)
     by_key = sorted(range(len(supports)), key=lambda j: supports[j].sort_key())
-    for i in np.flatnonzero(isometric & ~extendable):
+    results: list = [None] * len(mus)
+    witnesses: dict[tuple, Unextendable] = {}
+    chosen, Gs, Hs = [], [], []
+    by_support: dict[int, list] = {}
+    for c in range(n):
+        by_support.setdefault(ids[c], []).append(c)
+    start = n
+    for i, (mu, row, ok) in enumerate(zip(mus, W, isometric)):
+        mu_ids = ids[start : start + mu.length]
+        start += mu.length
+        if not ok:
+            continue
+        if mu.length == n and not any(row[:-1]):
+            # Equal supports pair up in index order: the r-th image column with
+            # support j comes from the r-th column of lam with support j.
+            columns = {j: iter(cs) for j, cs in by_support.items()}
+            perm = tuple(next(columns[j]) for j in mu_ids)
+            chosen.append((i, perm))
+            Gs += [lam.generators[c] for c in perm]
+            Hs += mu.generators
+            continue
         # The witness is the raw multiset difference, without the length padding.
-        d = W[i].copy()
-        d[-1] += n - lengths[i]
-        if d.tobytes() not in witnesses:
-            witnesses[d.tobytes()] = Unextendable(
-                tuple((supports[j], int(d[j])) for j in by_key if d[j] > 0),
-                tuple((supports[j], int(-d[j])) for j in by_key if d[j] < 0),
+        d = tuple(row[:-1]) + (row[-1] + n - mu.length,)
+        if d not in witnesses:
+            witnesses[d] = Unextendable(
+                tuple((supports[j], d[j]) for j in by_key if d[j] > 0),
+                tuple((supports[j], -d[j]) for j in by_key if d[j] < 0),
             )
-        results[i] = witnesses[d.tobytes()]
-
-    chosen = np.flatnonzero(extendable)
-    if chosen.size:
-        # Equal supports pair up in index order: the r-th image column with
-        # support j comes from the r-th column of lam with support j.
-        offsets = n + np.concatenate([[0], np.cumsum(lengths)])[chosen]
-        mu_ids = ids[offsets[:, None] + np.arange(n)]
-        perms = np.empty_like(mu_ids)
-        np.put_along_axis(
-            perms, np.argsort(mu_ids, axis=1, kind="stable"), np.argsort(ids[:n], kind="stable"), 1
-        )
-        k = lam.alphabet.k
-        # A sized reshape: with t = 0 the stack is empty and -1 would be ambiguous.
-        Gs = lam.generators[perms].reshape(len(chosen) * n, sp.t, k)
-        Hs = np.concatenate([mus[i].generators for i in chosen])
-        autos = transport_automorphisms(Gs, Hs, sp.q).reshape(-1, n, k, k)
-        for i, perm, own in zip(chosen, perms.tolist(), autos):
-            results[i] = MonomialMap._of_invertible(tuple(perm), tuple(own), sp.q)
+        results[i] = witnesses[d]
+    # One transport call serves every extendable image.
+    autos = transport_automorphisms(Gs, Hs, sp.q, lam.alphabet.k) if chosen else []
+    for r, (i, perm) in enumerate(chosen):
+        # transport_automorphisms proved each automorphism invertible.
+        results[i] = MonomialMap._unchecked(perm, tuple(autos[r * n : (r + 1) * n]), sp.q)
     return results
 
 
@@ -473,8 +526,12 @@ def apply_monomial(mmap: MonomialMap, code: Code) -> Code:
     """Apply a monomial map, permuting columns and composing automorphisms."""
     if len(mmap.permutation) != code.length:
         raise DimensionMismatchError("monomial map size does not match code length")
-    G = code.generators[list(mmap.permutation)] @ np.array(mmap.automorphisms)
-    return Code(code.alphabet, code.space, G % code.space.q)
+    q = code.space.q
+    G = [
+        mat_mul(code.generators[src], P, q)
+        for src, P in zip(mmap.permutation, mmap.automorphisms)
+    ]
+    return Code._of_canonical(code.alphabet, code.space, G)
 
 
 def is_cyclic_submodule(sub: Submodule) -> bool:
@@ -495,7 +552,7 @@ def covering_by_proper_submodules(sub: Submodule):
     q = sub.space.q
     out = []
     for hyper in enumerate_subspaces(q, S.dim, S.dim - 1):
-        rows = hyper.basis @ S.basis % q
+        rows = mat_mul(hyper.basis, S.basis, q)
         out.append(Submodule(sub.space, Subspace.from_rows(rows, q, S.ambient)))
     out.sort(key=lambda s: s.support.sort_key())
     return out

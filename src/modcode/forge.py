@@ -14,12 +14,9 @@ Three routes are provided:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import budget
-from .codes import Alphabet, Code, ModuleSpace, Submodule
+from .codes import Alphabet, Code, ModuleSpace, Record, Submodule
 from .errors import (
     DimensionMismatchError,
     DomainRejectionError,
@@ -27,11 +24,9 @@ from .errors import (
     RankInfeasibleError,
 )
 from .linalg import (
-    Subspace,
-    complete_bases,
     contains,
     intersect,
-    rref_stack,
+    rref,
     subspace_lattice,
     subspaces_up_to_dim,
 )
@@ -45,8 +40,7 @@ def counterexample_length(q: int, m: int) -> int:
     return N
 
 
-@dataclass(frozen=True)
-class SolutionPair:
+class SolutionPair(Record):
     """Two weighted multisets of subspaces satisfying the isometry equation.
 
     Validated on construction: containment counts agree at every subspace of
@@ -54,11 +48,9 @@ class SolutionPair:
     module of m x t matrices.
     """
 
-    space: ModuleSpace
-    V: tuple[tuple[Subspace, int], ...]
-    U: tuple[tuple[Subspace, int], ...]
+    __slots__ = ("space", "V", "U")
 
-    def __post_init__(self):
+    def _check(self):
         for side in (self.V, self.U):
             for S, mult in side:
                 if S.q != self.space.q or S.ambient != self.space.t:
@@ -67,8 +59,7 @@ class SolutionPair:
                     raise ValueError("multiplicities must be positive")
         if self.length(self.V) != self.length(self.U):
             raise ValueError("the two sides must have equal total multiplicity")
-        # Object entries keep multiplicities of any size exact.
-        weights = np.array([[c for _, c in self.V] + [-c for _, c in self.U]], dtype=object)
+        weights = [[c for _, c in self.V] + [-c for _, c in self.U]]
         sp = self.space
         lattice = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t))
         if not lattice.balanced_rows([K for K, _ in self.V + self.U], weights)[0]:
@@ -125,19 +116,24 @@ def _verify_cover(module: Submodule, covering) -> None:
     # Those row spaces are exactly the subspaces of the support of dimension <= m.
     sp = module.space
     lattice = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t))
-    Z = lattice.containment([module.support] + [E.support for E in covering])
-    if (Z[:, 0] & ~Z[:, 1:].any(axis=1)).any():
+    # Bit 0 of each containing set is the module's support, the rest the covering's.
+    containing = lattice.containment([module.support] + [E.support for E in covering])
+    if any(bits == 1 for bits in containing):
         raise NotACoverError("an element of the module escapes every covering submodule")
 
 
-def kernel_generators(space: ModuleSpace, supports, k: int) -> np.ndarray:
-    """A stack of deterministic t x k generators whose row kernels are exactly the given supports.
+def kernel_generators(space: ModuleSpace, supports, k: int) -> list:
+    """Deterministic t x k generators whose row kernels are exactly the given supports.
 
-    With F the basis of F_q^t formed by the basis of S followed by the
-    greedy unit vectors that complete it, G = F^-1 maps the completing rows
-    of F to the first t - dim(S) unit rows of F_q^k and S to zero.  Supports
-    of equal dimension share two batched eliminations.  Infeasible when the
-    required rank exceeds k.
+    With F the basis of F_q^t formed by the basis B of S followed by the
+    greedy unit vectors e_u, u in U, that complete it, G = F^-1 maps the
+    completing rows of F to the first t - dim(S) unit rows of F_q^k and S
+    to zero.  So row u_l of G is the l-th unit row.  The other coordinates
+    N are the column basis of B that greedy from the right picks (by
+    matroid duality, the complement of the greedy U): the pivots of the
+    RREF R of B with its columns reversed.  R G = 0 then gives
+    G[n] = -(R[n][u] for u in U) on the row of R with pivot n.
+    Infeasible when the required rank exceeds k.
     """
     supports = list(supports)
     t, q = space.t, space.q
@@ -148,14 +144,19 @@ def kernel_generators(space: ModuleSpace, supports, k: int) -> np.ndarray:
             raise RankInfeasibleError(
                 f"kernel of codimension {t - S.dim} needs k >= {t - S.dim}, got {k}"
             )
-    G = np.zeros((len(supports), t, k), dtype=np.int64)
-    for d in sorted({S.dim for S in supports}):
-        same = [i for i, S in enumerate(supports) if S.dim == d]
-        F = complete_bases([supports[i].basis for i in same], q)
-        eye = np.broadcast_to(np.eye(t, dtype=np.int64), F.shape)
-        R, _ = rref_stack(np.concatenate([F, eye], axis=2), q)
-        G[same, :, : t - d] = R[:, :, t + d :]
-    return G
+    out = []
+    for S in supports:
+        R, _, pivots = rref([b[::-1] for b in S.basis], q)
+        others = [t - 1 - p for p in pivots]
+        units = [u for u in range(t) if u not in others]
+        G = [None] * t
+        for l, u in enumerate(units):
+            G[u] = tuple(int(j == l) for j in range(k))
+        padding = (0,) * (k - len(units))
+        for row, n in zip(R, others):
+            G[n] = tuple(-row[t - 1 - u] % q for u in units) + padding
+        out.append(tuple(G))
+    return out
 
 
 def minimal_counterexample(q: int, m: int, k: int) -> tuple[Code, Code]:
@@ -182,29 +183,25 @@ def minimal_counterexample(q: int, m: int, k: int) -> tuple[Code, Code]:
     budget.check_vectors(2 * N * t * k, "forged pair (one vector per generator entry)")
     G = kernel_generators(space, supports, k)
     codim = [t - S.dim for S in supports]
-    # Python ints: a multiplicity beyond int64 must fail, not wrap around.
-    mult = np.array([q ** (j * (j - 1) // 2) for j in codim])
-    even = np.array(codim) % 2 == 0
-    lam = Code(alphabet, space, np.repeat(G[even], mult[even], axis=0))
-    mu = Code(alphabet, space, np.repeat(G[~even], mult[~even], axis=0))
+    sides: tuple[list, list] = ([], [])
+    for g, j in zip(G, codim):
+        sides[j % 2].extend([g] * q ** (j * (j - 1) // 2))
+    lam, mu = (Code._of_canonical(alphabet, space, side) for side in sides)
     assert lam.length == mu.length == N
     return lam, mu
 
 
-@dataclass(frozen=True)
-class IncidenceSystem:
+class IncidenceSystem(Record):
     """Containment matrix linearizing the isometry equation.
 
     Rows are the evaluation points (subspaces of dimension <= m), columns the
     candidate kernel supports (all subspaces unless restricted), and
-    Z[r, c] = 1 iff row subspace is contained in column subspace.  Integer
+    Z[r][c] = 1 iff row subspace is contained in column subspace.  Integer
     vectors in the kernel of Z are exactly the solution pairs: positive
     entries form one side, negative entries the other.
     """
 
-    rows: tuple[Subspace, ...]
-    cols: tuple[Subspace, ...]
-    Z: np.ndarray
+    __slots__ = ("rows", "cols", "Z")
 
 
 def incidence_matrix(q: int, m: int, t: int, max_col_dim: int | None = None) -> IncidenceSystem:
@@ -215,13 +212,11 @@ def incidence_matrix(q: int, m: int, t: int, max_col_dim: int | None = None) -> 
         max_col_dim = t
     cols = subspaces_up_to_dim(q, t, min(max_col_dim, t))
     budget.check_subspaces(len(rows) * len(cols), "incidence matrix construction")
-    Z = rows.containment(cols).astype(np.int8)
-    Z.setflags(write=False)
+    Z = tuple(tuple(bits >> j & 1 for j in range(len(cols))) for bits in rows.containment(cols))
     return IncidenceSystem(rows.subspaces, cols, Z)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     """Outcome of the minimum-L1 kernel search.
 
     min_length is half the L1 norm of the best witness (one side's length);
@@ -229,10 +224,7 @@ class SearchResult:
     exhausted is True when the search provably covered every candidate.
     """
 
-    min_length: int | None
-    witness: np.ndarray | None
-    exhausted: bool
-    system: IncidenceSystem
+    __slots__ = ("min_length", "witness", "exhausted", "system")
 
 
 # Search nodes min_nontrivial_length visits before it stops with exhausted False.
@@ -261,11 +253,11 @@ def min_nontrivial_length(
     if t < 1 or length_bound < 1:
         raise ValueError("need t >= 1 and length_bound >= 1")
     system = incidence_matrix(q, m, t, max_col_dim=max_col_dim)
-    n_rows, n_cols = system.Z.shape
+    n_rows, n_cols = len(system.rows), len(system.cols)
     order = sorted(range(n_cols), key=lambda j: (-system.cols[j].dim, system.cols[j].sort_key()))
     Z = system.Z
 
-    rows_of_col = [np.flatnonzero(Z[:, j]).tolist() for j in order]
+    rows_of_col = [[r for r in range(n_rows) if Z[r][j]] for j in order]
     last_col_of_row = [-1] * n_rows
     for pos, j in enumerate(order):
         for r in rows_of_col[pos]:
@@ -344,9 +336,8 @@ def min_nontrivial_length(
     exhausted = nodes <= NODE_BUDGET
     if best_l1 is None:
         return SearchResult(None, None, exhausted, system)
-    witness = np.zeros(n_cols, dtype=np.int64)
-    witness[order] = best_vec
-    if (Z.astype(np.int64) @ witness).any():
+    witness = tuple(c for _, c in sorted(zip(order, best_vec)))
+    if any(sum(z * c for z, c in zip(row, witness)) for row in Z):
         raise AssertionError("search produced a vector outside the kernel")
     return SearchResult(best_l1 // 2, witness, exhausted, system)
 
@@ -355,8 +346,9 @@ def solution_to_codes(sol: SolutionPair, k: int) -> tuple[Code, Code]:
     """Realize a solution pair as two codes with the prescribed kernel tuples."""
     space = sol.space
     alphabet = Alphabet(space.q, space.m, k)
-    G = kernel_generators(space, [S for S, _ in sol.V + sol.U], k)
-    mult = [c for _, c in sol.V + sol.U]
-    lam = Code(alphabet, space, np.repeat(G[: len(sol.V)], mult[: len(sol.V)], axis=0))
-    mu = Code(alphabet, space, np.repeat(G[len(sol.V) :], mult[len(sol.V) :], axis=0))
-    return lam, mu
+
+    def side(pairs):
+        G = kernel_generators(space, [S for S, _ in pairs], k)
+        return Code(alphabet, space, [g for g, (_, c) in zip(G, pairs) for _ in range(c)])
+
+    return side(sol.V), side(sol.U)

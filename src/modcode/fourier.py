@@ -11,11 +11,11 @@ from those counts.
 
 from __future__ import annotations
 
-import numpy as np
+from operator import mul
 
 from .codes import Submodule, kernel_difference, module_elements
 from .errors import DimensionMismatchError
-from .linalg import orthogonal, subspace_lattice
+from .linalg import as_matrix, orthogonal, subspace_lattice
 
 
 def fourier_of_indicator(sub: Submodule, Y) -> tuple[int, ...]:
@@ -26,15 +26,18 @@ def fourier_of_indicator(sub: Submodule, Y) -> tuple[int, ...]:
     counts zero) when the pairing vanishes on the submodule, and the balanced
     all-equal pattern (a vanishing root sum) otherwise.
     """
-    q = sub.space.q
-    Y = np.asarray(Y, dtype=np.int64)
-    if Y.shape != (sub.space.m, sub.space.t):
-        raise DimensionMismatchError(f"character index must be m x t, got {Y.shape}")
+    q, m, t = sub.space.q, sub.space.m, sub.space.t
+    Y = as_matrix(Y, q)
+    if len(Y) != m or any(len(row) != t for row in Y):
+        raise DimensionMismatchError(f"character index must be {m} x {t}")
     S = sub.support
-    elements = module_elements(q, sub.space.m, S.dim) @ S.basis % q
-    residues = (elements * Y).sum(axis=(1, 2)) % q
-    counts = np.bincount(residues, minlength=q)
-    return tuple(int(c) for c in counts)
+    # An element is A S for an m x dim coefficient matrix A, and
+    # <A S, Y> = sum over i, r of A[i][r] (S_r . Y_i).
+    dots = [[sum(map(mul, b, y)) for y in Y] for b in S.basis]
+    counts = [0] * q
+    for A in module_elements(q, m, S.dim):
+        counts[sum(a * dots[r][i] for i, row in enumerate(A) for r, a in enumerate(row)) % q] += 1
+    return tuple(counts)
 
 
 def orthogonal_submodule(sub: Submodule) -> Submodule:
@@ -60,8 +63,7 @@ def verify_dual_equation(V, U) -> bool:
     difference times that size, an exact integer however large.
     """
     sp, supports, W = kernel_difference(V, U)
-    live = np.flatnonzero(W[0])
-    weights = np.array([[int(W[0, j]) * sp.q ** (sp.m * supports[j].dim) for j in live]],
-                       dtype=object)
+    live = [j for j, w in enumerate(W[0]) if w]
+    weights = [[W[0][j] * sp.q ** (sp.m * supports[j].dim) for j in live]]
     lattice = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t))
     return bool(lattice.balanced_rows([orthogonal(supports[j]) for j in live], weights)[0])

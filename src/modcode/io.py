@@ -12,9 +12,8 @@ truncated:
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
-
-import numpy as np
 
 from .codes import Alphabet, Code, ModuleSpace
 from .errors import DimensionMismatchError
@@ -26,7 +25,7 @@ def code_to_dict(code: Code) -> dict:
         "m": code.alphabet.m,
         "k": code.alphabet.k,
         "t": code.space.t,
-        "generators": code.generators.tolist(),
+        "generators": [[list(row) for row in G] for G in code.generators],
     }
 
 
@@ -42,26 +41,22 @@ def code_from_dict(data: dict) -> Code:
     space = ModuleSpace(q, m, t)
     alphabet = Alphabet(q, m, k)
     if not isinstance(generators, list):
-        kind = type(generators).__name__
-        raise DimensionMismatchError(f"generators must be a list, got {kind}")
-    # All generators in one object array: a ragged or over-nested list cannot
-    # take the (n, t, k) shape, and one type pass rejects floats, bools,
-    # strings and lists among the entries.
-    G = np.array(generators, dtype=object)
-    if t == 0 and G.shape == (len(generators), 0):
-        # Empty 0 x k matrices carry no k for numpy to infer.
-        G = G.reshape(len(generators), 0, k)
-    if G.ndim != 3 or G.shape[0] == 0 or G.shape[1:] != (t, k):
-        raise DimensionMismatchError(f"generators must be a nonempty list of {t}x{k} matrices")
-    if not set(map(type, G.flat)) <= {int}:
+        raise DimensionMismatchError(f"generators must be a list, not {type(generators).__name__}")
+    # Each check is one pass in C over the generators, rows or entries.
+    shape = f"generators must be a nonempty list of {t}x{k} matrices"
+    if not generators or {*map(type, generators)} != {list} or {*map(len, generators)} != {t}:
+        raise DimensionMismatchError(shape)
+    rows = list(chain.from_iterable(generators))
+    if rows and ({*map(type, rows)} != {list} or {*map(len, rows)} != {k}):
+        raise DimensionMismatchError(shape)
+    if {*map(type, chain.from_iterable(rows))} - {int}:
         raise DimensionMismatchError("generator entries must be integers")
-    try:
-        G = G.astype(np.int64)
-    except OverflowError as exc:
-        raise DimensionMismatchError("generator entries must lie in [0, q)") from exc
-    if (G < 0).any() or (G >= q).any():
+    rows = list(map(tuple, rows))
+    if any(not 0 <= x < q for row in set(rows) for x in row):
         raise DimensionMismatchError("generator entries must lie in [0, q)")
-    return Code(alphabet, space, G)
+    # The entries are canonical now: each t consecutive rows are one generator.
+    G = list(zip(*[iter(rows)] * t)) if t else [()] * len(generators)
+    return Code._of_canonical(alphabet, space, G)
 
 
 def save_code(code: Code, path) -> None:

@@ -1,20 +1,21 @@
 """Exact linear algebra over prime fields F_q.
 
-Matrices are plain numpy integer arrays with entries reduced mod q; the
-modulus travels alongside as an explicit argument.  Subspaces of F_q^t are
+Matrices are tuples of row tuples of Python ints reduced mod q; the modulus
+travels alongside as an explicit argument.  Subspaces of F_q^t are
 canonicalized by their reduced row-echelon basis, so two equal subspaces are
 structurally equal and hashable.
 
-All arithmetic is exact: field operations use Python integer inverses
-(q prime) and combinatorial counts use arbitrary-precision integers.
+The points of PG(t-1, q), the lines of F_q^t, are numbered: a point is its
+normalized vector (first nonzero entry 1), and points are numbered in the
+lexicographic order of those vectors.  A subspace's point set is one int
+bitset, so containment is one AND.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-
-import numpy as np
+from functools import lru_cache, reduce
+from operator import and_, mul
 
 from . import budget
 from .errors import DimensionMismatchError
@@ -41,190 +42,192 @@ def check_prime(q: int) -> int:
     return q
 
 
-def as_matrix(entries, q: int) -> np.ndarray:
-    """Coerce to a 2-d int64 array with entries reduced mod q."""
-    M = np.asarray(entries, dtype=np.int64)
-    if M.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-d matrix, got ndim={M.ndim}")
-    return M % q
+def as_matrix(entries, q: int) -> tuple[tuple[int, ...], ...]:
+    """Coerce a 2-d array-like to a tuple of equal-length row tuples reduced mod q."""
+    try:
+        M = tuple(tuple([int(x) % q for x in row]) for row in entries)
+    except TypeError as exc:
+        raise DimensionMismatchError(f"expected a 2-d matrix: {exc}") from exc
+    if len({len(row) for row in M}) > 1:
+        raise DimensionMismatchError("matrix rows have unequal lengths")
+    return M
+
+
+def mat_mul(A, B, q: int) -> tuple[tuple[int, ...], ...]:
+    """The product A B over F_q of two matrices given as row tuples; B has at least one row."""
+    columns = tuple(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col)) % q for col in columns) for row in A)
 
 
 def rref(M, q: int):
     """Reduced row-echelon form over F_q.
 
-    Returns ``(R, rank, pivots)`` where R is the unique RREF of M, rank is
-    the number of nonzero rows and pivots lists the pivot column indices.
+    Returns ``(R, rank, pivots)`` where R is the unique RREF of M (as many
+    rows as M, zero rows last), rank is the number of nonzero rows and
+    pivots lists the pivot column indices.
     """
-    R = as_matrix(M, q).copy()
-    n_rows, n_cols = R.shape
+    R = list(as_matrix(M, q))
+    n_rows = len(R)
     pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot_row = -1
+    for c in range(len(R[0]) if R else 0):
+        r = len(pivots)
         for i in range(r, n_rows):
-            if R[i, c] != 0:
-                pivot_row = i
+            if R[i][c]:
                 break
-        if pivot_row == -1:
+        else:
             continue
-        if pivot_row != r:
-            R[[r, pivot_row]] = R[[pivot_row, r]]
-        inv = pow(int(R[r, c]), q - 2, q) if q > 2 else 1
-        if inv != 1:
-            R[r] = (R[r] * inv) % q
-        for i in range(n_rows):
-            if i != r and R[i, c] != 0:
-                R[i] = (R[i] - R[i, c] * R[r]) % q
+        top = R[i]
+        R[i] = R[r]
+        if top[c] != 1:
+            inv = pow(top[c], -1, q)
+            top = [x * inv % q for x in top]
+        R[r] = top
+        for i, row in enumerate(R):
+            f = row[c]
+            if f and i != r:
+                R[i] = [(x - f * y) % q for x, y in zip(row, top)]
         pivots.append(c)
-        r += 1
-    return R, len(pivots), pivots
-
-
-# Entries of the largest stack one batched elimination reduces at once;
-# taller stacks are reduced in chunks.
-_ELIMINATION_CHUNK = 1 << 14
-# Below this many matrices the scalar rref is faster: a numpy pass per column
-# costs about as much as eliminating several small matrices one by one.
-_STACK_MIN = 8
-
-
-def _inverses(values: np.ndarray, q: int) -> np.ndarray:
-    """Inverses mod the prime q of an array of nonzero residues: values^(q-2) by squaring."""
-    result = np.ones_like(values)
-    e = q - 2
-    while e:
-        if e & 1:
-            result = result * values % q
-        values = values * values % q
-        e >>= 1
-    return result
-
-
-def rref_stack(A, q: int):
-    """Reduced row-echelon form over F_q of every matrix in an (n, r, c) stack.
-
-    Returns ``(R, pivots)``: R holds the RREF of each matrix, bit-identical
-    to :func:`rref`, and ``pivots[i, c]`` is True iff column c is a pivot
-    column of matrix i.  The loop runs over columns only; every matrix that
-    has a pivot in the current column is reduced in the same numpy pass,
-    with the exact int64 arithmetic of :func:`rref`.  Stacks of fewer than
-    ``_STACK_MIN`` matrices go through :func:`rref` one by one, and stacks of
-    more than ``_ELIMINATION_CHUNK`` entries are reduced in chunks.
-    """
-    R = np.asarray(A, dtype=np.int64) % q
-    if R.ndim != 3:
-        raise DimensionMismatchError(f"expected an (n, r, c) stack, got ndim={R.ndim}")
-    n, n_rows, n_cols = R.shape
-    pivots = np.zeros((n, n_cols), dtype=bool)
-    if n < _STACK_MIN:
-        for i in range(n):
-            R[i], _, columns = rref(R[i], q)
-            pivots[i, columns] = True
-        return R, pivots
-    chunk = max(1, _ELIMINATION_CHUNK // max(1, n_rows * n_cols))
-    if n > chunk:
-        for start in range(0, n, chunk):
-            R[start : start + chunk], pivots[start : start + chunk] = rref_stack(
-                R[start : start + chunk], q
-            )
-        return R, pivots
-    rank = np.zeros(n, dtype=np.int64)
-    every = np.arange(n)
-    below = np.arange(n_rows)[None, :]
-    for c in range(n_cols):
-        candidates = (R[:, :, c] != 0) & (below >= rank[:, None])
-        found = candidates.any(axis=1)
-        if not found.any():
-            continue
-        # Matrices without a pivot here get a no-op swap, scale and elimination.
-        r = np.minimum(rank, n_rows - 1)
-        p = np.where(found, candidates.argmax(axis=1), r)
-        top = R[every, p]
-        R[every, p] = R[every, r]
-        top = top * _inverses(np.where(found, top[:, c], 1), q)[:, None] % q
-        R[every, r] = top
-        factors = R[:, :, c] * found[:, None]
-        factors[every, r] = 0
-        tail = R[:, :, c:]
-        tail -= factors[:, :, None] * top[:, None, c:]
-        tail %= q
-        pivots[:, c] = found
-        rank += found
-    return R, pivots
+        if r + 1 == n_rows:
+            break
+    return tuple(map(tuple, R)), len(pivots), pivots
 
 
 def matrix_rank(M, q: int) -> int:
     return rref(M, q)[1]
 
 
-def inverse(M, q: int) -> np.ndarray:
+def inverse(M, q: int) -> tuple[tuple[int, ...], ...]:
     """Inverse of a square matrix over F_q; raises on singular input."""
     M = as_matrix(M, q)
-    n = M.shape[0]
-    if M.shape[1] != n:
+    n = len(M)
+    if any(len(row) != n for row in M):
         raise DimensionMismatchError("inverse needs a square matrix")
-    aug = np.concatenate([M, np.eye(n, dtype=np.int64)], axis=1)
-    R, rank, _ = rref(aug, q)
-    if rank < n or not np.array_equal(R[:, :n], np.eye(n, dtype=np.int64)):
+    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    R, rank, _ = rref([row + e for row, e in zip(M, eye)], q)
+    if rank < n or tuple(row[:n] for row in R) != eye:
         raise ValueError("matrix is singular over F_q")
-    return R[:, n:]
+    return tuple(row[n:] for row in R)
+
+
+def complete_basis(rows, q: int, k: int) -> list:
+    """The greedy independent rows, in order, then the greedy unit vectors: a basis of F_q^k."""
+    echelon: list = []  # (pivot, reduced row with 1 at the pivot)
+    basis = []
+    units = (tuple(int(i == j) for j in range(k)) for i in range(k))
+    for row in itertools.chain(rows, units):
+        v = list(row)
+        for p, e in echelon:
+            if v[p]:
+                f = v[p]
+                v = [(x - f * y) % q for x, y in zip(v, e)]
+        p = next((i for i, x in enumerate(v) if x), -1)
+        if p >= 0:
+            if v[p] != 1:
+                inv = pow(v[p], -1, q)
+                v = [x * inv % q for x in v]
+            echelon.append((p, v))
+            basis.append(row)
+    return basis
+
+
+def point_index(v, q: int) -> int:
+    """The number of the point of PG(t-1, q) whose normalized vector is v.
+
+    With the leading 1 of v at position t-1-r, the points with a later
+    leading entry come first, (q^r - 1)/(q - 1) of them, and v follows at the
+    base-q value of its entries after the leading 1.
+    """
+    lead = next(i for i, x in enumerate(v) if x)
+    index = 0
+    for x in v[lead + 1 :]:
+        index = index * q + x
+    r = len(v) - 1 - lead
+    return (q**r - 1) // (q - 1) + index
+
+
+def members(bits: int):
+    """The positions of the set bits of a bitset, in increasing order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 class Subspace:
     """A canonical subspace of F_q^t.
 
-    The basis is stored in reduced row-echelon form with no zero rows, so
-    equality and hashing are structural.  Instances are immutable.
+    The basis is a tuple of RREF rows with no zero rows, so equality and
+    hashing are structural.  ``points`` is the bitset of the points of
+    PG(t-1, q) in the subspace, computed on first use.  Instances are
+    immutable.
     """
 
-    __slots__ = ("q", "ambient", "basis", "_key")
+    __slots__ = ("q", "ambient", "basis", "_key", "_points")
 
-    def __init__(self, q: int, ambient: int, basis: np.ndarray):
-        # Trusted constructor: basis must already be canonical (RREF, no
-        # zero rows).  Use from_rows() for arbitrary spanning sets.
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "ambient", ambient)
-        b = np.ascontiguousarray(basis, dtype=np.int64)
-        b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
-        # Equality and hashing compare this key, never the arrays.
-        object.__setattr__(self, "_key", (q, ambient, b.shape[0], b.tobytes()))
+    def __init__(self, q: int, ambient: int, basis, points: int | None = None):
+        # Trusted constructor: basis must already be canonical (a tuple of RREF
+        # row tuples, no zero rows), and points its point set when given.
+        # Use from_rows() for arbitrary spanning sets.
+        key = (q, ambient, basis)
+        for name, value in zip(Subspace.__slots__, (q, ambient, basis, key, points)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def from_rows(cls, rows, q: int, ambient: int | None = None) -> "Subspace":
-        M = np.asarray(rows, dtype=np.int64)
-        if M.ndim == 1:
-            M = M.reshape(1, -1)
-        if M.size == 0:
-            if ambient is None:
-                raise DimensionMismatchError("ambient required for an empty spanning set")
-            return cls.zero(q, ambient)
+        M = as_matrix(rows, q)
         if ambient is None:
-            ambient = M.shape[1]
-        elif ambient != M.shape[1]:
-            raise DimensionMismatchError(f"rows have length {M.shape[1]}, ambient is {ambient}")
+            if not M:
+                raise DimensionMismatchError("ambient required for an empty spanning set")
+            ambient = len(M[0])
+        if M and len(M[0]) != ambient:
+            raise DimensionMismatchError(f"rows have length {len(M[0])}, ambient is {ambient}")
+        if not M:
+            return cls.zero(q, ambient)
         R, rank, _ = rref(M, q)
         return cls(q, ambient, R[:rank])
 
     @classmethod
     def zero(cls, q: int, ambient: int) -> "Subspace":
-        return cls(q, ambient, np.zeros((0, ambient), dtype=np.int64))
+        return cls(q, ambient, (), 0)
 
     @classmethod
     def full(cls, q: int, ambient: int) -> "Subspace":
-        return cls(q, ambient, np.eye(ambient, dtype=np.int64))
+        eye = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
+        return cls(q, ambient, eye)
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return len(self.basis)
+
+    @property
+    def points(self) -> int:
+        """Bit i is set iff point i of PG(ambient - 1, q) lies in the subspace.
+
+        Every point is b_i + sum_{j > i} a_j b_j for exactly one basis row b_i
+        and coefficients a_j: the RREF makes that vector's leading entry the
+        1 at b_i's pivot.
+        """
+        if self._points is None:
+            q = self.q
+            count = gaussian_binomial(self.dim, 1, q)
+            budget.check_subspaces(count, "points of a subspace")
+            bits = (1 << count) - 1 if self.dim == self.ambient else 0
+            for i, top in enumerate(self.basis if not bits else ()):
+                rest = self.basis[i + 1 :]
+                for coeffs in itertools.product(range(q), repeat=len(rest)):
+                    v = top
+                    for a, row in zip(coeffs, rest):
+                        if a:
+                            v = [(x + a * y) % q for x, y in zip(v, row)]
+                    bits |= 1 << point_index(v, q)
+            object.__setattr__(self, "_points", bits)
+        return self._points
 
     def sort_key(self):
-        return self._key[2:]
+        return len(self.basis), self.basis
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subspace) and self._key == other._key
@@ -233,7 +236,7 @@ class Subspace:
         return hash(self._key)
 
     def __repr__(self) -> str:
-        rows = [list(map(int, row)) for row in self.basis]
+        rows = [list(row) for row in self.basis]
         return f"Subspace(q={self.q}, ambient={self.ambient}, basis={rows})"
 
 
@@ -244,125 +247,127 @@ def _check_compatible(S: Subspace, T: Subspace) -> None:
         )
 
 
-def reduce_against(v: np.ndarray, S: Subspace) -> np.ndarray:
-    """Reduce a row vector modulo the (RREF) basis of S."""
-    w = v % S.q
-    basis = S.basis
-    for r in range(basis.shape[0]):
-        c = int(np.argmax(basis[r] != 0)) if basis[r].any() else -1
-        if c >= 0 and w[c] != 0:
-            w = (w - w[c] * basis[r]) % S.q
-    return w
-
-
 def contains(S: Subspace, T: Subspace) -> bool:
     """True iff T is a subspace of S."""
     _check_compatible(S, T)
-    if T.dim > S.dim:
-        return False
-    for row in T.basis:
-        if reduce_against(row, S).any():
-            return False
-    return True
+    return T.dim <= S.dim and not T.points & ~S.points
 
 
 def subspace_sum(S: Subspace, T: Subspace) -> Subspace:
     _check_compatible(S, T)
-    stacked = np.concatenate([S.basis, T.basis], axis=0)
-    return Subspace.from_rows(stacked, S.q, S.ambient)
-
-
-def distinct_rows(A) -> tuple[np.ndarray, np.ndarray]:
-    """Classes of equal entries of an integer stack, numbered by first appearance.
-
-    Returns ``(first, of_entry)``: the index of the first entry of each class
-    and the class of every entry.  Entries are hashed as byte strings in the
-    narrowest integer type that holds them all, with no sort.
-    """
-    A = np.asarray(A)
-    flat = A.reshape(len(A), math.prod(A.shape[1:]))
-    if flat.size:
-        small = np.result_type(np.min_scalar_type(flat.min()), np.min_scalar_type(flat.max()))
-        flat = np.ascontiguousarray(flat, dtype=small)
-    width = flat.itemsize * flat.shape[1]
-    keys = flat.view(np.dtype((np.void, width))).ravel().tolist() if width else [b""] * len(flat)
-    classes: dict = {}
-    of_entry = np.array([classes.setdefault(key, len(classes)) for key in keys], dtype=np.int64)
-    # A new class is one more than every class before it: the running maximum steps there.
-    first = np.flatnonzero(np.diff(np.maximum.accumulate(of_entry), prepend=-1))
-    return first, of_entry
-
-
-def row_kernel_ids(Ms, q: int) -> tuple[list[Subspace], np.ndarray]:
-    """Number the distinct row kernels of an (n, r, c) stack.
-
-    Returns ``(kernels, ids)``: the distinct row kernels, F_q^r always last,
-    and the index of each matrix's kernel among them.  Equal matrices merge
-    first.  The kernel is orthogonal to the column space of M, whose key is
-    the RREF C of M^T with its columns reversed: one batched elimination of
-    the distinct c x r keys.  With P[f, p] the entry at column f of C's row
-    with pivot p, row f of I - P is the null vector of C with free
-    coordinate f; read with both axes reversed, these rows are the kernel's
-    RREF basis, with no further elimination.
-    """
-    Ms = np.asarray(Ms, dtype=np.int64)
-    if Ms.ndim != 3:
-        raise DimensionMismatchError(f"expected an (n, r, c) stack, got ndim={Ms.ndim}")
-    _, n_rows, n_cols = Ms.shape
-    first, of_matrix = distinct_rows(Ms)
-    R, pivots = rref_stack(np.ascontiguousarray(Ms[first].transpose(0, 2, 1)[:, :, ::-1]), q)
-    # The zero key, of the kernel F_q^r, leads the keys so that F_q^r is always numbered.
-    zero = np.zeros((1, n_cols, n_rows), dtype=np.int64)
-    first, of_key = distinct_rows(np.concatenate([zero, R]))
-    R, pivots = R[first[1:] - 1], pivots[first[1:] - 1]
-    # Row i of a key is nonzero iff i < rank, and its pivot is the i-th pivot column.
-    j, i = np.nonzero(R.any(axis=2))
-    P = np.zeros((len(R), n_rows, n_rows), dtype=np.int64)
-    P[j, :, np.nonzero(pivots)[1]] = R[j, i]
-    bases = ((np.eye(n_rows, dtype=np.int64) - P) % q)[:, ::-1, ::-1]
-    kernels = [Subspace(q, n_rows, B[free]) for B, free in zip(bases, ~pivots[:, ::-1])]
-    # Key 0 is the zero key; F_q^r is numbered last.
-    return [*kernels, Subspace.full(q, n_rows)], (of_key[1:][of_matrix] - 1) % len(first)
+    return Subspace.from_rows(S.basis + T.basis, S.q, S.ambient)
 
 
 def row_kernel(M, q: int) -> Subspace:
-    """Kernel of the row action v -> v M, as a subspace of F_q^rows(M)."""
-    kernels, ids = row_kernel_ids(as_matrix(M, q)[None], q)
-    return kernels[ids[0]]
+    """Kernel of the row action v -> v M, as a subspace of F_q^rows(M).
 
-
-def complete_bases(A, q: int) -> np.ndarray:
-    """Extend the rows of each matrix in an (n, r, k) stack to a basis of F_q^k.
-
-    Entry i is the k x k matrix of the greedy independent rows of ``A[i]``,
-    in order, followed by the greedy unit vectors that complete them.  These
-    are the pivot columns of the RREF of ``[A[i]^T | I_k]``.
+    v M = 0 iff v is orthogonal to every column of M, so the kernel is the
+    null space of the RREF C of M^T, taken with its columns reversed.  Each
+    free column f of C gives the null vector with 1 at f and -C[row of p, f]
+    at each pivot p < f; read reversed, these vectors are already the RREF
+    basis of the kernel, in the order of decreasing f.
     """
-    A = np.asarray(A, dtype=np.int64) % q
-    n, _, k = A.shape
-    frames = np.concatenate([A, np.broadcast_to(np.eye(k, dtype=np.int64), (n, k, k))], axis=1)
-    _, pivots = rref_stack(frames.transpose(0, 2, 1), q)
-    return frames[pivots].reshape(n, k, k)
+    M = as_matrix(M, q)
+    n = len(M)
+    C, _, pivots = rref([column[::-1] for column in zip(*M)], q)
+    basis = []
+    for f in reversed(range(n)):
+        if f not in pivots:
+            v = [0] * n
+            v[f] = 1
+            for row, p in zip(C, pivots):
+                v[p] = -row[f] % q
+            basis.append(tuple(v[::-1]))
+    return Subspace(q, n, tuple(basis))
 
 
 def intersect(S: Subspace, T: Subspace) -> Subspace:
+    """S ∩ T, read off the kernel of the stacked bases: a S + b T = 0 gives a S in both."""
     _check_compatible(S, T)
     if S.dim == 0 or T.dim == 0:
         return Subspace.zero(S.q, S.ambient)
-    stacked = np.concatenate([S.basis, T.basis], axis=0)
-    ker = row_kernel(stacked, S.q)
+    ker = row_kernel(S.basis + T.basis, S.q)
     if ker.dim == 0:
         return Subspace.zero(S.q, S.ambient)
-    coeffs = ker.basis[:, : S.dim]
-    rows = coeffs @ S.basis % S.q
-    return Subspace.from_rows(rows, S.q, S.ambient)
+    coeffs = [row[: S.dim] for row in ker.basis]
+    return Subspace.from_rows(mat_mul(coeffs, S.basis, S.q), S.q, S.ambient)
 
 
 def orthogonal(S: Subspace) -> Subspace:
     """Orthogonal complement under the standard dot product on F_q^t."""
     if S.dim == 0:
         return Subspace.full(S.q, S.ambient)
-    return row_kernel(S.basis.T, S.q)
+    return row_kernel(tuple(zip(*S.basis)), S.q)
+
+
+def _check_points(q: int, t: int) -> None:
+    budget.check_subspaces(gaussian_binomial(t, 1, q), "points of a projective space")
+
+
+@budget.checked_cache(_check_points)
+def projective_points(q: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """The normalized vectors of the points of PG(t-1, q), in point order."""
+    return tuple(
+        (0,) * (t - 1 - r) + (1,) + tail
+        for r in range(t)
+        for tail in itertools.product(range(q), repeat=r)
+    )
+
+
+@lru_cache(maxsize=budget.CACHE_ENTRIES)
+def vector_points(q: int, t: int) -> tuple[int, ...]:
+    """The point of each vector of F_q^t in ``itertools.product`` order; -1 for zero.
+
+    Callers charge the q^t vectors to the vector budget first.
+    """
+    out = []
+    for v in itertools.product(range(q), repeat=t):
+        lead = next((x for x in v if x), 0)
+        out.append(point_index([x * pow(lead, -1, q) % q for x in v], q) if lead else -1)
+    return tuple(out)
+
+
+def number_row_kernels(matrices, q: int, rows: int) -> tuple[list[Subspace], list[int]]:
+    """Number the distinct row kernels of a sequence of matrices with ``rows`` rows.
+
+    Returns ``(kernels, ids)``: the distinct row kernels, F_q^rows always
+    last, and the index of each matrix's kernel among them.  A matrix's
+    kernel is the AND of the hyperplanes c^perp of its columns c, as point
+    bitsets; each distinct column's hyperplane and each distinct matrix's
+    kernel is computed once.
+
+    The kernel's RREF basis is read off its points: every point of a
+    subspace leads at a pivot of its RREF basis, and the basis row with
+    pivot p is the point of least number among those leading at p, the
+    points numbered (q^r - 1)/(q - 1) up to (q^(r+1) - 1)/(q - 1) with
+    r = rows - 1 - p.
+    """
+    points = projective_points(q, rows)
+    full = (1 << len(points)) - 1
+    blocks = [((1 << q**r) - 1) << (q**r - 1) // (q - 1) for r in reversed(range(rows))]
+    planes: dict = {}
+    kernel_of: dict = {}
+    numbers: dict[int, int] = {}
+    ids = []
+    for M in matrices:
+        bits = kernel_of.get(M)
+        if bits is None:
+            bits = full
+            for c in zip(*M):
+                plane = planes.get(c)
+                if plane is None:
+                    plane = planes[c] = sum(
+                        1 << i for i, p in enumerate(points) if not sum(map(mul, p, c)) % q
+                    )
+                bits &= plane
+            kernel_of[M] = bits
+        ids.append(numbers.setdefault(bits, len(numbers)) if bits != full else -1)
+    kernels = []
+    for bits in numbers:
+        leads = (bits & block for block in blocks)
+        basis = tuple(points[(lead & -lead).bit_length() - 1] for lead in leads if lead)
+        kernels.append(Subspace(q, rows, basis, bits))
+    return [*kernels, Subspace.full(q, rows)], [len(numbers) if j < 0 else j for j in ids]
 
 
 def gaussian_binomial(t: int, i: int, q: int) -> int:
@@ -443,21 +448,14 @@ def enumerate_subspaces(q: int, t: int, d: int) -> tuple[Subspace, ...]:
         return (Subspace.zero(q, t),)
     out = []
     for pivots in itertools.combinations(range(t), d):
-        pivot_set = set(pivots)
         free_positions = [
-            (r, c)
-            for r in range(d)
-            for c in range(pivots[r] + 1, t)
-            if c not in pivot_set
+            (r, c) for r in range(d) for c in range(pivots[r] + 1, t) if c not in pivots
         ]
-        base = np.zeros((d, t), dtype=np.int64)
-        for r, c in enumerate(pivots):
-            base[r, c] = 1
         for values in itertools.product(range(q), repeat=len(free_positions)):
-            M = base.copy()
+            M = [[int(c == p) for c in range(t)] for p in pivots]
             for (r, c), v in zip(free_positions, values):
-                M[r, c] = v
-            out.append(Subspace(q, t, M))
+                M[r][c] = v
+            out.append(Subspace(q, t, tuple(map(tuple, M))))
     out.sort(key=Subspace.sort_key)
     assert len(out) == gaussian_binomial(t, d, q)
     return tuple(out)
@@ -472,91 +470,67 @@ def subspaces_up_to_dim(q: int, t: int, max_dim: int) -> tuple[Subspace, ...]:
     return tuple(out)
 
 
-# Entries of the largest intermediate array one containment pass builds;
-# wider tables are computed in column chunks.
-_CONTAINMENT_CHUNK = 1 << 14
-
-
 class SubspaceLattice:
-    """The subspaces of F_q^t of dimension <= max_dim, with a vectorized containment test.
+    """The subspaces of F_q^t of dimension <= max_dim, with a bitset containment test.
 
     Subspace ``subspaces[i]`` has id ``i``; ids follow the canonical order of
-    :func:`subspaces_up_to_dim`, so they are stable across calls.  One
-    containment pass decides ``S <= K`` for every lattice subspace S and
-    every given support K at once, by the annihilator test: with P_K the
-    projection that rebuilds a vector from its pivot coordinates in K's RREF
-    basis, v lies in K iff v (P_K - I) = 0 mod q.  So S <= K iff every row
-    of S's RREF basis passes.  Those rows are normalised points of
-    PG(t-1, q), shared by many subspaces, so the lattice numbers its
-    distinct rows once and each is tested once per support.  Use
-    :func:`subspace_lattice`, which caches one lattice per (q, t, max_dim).
+    :func:`subspaces_up_to_dim`, so they are stable across calls.  S lies in
+    a support K iff every row of S's RREF basis, a normalized point of
+    PG(t-1, q), is a point of K.  So one pass over the supports' point
+    bitsets gives, for each point, the bitset of the supports containing
+    it, and the supports containing S are the AND of those of its basis
+    rows.  Use :func:`subspace_lattice`, which caches one lattice per
+    (q, t, max_dim).
     """
 
     def __init__(self, q: int, t: int, max_dim: int):
         self.q = q
         self.t = t
         self.subspaces = subspaces_up_to_dim(q, t, max_dim)
-        width = min(max_dim, t)
-        # Row bases padded with zero rows, which lie in every subspace.
-        bases = np.zeros((len(self.subspaces), width, t), dtype=np.int64)
-        for i, S in enumerate(self.subspaces):
-            bases[i, : S.dim] = S.basis
-        rows = bases.reshape(len(self.subspaces) * width, t)
-        first, of_row = distinct_rows(rows)
-        self._points = rows[first]
-        # Column c lists the point of row c of each subspace's padded basis.
-        self._index = of_row.reshape(len(self.subspaces), width).T.copy()
+        self._rows = [[point_index(row, q) for row in S.basis] for S in self.subspaces]
 
     def __len__(self) -> int:
         return len(self.subspaces)
 
-    def containment(self, supports) -> np.ndarray:
-        """Boolean table Z with Z[i, j] iff subspaces[i] lies in supports[j]."""
-        supports = list(supports)
+    def containment(self, supports) -> list[int]:
+        """Entry i is the bitset of the j with subspaces[i] inside supports[j]."""
         q, t = self.q, self.t
-        for K in supports:
+        containing = [0] * gaussian_binomial(t, 1, q)
+        every = 0
+        for j, K in enumerate(supports):
             if K.q != q or K.ambient != t:
                 raise DimensionMismatchError(
                     f"support lives in F_{K.q}^{K.ambient}, the lattice in F_{q}^{t}"
                 )
-        # residual[j] = P_K - I for K = supports[j], built per support dimension.
-        residual = np.tile(-np.eye(t, dtype=np.int64), (len(supports), 1, 1))
-        dims = np.array([K.dim for K in supports], dtype=np.int64)
-        for d in set(dims.tolist()) - {0}:
-            same = np.flatnonzero(dims == d)
-            B = np.stack([supports[j].basis for j in same])
-            residual[same[:, None], np.argmax(B != 0, axis=2)] += B
-        Z = np.ones((len(self), len(supports)), dtype=bool)
-        chunk = max(1, _CONTAINMENT_CHUNK // max(1, self._points.size, len(self)))
-        for start in range(0, len(supports), chunk):
-            hits = self._points @ residual[start : start + chunk]
-            hits %= q
-            inside = ~hits.any(axis=2).T
-            for column in self._index:
-                Z[:, start : start + chunk] &= inside[column]
-        return Z
+            bit = 1 << j
+            every |= bit
+            for p in members(K.points):
+                containing[p] |= bit
+        return [reduce(and_, (containing[p] for p in rows), every) for rows in self._rows]
 
-    def balanced_rows(self, supports, W) -> np.ndarray:
-        """Row i is True iff sum over j of W[i, j] * [S <= supports[j]] is 0 at every lattice S.
+    def balanced_rows(self, supports, W) -> list[bool]:
+        """Entry i is True iff sum over j of W[i][j] * [S <= supports[j]] is 0 at every lattice S.
 
-        ``W`` is an integer array of shape (rows, len(supports)).  Supports
-        whose column vanishes in every row cancel before the one containment
-        table is built, so one table and one product decide every row.  The
-        product is exact: no partial sum exceeds max|W| * (columns) in
-        absolute value, so it is taken in int64 when that bound is below
-        2^63, else in Python ints.
+        ``W`` is a sequence of integer rows of len(supports) entries.
+        Supports whose column vanishes in every row cancel before the one
+        containment table is built.  Per row, the live supports are grouped
+        by their count w, and the sum at S is sum over w of
+        w * |containing(S) & group(w)|, exact in Python ints.  Lattice
+        subspaces with equal containing sets are decided once.
         """
-        W = np.asarray(W)
-        live = (W != 0).any(axis=0)
-        if not live.any():
-            return np.ones(W.shape[0], dtype=bool)
-        W = W[:, live]
-        Z = self.containment(K for K, keep in zip(supports, live) if keep)
-        if int(np.abs(W).max()) * W.shape[1] < 2**63:
-            sums = Z.astype(np.int64) @ W.astype(np.int64).T
-        else:
-            sums = Z.astype(object) @ W.astype(object).T
-        return ~sums.any(axis=0)
+        live = [j for j in range(len(supports)) if any(row[j] for row in W)]
+        table = set(self.containment(supports[j] for j in live))
+        out = []
+        for row in W:
+            groups: dict[int, int] = {}
+            for b, j in enumerate(live):
+                if row[j]:
+                    groups[row[j]] = groups.get(row[j], 0) | 1 << b
+            out.append(not any(
+                sum(w * (bits & group).bit_count() for w, group in groups.items())
+                for bits in table
+            ))
+        return out
 
 
 @budget.checked_cache(_check_subspaces_up_to_dim)

@@ -14,13 +14,12 @@ a TheoremViolation result is a defect signal, never a domain outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from operator import add, sub
 
 from . import budget
 from .codes import (
     Code,
+    Record,
     Unextendable,
     codeword_weights,
     extend_to_monomial,
@@ -31,43 +30,36 @@ from .codes import (
     kernel_support_multiset,  # noqa: F401
     module_elements,
     support_difference,
+    vanishing_columns,
 )
 from .errors import DomainRejectionError, NotAnIsometryError, ZeroCodeError
-from .linalg import matrix_rank, row_kernel_ids
+from .linalg import matrix_rank, number_row_kernels
 
 
-@dataclass(frozen=True)
-class MdsReport:
+class MdsReport(Record):
     """Verdict of the MDS check, with a failing column subset if any."""
 
-    n: int
-    d: int
-    kappa: int
-    is_mds: bool
-    witnesses: tuple[int, ...] | None
+    __slots__ = ("n", "d", "kappa", "is_mds", "witnesses")
 
 
-@dataclass(frozen=True)
-class TheoremViolation:
+class TheoremViolation(Record):
     """An MDS isometry whose kernel multisets differ; must never occur."""
 
-    lambda_only: tuple
-    mu_only: tuple
+    __slots__ = ("lambda_only", "mu_only")
 
 
 def min_distance(code: Code) -> int:
     """Minimum Hamming weight over nonzero codewords, by enumeration."""
-    weights = codeword_weights(code)
-    nonzero = weights[weights > 0]
-    if nonzero.size == 0:
+    nonzero = [w for w in codeword_weights(code) if w]
+    if not nonzero:
         raise ZeroCodeError("the code has no nonzero codeword")
-    return int(nonzero.min())
+    return min(nonzero)
 
 
 def code_cardinality(code: Code) -> int:
     """|C| = q^(m r), with r the rank of the t x nk concatenation [G_1 | ... | G_n]."""
     sp = code.space
-    joint = np.concatenate(code.generators, axis=1)
+    joint = [sum(rows, ()) for rows in zip(*code.generators)]
     return sp.q ** (sp.m * matrix_rank(joint, sp.q))
 
 
@@ -95,7 +87,7 @@ def is_mds(code: Code) -> MdsReport:
             ((i,) for i, G in enumerate(code.generators) if matrix_rank(G, sp.q) != k),
             tuple(range(kappa)),
         )
-    return MdsReport(n=n, d=d, kappa=kappa, is_mds=witnesses is None, witnesses=witnesses)
+    return MdsReport(n, d, kappa, witnesses is None, witnesses)
 
 
 def _check_theorem_scope(code: Code) -> None:
@@ -159,38 +151,32 @@ def exhaustive_isometry_scan(code: Code) -> list[tuple[Code, bool]]:
     q, t, k, n = sp.q, sp.t, code.alphabet.k, code.length
     budget.check_vectors(q ** (t * k * n), "isometry scan enumeration")
     candidates = module_elements(q, t, k)
-    # The code's kernels and every candidate's, numbered by one elimination.
-    supports, ids = row_kernel_ids(np.concatenate([code.generators, candidates]), q)
-    E = module_elements(q, sp.m, t)
-    # indicators[c, e] = 1 when source element e has a nonzero block under candidate c.
-    Y = np.tensordot(candidates, E, axes=([1], [2])) % q
-    indicators = Y.any(axis=(1, 3)).astype(np.int64)
-    target = codeword_weights(code)
+    # The code's kernels and every candidate's, numbered at once.
+    supports, ids = number_row_kernels(code.generators + candidates, q, t)
+    killed = vanishing_columns(sp, supports, ids[n:])
+    # indicators[c][e] = 1 when source element e has a nonzero block under candidate c.
+    indicators = [tuple(1 ^ bits >> c & 1 for bits in killed) for c in range(len(candidates))]
 
-    def half_sums(length: int) -> np.ndarray:
-        """Weight sums of all candidate tuples of this length, in product order."""
-        sums = np.zeros((1, E.shape[0]), dtype=np.int64)
+    def half(length: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Every candidate tuple of this length with its weight sums, in product order."""
+        out = [((), (0,) * len(killed))]
         for _ in range(length):
-            sums = (sums[:, None, :] + indicators[None, :, :]).reshape(-1, E.shape[0])
-        return sums
+            out = [(combo + (c,), tuple(map(add, sums, w)))
+                   for combo, sums in out for c, w in enumerate(indicators)]
+        return out
 
+    target = codeword_weights(code)
     left = n // 2
-    wanted: dict[bytes, list[int]] = {}
-    for j, row in enumerate(target - half_sums(n - left)):
-        wanted.setdefault(row.tobytes(), []).append(j)
-    width = len(candidates) ** (n - left)
-    matches = [
-        i * width + j
-        for i, row in enumerate(half_sums(left))
-        for j in wanted.get(row.tobytes(), ())
-    ]
-    combos = np.array(np.unravel_index(matches, (len(candidates),) * n), dtype=np.int64).T
-    # A match extends iff it has the code's kernel multiset: a zero row of W.
-    W = support_difference(
-        np.concatenate([ids[:n], ids[n + combos].ravel()]), [n] * (len(combos) + 1),
-        len(supports),
-    )
-    return [
-        (Code(code.alphabet, sp, candidates[combo]), ok)
-        for combo, ok in zip(combos, (~W.any(axis=1)).tolist())
-    ]
+    wanted: dict[tuple, list] = {}
+    for combo, sums in half(n - left):
+        wanted.setdefault(tuple(map(sub, target, sums)), []).append(combo)
+    results = []
+    for head, sums in half(left):
+        for tail in wanted.get(sums, ()):
+            combo = head + tail
+            # A match extends iff it has the code's kernel multiset: a zero row of W.
+            (row,) = support_difference(ids[:n] + [ids[n + c] for c in combo], [n, n],
+                                        len(supports))
+            results.append((Code._of_canonical(code.alphabet, sp, [candidates[c] for c in combo]),
+                            not any(row)))
+    return results

@@ -123,12 +123,13 @@ def test_criterion_5_fourier_duality(rng):
             for S in subspaces_up_to_dim(2, t, t):
                 sub = Submodule(sp, S)
                 dual = orthogonal_submodule(sub)
+                size = 2 ** (m * S.dim)
                 for Y in module_elements(2, m, t):
                     counts = fourier_of_indicator(sub, Y)
                     if contains(dual.support, Subspace.from_rows(Y, 2, t)):
-                        ok = ok and counts == (sub.size, 0)
+                        ok = ok and counts == (size, 0)
                     else:
-                        ok = ok and counts == (sub.size // 2, sub.size // 2)
+                        ok = ok and counts == (size // 2, size // 2)
     # Primal and dual equation checks agree on >= 10^3 random pairs.
     for _ in range(1000):
         q = int(rng.choice([2, 3]))

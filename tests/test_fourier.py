@@ -35,15 +35,17 @@ class TestPairing:
         sp = ModuleSpace(3, 2, 3)
         for _ in range(10):
             sub = Submodule(sp, random_subspace(rng, 3, 3))
-            assert fourier_of_indicator(sub, np.zeros((2, 3), dtype=int)) == (sub.size, 0, 0)
+            size = 3 ** (2 * sub.support.dim)
+            assert fourier_of_indicator(sub, np.zeros((2, 3), dtype=int)) == (size, 0, 0)
 
     @pytest.mark.parametrize("m,t", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_nondegenerate_f2(self, m, t):
         # A nonzero character is nontrivial on the whole module: its residues balance.
         full = Submodule(ModuleSpace(2, m, t), Subspace.full(2, t))
+        half = 2 ** (m * t) // 2
         for Y in module_elements(2, m, t):
-            if Y.any():
-                assert fourier_of_indicator(full, Y) == (full.size // 2, full.size // 2)
+            if any(map(any, Y)):
+                assert fourier_of_indicator(full, Y) == (half, half)
 
     def test_shape_mismatch(self):
         sub = Submodule(ModuleSpace(2, 1, 2), Subspace.full(2, 2))
@@ -77,7 +79,7 @@ class TestFourierOfIndicator:
         for S in subspaces_up_to_dim(2, t, t):
             sub = Submodule(sp, S)
             dual = orthogonal_submodule(sub)
-            size = sub.size
+            size = 2 ** (m * S.dim)
             for Y in module_elements(2, m, t):
                 counts = fourier_of_indicator(sub, Y)
                 y_support = Subspace.from_rows(Y, 2, t)
@@ -102,7 +104,7 @@ class TestOrthogonalSubmodule:
         line = Submodule(sp, Subspace.from_rows([[1, 1]], 2))
         dual = orthogonal_submodule(line)
         assert dual.support == line.support
-        assert line.size * dual.size == sp.size
+        assert 2 ** line.support.dim * 2 ** dual.support.dim == sp.size
 
     def test_size_law_and_involution(self, rng):
         for q, m, t in [(2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 3)]:
@@ -110,7 +112,7 @@ class TestOrthogonalSubmodule:
             for _ in range(10):
                 sub = Submodule(sp, random_subspace(rng, q, t))
                 dual = orthogonal_submodule(sub)
-                assert sub.size * dual.size == sp.size
+                assert q ** (m * sub.support.dim) * q ** (m * dual.support.dim) == sp.size
                 assert orthogonal_submodule(dual).support == sub.support
 
     def test_de_morgan_exhaustive_f2_cubed(self):

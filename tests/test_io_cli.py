@@ -91,7 +91,7 @@ class TestCodeFiles:
         assert len(text.splitlines()) == lam.length + 2
         assert json.loads(text) == {
             "q": 2, "m": 2, "k": 3, "t": 3,
-            "generators": [col.matrix.tolist() for col in lam.columns],
+            "generators": [[list(row) for row in col.matrix] for col in lam.columns],
         }
         assert load_code(path) == lam
 
@@ -470,7 +470,7 @@ class TestLeanImports:
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) == len(modcode.__all__) == 60
+        assert int(proc.stdout) == len(modcode.__all__) == 59
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError):
@@ -556,6 +556,8 @@ REFERENCES = {
         "test_forge.py::TestSolutionToCodes::test_covering_route_matches_minimal_pair",
     "solution_to_codes":
         "test_forge.py::TestSolutionToCodes::test_covering_route_matches_minimal_pair",
+    "satisfies_isometry_equation":
+        "test_fourier.py::TestDualEquation::test_equivalence_on_random_tuples",
 }
 
 
@@ -610,31 +612,62 @@ class TestNoDeadCode:
         assert name in names
 
 
-def python(*args, timeout=None, **env):
-    """Run a fresh interpreter on these sources; OPENBLAS_NUM_THREADS is unset unless given."""
+def python(*args, timeout=None):
+    """Run a fresh interpreter on these sources, with MODCODE_BUDGET unset."""
     src = str(Path(modcode.__file__).resolve().parent.parent)
-    base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-    base.pop("MODCODE_BUDGET", None)
-    return subprocess.run([sys.executable, *args], env=dict(base, PYTHONPATH=src, **env),
+    env = {key: value for key, value in os.environ.items() if key != "MODCODE_BUDGET"}
+    return subprocess.run([sys.executable, *args], env=dict(env, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=timeout)
 
 
+# Runs every command through modcode.cli.main with numpy unimportable and
+# prints each exit code and --json report, then the modules it loaded.
+NUMPY_BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from modcode.cli import main
+work = sys.argv[1]
+lam, mu = work + "/lam.json", work + "/mu.json"
+for argv in (
+    ["forge", "--q", "2", "--m", "1", "--k", "2", "--out-lambda", lam, "--out-mu", mu],
+    ["check", "--lambda", lam, "--mu", mu, "--oracle"],
+    ["mds", "--code", lam, "--scan"],
+    ["minlen", "--q", "2", "--m", "1"],
+    ["identities", "--q", "3", "--tmax", "4"],
+):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--json"])
+    print(json.dumps([argv[0], code, json.loads(out.getvalue())]))
+print(json.dumps([sys.modules["numpy"] is None, "dataclasses" in sys.modules]))
+"""
+
+
 class TestProcessEntry:
-    def test_package_import_leaves_numpy_unloaded(self):
-        proc = python("-c", "import sys, modcode; assert 'numpy' not in sys.modules")
+    def test_commands_run_with_numpy_blocked(self, tmp_path):
+        proc = python("-c", NUMPY_BLOCKED, str(tmp_path), timeout=60)
         assert proc.returncode == 0, proc.stderr
+        *runs, loaded = map(json.loads, proc.stdout.splitlines())
+        reports = {name: (code, report) for name, code, report in runs}
+        assert {name: code for name, (code, _) in reports.items()} == dict.fromkeys(
+            ["forge", "check", "mds", "minlen", "identities"], 0)
+        forge_report, check, mds, minlen, identities = (r for _, r in reports.values())
+        assert (forge_report["N"], forge_report["extendable"]) == (3, False)
+        assert check["isometry"] is check["isometry_oracle"] is True
+        assert check["extendable"] is False
+        assert (mds["is_mds"], mds["isometries"], mds["unextendable"]) == (False, 270, 162)
+        assert (minlen["min_length"], minlen["exhausted"]) == (3, True)
+        assert identities["all_pass"] is True
+        # numpy was never imported over the block, and nothing loaded dataclasses.
+        assert loaded == [True, False]
+
+    def test_package_sources_never_name_numpy(self):
+        root = Path(modcode.__file__).resolve().parent
+        assert [p.name for p in sorted(root.glob("*.py")) if "numpy" in p.read_text()] == []
 
     def test_cli_import_leaves_click_unloaded(self):
         proc = python("-c", "import sys, modcode.cli; assert 'click' not in sys.modules")
         assert proc.returncode == 0, proc.stderr
-
-    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("4", "4")])
-    def test_cli_import_defaults_to_one_blas_thread(self, preset, expected):
-        env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
-        script = "import os, modcode.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
-        proc = python("-c", script, **env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == f"{expected}\n"
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -715,6 +748,36 @@ class TestProcessEntry:
         assert result.exit_code == 0
         assert gc.get_freeze_count() == 0
         assert "SolutionPair" in dir(modcode)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestGoldenFiles:
+    """Files and reports written by the numpy release of the package, byte for byte."""
+
+    @pytest.mark.parametrize("q, m, k", [(2, 1, 2), (3, 2, 3)])
+    def test_forged_files_match(self, cli, tmp_path, q, m, k):
+        paths = {side: tmp_path / f"{side}.json" for side in ("lambda", "mu")}
+        result = cli(["forge", "--q", str(q), "--m", str(m), "--k", str(k),
+                      "--out-lambda", str(paths["lambda"]), "--out-mu", str(paths["mu"])])
+        assert result.exit_code == 0
+        for side, path in paths.items():
+            assert path.read_bytes() == (GOLDEN / f"forge_{q}_{m}_{k}_{side}.json").read_bytes()
+
+    @pytest.mark.parametrize("side, oracle", [("lambda", True), ("mu", False)])
+    def test_check_report_matches(self, cli, tmp_path, side, oracle):
+        # The image is a fixed monomial image of the forged (2, 2, 3) mu.
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("lambda", "mu")}
+        cli(["forge", "--q", "2", "--m", "2", "--k", "3",
+             "--out-lambda", paths["lambda"], "--out-mu", paths["mu"]])
+        image = str(GOLDEN / "check_2_2_3_image.json")
+        result = cli(["check", "--lambda", paths[side], "--mu", image, "--json"] + ["--oracle"] * oracle)
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        del report["seconds"]
+        expected = GOLDEN / ("check_2_2_3_report.json" if oracle else "check_2_2_3_mu_report.json")
+        assert (json.dumps(report, indent=1) + "\n").encode() == expected.read_bytes()
 
 
 class TestIdentitiesCommand:

@@ -20,12 +20,13 @@ from modcode import (
 )
 from modcode.linalg import (
     check_prime,
-    complete_bases,
+    complete_basis,
     inverse,
     is_prime,
     matrix_rank,
-    row_kernel_ids,
-    rref_stack,
+    number_row_kernels,
+    point_index,
+    projective_points,
     subspace_lattice,
     subspaces_up_to_dim,
 )
@@ -37,7 +38,7 @@ class TestRref:
     def test_zero_matrix(self):
         R, rank, pivots = rref(np.zeros((2, 2), dtype=int), 2)
         assert rank == 0 and pivots == []
-        assert not R.any()
+        assert R == ((0, 0), (0, 0))
 
     def test_identity(self):
         R, rank, pivots = rref(np.eye(3, dtype=int), 3)
@@ -66,6 +67,10 @@ class TestRref:
         assert rank == 2
         assert np.array_equal(R, np.eye(2, dtype=int))
 
+    def test_rejects_a_stack(self):
+        with pytest.raises(DimensionMismatchError):
+            rref(np.zeros((2, 2, 2), dtype=int), 2)
+
 
 class TestRowKernel:
     def test_identity_has_zero_kernel(self):
@@ -86,7 +91,7 @@ class TestRowKernel:
                 K = row_kernel(M, q)
                 assert K.dim == 4 - rref(M, q)[1]
                 if K.dim:
-                    assert not (K.basis @ M % q).any()
+                    assert not (np.array(K.basis) @ M % q).any()
 
 
 class TestSubspaceOps:
@@ -214,7 +219,7 @@ class TestEnumeration:
         assert len(lines) == gaussian_binomial(2, 1, 967) == 968
         lattice = subspace_lattice(967, 2, 1)
         assert len(lattice) == 969
-        assert lattice.containment([Subspace.full(967, 2)]).all()
+        assert lattice.containment([Subspace.full(967, 2)]) == [1] * 969
 
 
 # Every field and dimension with at most 81 vectors.
@@ -222,6 +227,17 @@ SMALL_SPACES = [(q, t) for q in range(2, 82) if is_prime(q) for t in range(1, 7)
 # Pairs checked against the pairwise reference per space; larger lattices are
 # checked on every row against a seeded sample of columns.
 REFERENCE_PAIRS = 50_000
+
+
+def reference_contains(K, S) -> bool:
+    """S <= K by elimination alone: adding S's basis to K's leaves K."""
+    return subspace_sum(K, S) == K
+
+
+def as_table(containing, width: int) -> np.ndarray:
+    """The containment bitsets of a lattice as a boolean table, one column per support."""
+    return np.array([[bool(bits >> j & 1) for j in range(width)] for bits in containing],
+                    dtype=bool).reshape(len(containing), width)
 
 
 class TestSubspaceLattice:
@@ -236,9 +252,10 @@ class TestSubspaceLattice:
                 len(spaces), REFERENCE_PAIRS // len(spaces), replace=False
             )
             cols = sorted({0, len(spaces) - 1, *sample.tolist()})
-        Z = lattice.containment(spaces[j] for j in cols)
-        expected = np.array([[contains(spaces[j], S) for j in cols] for S in spaces])
+        Z = as_table(lattice.containment([spaces[j] for j in cols]), len(cols))
+        expected = np.array([[reference_contains(spaces[j], S) for j in cols] for S in spaces])
         assert np.array_equal(Z, expected)
+        assert np.array_equal(Z, [[contains(spaces[j], S) for j in cols] for S in spaces])
 
     @pytest.mark.parametrize("q,t,max_dim", [(13, 3, 2), (31, 3, 2), (2, 6, 2), (3, 4, 3)])
     def test_containment_matches_pairwise_contains_on_kernels(self, q, t, max_dim):
@@ -255,11 +272,13 @@ class TestSubspaceLattice:
             G = rng.integers(0, q, size=(6, t, k))
             G[0] = 0
             G[1] = G[2]
-            kernels, ids = row_kernel_ids(G, q)
+            kernels, ids = number_row_kernels([tuple(map(tuple, M.tolist())) for M in G], q, t)
             supports += [kernels[i] for i in ids]
         assert {K.dim for K in supports} == set(range(t + 1))
-        Z = lattice.containment(supports)
-        expected = np.array([[contains(K, S) for K in supports] for S in lattice.subspaces])
+        Z = as_table(lattice.containment(supports), len(supports))
+        expected = np.array(
+            [[reference_contains(K, S) for K in supports] for S in lattice.subspaces]
+        )
         assert np.array_equal(Z, expected)
 
     def test_rows_are_the_low_dimensional_prefix(self):
@@ -267,11 +286,11 @@ class TestSubspaceLattice:
         full = subspace_lattice(2, 4, 4)
         assert low.subspaces == full.subspaces[: len(low)]
         Z = full.containment(enumerate_subspaces(2, 4, 3))
-        assert np.array_equal(low.containment(enumerate_subspaces(2, 4, 3)), Z[: len(low)])
+        assert low.containment(enumerate_subspaces(2, 4, 3)) == Z[: len(low)]
 
     def test_zero_dimensional_ambient(self):
         zero = Subspace.zero(2, 0)
-        assert subspace_lattice(2, 0, 0).containment([zero]).tolist() == [[True]]
+        assert subspace_lattice(2, 0, 0).containment([zero]) == [1]
 
     def test_rejects_foreign_support(self):
         with pytest.raises(DimensionMismatchError):
@@ -282,24 +301,47 @@ class TestSubspaceLattice:
         supports = [Subspace.zero(2, 2), Subspace.full(2, 2), *enumerate_subspaces(2, 2, 1)]
         # The forged (q, m, k) = (2, 1, 2) pair: kernels {0, 0, F_2^2} against the three lines.
         forged = [2, 1, -1, -1, -1]
-        random_rows = np.random.default_rng(5).integers(-2, 3, (6, 5))
-        W = np.array([forged, [-x for x in forged], [0] * 5, *random_rows])
+        random_rows = np.random.default_rng(5).integers(-2, 3, (6, 5)).tolist()
+        W = [forged, [-x for x in forged], [0] * 5, *random_rows]
         expected = [
-            all(sum(int(w) for w, K in zip(row, supports) if contains(K, S)) == 0
+            all(sum(w for w, K in zip(row, supports) if reference_contains(K, S)) == 0
                 for S in lattice.subspaces)
             for row in W
         ]
         assert expected[:3] == [True, True, True] and not all(expected)
-        assert lattice.balanced_rows(supports, W).tolist() == expected
-        assert lattice.balanced_rows([], np.zeros((2, 0), dtype=np.int64)).tolist() == [True, True]
+        assert lattice.balanced_rows(supports, W) == expected
+        assert lattice.balanced_rows([], [[], []]) == [True, True]
 
     def test_balanced_rows_exact_beyond_int64(self):
         lattice = subspace_lattice(2, 2, 1)
         line, full = enumerate_subspaces(2, 2, 1)[0], Subspace.full(2, 2)
         # Rows 0 and 1 wrap to zero in int64; their exact sums do not vanish.
-        W = np.empty((3, 2), dtype=object)
-        W[:] = [[2**64, 0], [2**64, -(2**64)], [0, 0]]
-        assert lattice.balanced_rows([full, line], W).tolist() == [False, False, True]
+        W = [[2**64, 0], [2**64, -(2**64)], [0, 0]]
+        assert lattice.balanced_rows([full, line], W) == [False, False, True]
+
+
+class TestPoints:
+    @pytest.mark.parametrize("q,t", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 3)])
+    def test_points_are_numbered_in_lexicographic_order(self, q, t):
+        points = projective_points(q, t)
+        assert len(points) == gaussian_binomial(t, 1, q)
+        assert list(points) == sorted(points)
+        assert [point_index(v, q) for v in points] == list(range(len(points)))
+        assert [L.basis[0] for L in enumerate_subspaces(q, t, 1)] == list(points)
+
+    @pytest.mark.parametrize("q,t", [(2, 3), (3, 3), (5, 2), (2, 5)])
+    def test_point_set_is_the_span(self, q, t):
+        points = projective_points(q, t)
+        for S in subspaces_up_to_dim(q, t, t):
+            inside = [reference_contains(S, Subspace.from_rows([v], q)) for v in points]
+            assert [bool(S.points >> i & 1) for i in range(len(points))] == inside
+
+    def test_points_budget_checked(self, monkeypatch):
+        monkeypatch.setenv("MODCODE_BUDGET", "5")
+        with pytest.raises(EnumerationBudgetError):
+            projective_points(2, 3)
+        with pytest.raises(EnumerationBudgetError):
+            Subspace.full(2, 3).points
 
 
 class TestCountContaining:
@@ -351,18 +393,33 @@ class TestFieldBasics:
                 if matrix_rank(M, q) < 3:
                     continue
                 Minv = inverse(M, q)
-                assert np.array_equal(M @ Minv % q, np.eye(3, dtype=int))
+                assert np.array_equal(M @ np.array(Minv) % q, np.eye(3, dtype=int))
 
 
-def scalar_rref(M, q):
-    """RREF and pivot list of one matrix, allowing zero rows or columns."""
-    if M.size == 0:
-        return M % q, []
-    R, _, pivots = rref(M, q)
+def reference_rref(M, q):
+    """RREF and pivot list of one integer matrix by numpy row operations: the
+    elimination of earlier releases, kept as the oracle of the pure-Python rref."""
+    R = np.array(M, dtype=np.int64).reshape(np.shape(M)) % q
+    pivots: list[int] = []
+    for c in range(R.shape[1]):
+        r = len(pivots)
+        if r == R.shape[0]:
+            break
+        rows = np.flatnonzero(R[r:, c]) + r
+        if not rows.size:
+            continue
+        R[[r, rows[0]]] = R[[rows[0], r]]
+        R[r] = R[r] * pow(int(R[r, c]), -1, q) % q
+        for i in np.flatnonzero(R[:, c]):
+            if i != r:
+                R[i] = (R[i] - R[i, c] * R[r]) % q
+        pivots.append(c)
     return R, pivots
 
 
 class TestRrefStack:
+    """The pure-Python rref against the numpy reference, over stacks of random matrices."""
+
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     @pytest.mark.parametrize(
         "shape",
@@ -375,33 +432,21 @@ class TestRrefStack:
             A = rng.integers(0, q, size=shape)
             if shape[0]:
                 A[0] = 0  # a zero matrix in every stack
-            R, pivots = rref_stack(A, q)
-            assert R.shape == shape and pivots.shape == (shape[0], shape[2])
-            for M, Ri, mask in zip(A, R, pivots):
-                expected, expected_pivots = scalar_rref(M, q)
-                assert np.array_equal(Ri, expected)
-                assert np.flatnonzero(mask).tolist() == expected_pivots
+            for M in A:
+                R, rank, pivots = rref(M, q)
+                expected, expected_pivots = reference_rref(M, q)
+                assert np.array_equal(np.array(R, dtype=np.int64).reshape(M.shape), expected)
+                assert pivots == expected_pivots and rank == len(pivots)
 
     def test_stack_large_prime(self, rng):
         q = 1_000_003
         A = rng.integers(0, q, size=(12, 3, 5))
         A[1, 1] = A[1, 0] * 2 % q
-        R, pivots = rref_stack(A, q)
-        for M, Ri, mask in zip(A, R, pivots):
-            expected, expected_pivots = scalar_rref(M, q)
-            assert np.array_equal(Ri, expected)
-            assert np.flatnonzero(mask).tolist() == expected_pivots
-
-    def test_stack_chunks_agree(self, rng, monkeypatch):
-        A = rng.integers(0, 3, size=(40, 3, 4))
-        whole = rref_stack(A, 3)
-        monkeypatch.setattr("modcode.linalg._ELIMINATION_CHUNK", 24)
-        chunked = rref_stack(A, 3)
-        assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
-
-    def test_stack_rejects_a_single_matrix(self):
-        with pytest.raises(DimensionMismatchError):
-            rref_stack(np.eye(2, dtype=int), 2)
+        for M in A:
+            R, _, pivots = rref(M, q)
+            expected, expected_pivots = reference_rref(M, q)
+            assert np.array_equal(R, expected)
+            assert pivots == expected_pivots
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_batched_row_kernels_match_scalar(self, rng, q):
@@ -409,20 +454,25 @@ class TestRrefStack:
             Ms = rng.integers(0, q, size=(12, rows, cols))
             Ms[3] = 0
             Ms[5] = Ms[4]
-            kernels, ids = row_kernel_ids(Ms, q)
+            matrices = [tuple(map(tuple, M.tolist())) for M in Ms]
+            kernels, ids = number_row_kernels(matrices, q, rows)
             assert [kernels[i] for i in ids] == [row_kernel(M, q) for M in Ms]
-            assert ids[5] == ids[4]
+            assert ids[5] == ids[4] and kernels[-1] == Subspace.full(q, rows)
+            assert len(set(kernels)) == len(kernels)
+            for K in kernels:  # the basis read off the points spans exactly those points
+                assert Subspace(q, rows, K.basis).points == K.points
 
     def test_batched_complete_bases_are_greedy(self, rng):
         for q in (2, 3, 5):
             for r, k in [(1, 1), (2, 3), (4, 2), (3, 3)]:
                 A = rng.integers(0, q, size=(10, r, k))
                 A[0] = 0
-                for B, F in zip(A, complete_bases(A, q)):
+                for B in A:
                     rows: list = []
                     for v in list(B) + list(np.eye(k, dtype=np.int64)):
                         if matrix_rank(np.array(rows + [v]), q) > len(rows):
                             rows.append(v)
+                    F = complete_basis(B.tolist(), q, k)
                     assert np.array_equal(F, np.array(rows) % q)
                     assert matrix_rank(F, q) == k
 
@@ -444,11 +494,19 @@ class TestKeyedSubspace:
     def test_sort_key_orders_by_dimension_then_basis(self):
         spaces = list(subspaces_up_to_dim(2, 3, 3))
         assert sorted(reversed(spaces), key=Subspace.sort_key) == spaces
-        assert Subspace.full(2, 3).sort_key() == (3, np.eye(3, dtype=np.int64).tobytes())
+        assert Subspace.full(2, 3).sort_key() == (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+    @pytest.mark.parametrize("q,t", [(2, 4), (3, 3), (5, 3), (251, 2)])
+    def test_order_matches_int64_bytes_below_256(self, q, t):
+        # Earlier releases ordered subspaces by the bytes of their int64 basis;
+        # below 256 an entry is one leading byte, so the two orders agree.
+        spaces = list(subspaces_up_to_dim(q, t, t))
+        int64_order = sorted(spaces, key=lambda S: (S.dim, np.array(S.basis, np.int64).tobytes()))
+        assert int64_order == spaces
 
     def test_immutable(self):
         S = Subspace.full(2, 2)
         with pytest.raises(AttributeError):
             S._key = None
-        with pytest.raises(ValueError):
-            S.basis[0, 0] = 0
+        with pytest.raises(TypeError):
+            S.basis[0][0] = 0
