@@ -52,19 +52,33 @@ def _count_text(count: int) -> str:
     return f"at least 2^{count.bit_length() - 1}"
 
 
-def check_subspaces(count: int, what: str = "subspace enumeration") -> None:
-    limit = subspace_budget()
-    if count > limit:
-        raise EnumerationBudgetError(
-            f"{what} needs {_count_text(count)} subspaces, budget is {limit}"
-        )
+def check_subspaces(count, what: str = "subspace enumeration", power=None) -> None:
+    _charge(count, power, subspace_budget(), "subspaces", what)
 
 
-def check_vectors(count: int, what: str = "vector enumeration") -> None:
-    limit = vector_budget()
+def check_vectors(count, what: str = "vector enumeration", power=None) -> None:
+    _charge(count, power, vector_budget(), "vectors", what)
+
+
+def _charge(count, power, limit: int, unit: str, what: str) -> None:
+    """Raise EnumerationBudgetError when the count exceeds the limit.
+
+    With ``power = (q, e)`` the count is at least q^e and ``count`` is a
+    function that returns it.  As q^e >= 2^(e (bit_length(q) - 1)), a count
+    whose lower bound is over the limit is refused before it is built: an
+    exact power with an exponent near 10^18 would never be done.
+    """
+    if power is not None:
+        q, e = power
+        bits = e * (q.bit_length() - 1)
+        if bits >= limit.bit_length():
+            raise EnumerationBudgetError(
+                f"{what} needs at least 2^{bits} {unit}, budget is {limit}"
+            )
+        count = count()
     if count > limit:
         raise EnumerationBudgetError(
-            f"{what} needs {_count_text(count)} vectors, budget is {limit}"
+            f"{what} needs {_count_text(count)} {unit}, budget is {limit}"
         )
 
 

@@ -24,14 +24,13 @@ from .linalg import (
     check_prime,
     complete_basis,
     enumerate_subspaces,
-    gaussian_binomial,
     mat_mul,
     matrix_rank,
-    members,
     number_row_kernels,
     row_kernel,
     rref,
     subspace_lattice,
+    supports_at_points,
     vector_points,
 )
 
@@ -109,10 +108,6 @@ class Alphabet(Record):
         if self.m < 1 or self.k < 1:
             raise ValueError("alphabet parameters m and k must be >= 1")
 
-    @property
-    def size(self) -> int:
-        return self.q ** (self.m * self.k)
-
 
 class ModuleSpace(Record):
     """The source module W of m x t matrices over F_q."""
@@ -125,10 +120,6 @@ class ModuleSpace(Record):
         check_prime(self.q)
         if self.m < 1 or self.t < 0:
             raise ValueError("need m >= 1 and t >= 0")
-
-    @property
-    def size(self) -> int:
-        return self.q ** (self.m * self.t)
 
 
 class Submodule(Record):
@@ -145,42 +136,38 @@ class Submodule(Record):
             raise DimensionMismatchError("support must be a subspace of F_q^t")
 
 
-class Hom:
+class Hom(Record):
     """A module homomorphism W -> A given by a t x k generator matrix."""
 
     __slots__ = ("space", "alphabet", "matrix")
 
-    def __init__(self, space: ModuleSpace, alphabet: Alphabet, matrix):
+    def _check(self):
+        space, alphabet = self.space, self.alphabet
         if space.q != alphabet.q or space.m != alphabet.m:
             raise DimensionMismatchError("source and target live over different rings")
-        G = as_matrix(matrix, space.q)
+        G = as_matrix(self.matrix, space.q)
         if len(G) != space.t or any(len(row) != alphabet.k for row in G):
             raise DimensionMismatchError(f"generator must be {space.t}x{alphabet.k}")
-        for name, value in zip(Hom.__slots__, (space, alphabet, G)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Hom is immutable")
+        object.__setattr__(self, "matrix", G)
 
     def kernel(self) -> Submodule:
         """The kernel submodule, computed afresh on every call."""
         return Submodule(self.space, row_kernel(self.matrix, self.space.q))
 
-    def __repr__(self):
-        return f"Hom({self.space}, {self.alphabet}, {[list(r) for r in self.matrix]})"
 
-
-class Code:
+class Code(Record):
     """A length-n code parametrized by n homomorphisms with common source.
 
     The code holds its n t x k generator matrices as one tuple of row
     tuples, given as any nested sequence; ``columns`` are the matching Hom
-    objects, built on first access.
+    objects, built on each access.  ``_unchecked`` takes a tuple of
+    generators already reduced mod q.
     """
 
-    __slots__ = ("alphabet", "space", "generators", "_columns")
+    __slots__ = ("alphabet", "space", "generators")
 
-    def __init__(self, alphabet: Alphabet, space: ModuleSpace, generators):
+    def _check(self):
+        alphabet, space, generators = self.alphabet, self.space, self.generators
         if space.q != alphabet.q or space.m != alphabet.m:
             raise DimensionMismatchError("source and target live over different rings")
         if len(generators) == 0:
@@ -197,41 +184,15 @@ class Code:
             raise DimensionMismatchError(f"generators must be {t}x{k} matrices: {exc}") from exc
         if any(len(M) != t for M in G) or any(len(r) != k for r in reduced.values()):
             raise DimensionMismatchError(f"generators must be {t}x{k}")
-        for name, value in zip(Code.__slots__, (alphabet, space, G, None)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _of_canonical(cls, alphabet: Alphabet, space: ModuleSpace, generators) -> "Code":
-        """A code from a nonempty sequence of t x k row tuples already reduced mod q."""
-        code = object.__new__(cls)
-        for name, value in zip(Code.__slots__, (alphabet, space, tuple(generators), None)):
-            object.__setattr__(code, name, value)
-        return code
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Code is immutable")
+        object.__setattr__(self, "generators", G)
 
     @property
     def columns(self) -> tuple[Hom, ...]:
-        if self._columns is None:
-            homs = tuple(Hom(self.space, self.alphabet, G) for G in self.generators)
-            object.__setattr__(self, "_columns", homs)
-        return self._columns
+        return tuple(Hom(self.space, self.alphabet, G) for G in self.generators)
 
     @property
     def length(self) -> int:
         return len(self.generators)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Code)
-            and self.alphabet == other.alphabet
-            and self.space == other.space
-            and self.generators == other.generators
-        )
-
-    def __hash__(self):
-        return hash((self.alphabet, self.space, self.generators))
 
     def __repr__(self):
         return f"Code(n={self.length}, {self.alphabet}, t={self.space.t})"
@@ -290,7 +251,7 @@ def kernel_support_multiset(code: Code) -> Counter:
 
 
 def _check_module_elements(q: int, m: int, t: int) -> None:
-    budget.check_vectors(q ** (m * t), "module element enumeration")
+    budget.check_vectors(lambda: q ** (m * t), "module element enumeration", power=(q, m * t))
 
 
 @budget.checked_cache(_check_module_elements)
@@ -314,10 +275,7 @@ def vanishing_columns(space: ModuleSpace, supports, ids) -> list[int]:
     """
     q, m, t = space.q, space.m, space.t
     _check_module_elements(q, m, t)
-    at_point = [0] * gaussian_binomial(t, 1, q)
-    for c, j in enumerate(ids):
-        for p in members(supports[j].points):
-            at_point[p] |= 1 << c
+    at_point = supports_at_points(q, t, [supports[j] for j in ids])
     every = (1 << len(ids)) - 1
     killed_by = [every if p < 0 else at_point[p] for p in vector_points(q, t)]
     killed = [every]
@@ -527,11 +485,11 @@ def apply_monomial(mmap: MonomialMap, code: Code) -> Code:
     if len(mmap.permutation) != code.length:
         raise DimensionMismatchError("monomial map size does not match code length")
     q = code.space.q
-    G = [
+    G = tuple(
         mat_mul(code.generators[src], P, q)
         for src, P in zip(mmap.permutation, mmap.automorphisms)
-    ]
-    return Code._of_canonical(code.alphabet, code.space, G)
+    )
+    return Code._unchecked(code.alphabet, code.space, G)
 
 
 def is_cyclic_submodule(sub: Submodule) -> bool:

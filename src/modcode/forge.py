@@ -186,7 +186,7 @@ def minimal_counterexample(q: int, m: int, k: int) -> tuple[Code, Code]:
     sides: tuple[list, list] = ([], [])
     for g, j in zip(G, codim):
         sides[j % 2].extend([g] * q ** (j * (j - 1) // 2))
-    lam, mu = (Code._of_canonical(alphabet, space, side) for side in sides)
+    lam, mu = (Code._unchecked(alphabet, space, tuple(side)) for side in sides)
     assert lam.length == mu.length == N
     return lam, mu
 

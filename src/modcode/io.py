@@ -55,8 +55,8 @@ def code_from_dict(data: dict) -> Code:
     if any(not 0 <= x < q for row in set(rows) for x in row):
         raise DimensionMismatchError("generator entries must lie in [0, q)")
     # The entries are canonical now: each t consecutive rows are one generator.
-    G = list(zip(*[iter(rows)] * t)) if t else [()] * len(generators)
-    return Code._of_canonical(alphabet, space, G)
+    G = tuple(zip(*[iter(rows)] * t)) if t else ((),) * len(generators)
+    return Code._unchecked(alphabet, space, G)
 
 
 def save_code(code: Code, path) -> None:

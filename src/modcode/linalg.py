@@ -110,24 +110,13 @@ def inverse(M, q: int) -> tuple[tuple[int, ...], ...]:
 
 
 def complete_basis(rows, q: int, k: int) -> list:
-    """The greedy independent rows, in order, then the greedy unit vectors: a basis of F_q^k."""
-    echelon: list = []  # (pivot, reduced row with 1 at the pivot)
-    basis = []
-    units = (tuple(int(i == j) for j in range(k)) for i in range(k))
-    for row in itertools.chain(rows, units):
-        v = list(row)
-        for p, e in echelon:
-            if v[p]:
-                f = v[p]
-                v = [(x - f * y) % q for x, y in zip(v, e)]
-        p = next((i for i, x in enumerate(v) if x), -1)
-        if p >= 0:
-            if v[p] != 1:
-                inv = pow(v[p], -1, q)
-                v = [x * inv % q for x in v]
-            echelon.append((p, v))
-            basis.append(row)
-    return basis
+    """The greedy independent rows, in order, then the greedy unit vectors: a basis of F_q^k.
+
+    They are the pivot columns of the RREF of the matrix whose columns are
+    the rows followed by the unit vectors.
+    """
+    vectors = as_matrix([*rows, *(tuple(int(i == j) for j in range(k)) for i in range(k))], q)
+    return [vectors[p] for p in rref(tuple(zip(*vectors)), q)[2]]
 
 
 def point_index(v, q: int) -> int:
@@ -188,6 +177,23 @@ class Subspace:
             return cls.zero(q, ambient)
         R, rank, _ = rref(M, q)
         return cls(q, ambient, R[:rank])
+
+    @classmethod
+    def from_points(cls, q: int, ambient: int, bits: int) -> "Subspace":
+        """The subspace whose point set is the bitset ``bits``, which must be a subspace's.
+
+        Every point of a subspace leads at a pivot of its RREF basis, and the
+        basis row with pivot p is the point of least number among those
+        leading at p, the points numbered (q^r - 1)/(q - 1) up to
+        (q^(r+1) - 1)/(q - 1) with r = ambient - 1 - p.
+        """
+        points = projective_points(q, ambient)
+        basis = []
+        for r in reversed(range(ambient)):
+            lead = bits & ((1 << q**r) - 1) << (q**r - 1) // (q - 1)
+            if lead:
+                basis.append(points[(lead & -lead).bit_length() - 1])
+        return cls(q, ambient, tuple(basis), bits)
 
     @classmethod
     def zero(cls, q: int, ambient: int) -> "Subspace":
@@ -261,36 +267,19 @@ def subspace_sum(S: Subspace, T: Subspace) -> Subspace:
 def row_kernel(M, q: int) -> Subspace:
     """Kernel of the row action v -> v M, as a subspace of F_q^rows(M).
 
-    v M = 0 iff v is orthogonal to every column of M, so the kernel is the
-    null space of the RREF C of M^T, taken with its columns reversed.  Each
-    free column f of C gives the null vector with 1 at f and -C[row of p, f]
-    at each pivot p < f; read reversed, these vectors are already the RREF
-    basis of the kernel, in the order of decreasing f.
+    The one-matrix case of :func:`number_row_kernels`, so it enumerates the
+    points of PG(rows(M) - 1, q) under the subspace budget: a 21 x 1 binary
+    matrix, with 2,097,151 points, is refused at the default budget.
     """
     M = as_matrix(M, q)
-    n = len(M)
-    C, _, pivots = rref([column[::-1] for column in zip(*M)], q)
-    basis = []
-    for f in reversed(range(n)):
-        if f not in pivots:
-            v = [0] * n
-            v[f] = 1
-            for row, p in zip(C, pivots):
-                v[p] = -row[f] % q
-            basis.append(tuple(v[::-1]))
-    return Subspace(q, n, tuple(basis))
+    kernels, (i,) = number_row_kernels([M], q, len(M))
+    return kernels[i]
 
 
 def intersect(S: Subspace, T: Subspace) -> Subspace:
-    """S ∩ T, read off the kernel of the stacked bases: a S + b T = 0 gives a S in both."""
+    """S ∩ T, whose point set is the AND of theirs."""
     _check_compatible(S, T)
-    if S.dim == 0 or T.dim == 0:
-        return Subspace.zero(S.q, S.ambient)
-    ker = row_kernel(S.basis + T.basis, S.q)
-    if ker.dim == 0:
-        return Subspace.zero(S.q, S.ambient)
-    coeffs = [row[: S.dim] for row in ker.basis]
-    return Subspace.from_rows(mat_mul(coeffs, S.basis, S.q), S.q, S.ambient)
+    return Subspace.from_points(S.q, S.ambient, S.points & T.points)
 
 
 def orthogonal(S: Subspace) -> Subspace:
@@ -301,7 +290,8 @@ def orthogonal(S: Subspace) -> Subspace:
 
 
 def _check_points(q: int, t: int) -> None:
-    budget.check_subspaces(gaussian_binomial(t, 1, q), "points of a projective space")
+    budget.check_subspaces(lambda: gaussian_binomial(t, 1, q), "points of a projective space",
+                           power=(q, t - 1))
 
 
 @budget.checked_cache(_check_points)
@@ -334,17 +324,11 @@ def number_row_kernels(matrices, q: int, rows: int) -> tuple[list[Subspace], lis
     last, and the index of each matrix's kernel among them.  A matrix's
     kernel is the AND of the hyperplanes c^perp of its columns c, as point
     bitsets; each distinct column's hyperplane and each distinct matrix's
-    kernel is computed once.
-
-    The kernel's RREF basis is read off its points: every point of a
-    subspace leads at a pivot of its RREF basis, and the basis row with
-    pivot p is the point of least number among those leading at p, the
-    points numbered (q^r - 1)/(q - 1) up to (q^(r+1) - 1)/(q - 1) with
-    r = rows - 1 - p.
+    kernel is computed once, and its basis read off by
+    :meth:`Subspace.from_points`.
     """
     points = projective_points(q, rows)
     full = (1 << len(points)) - 1
-    blocks = [((1 << q**r) - 1) << (q**r - 1) // (q - 1) for r in reversed(range(rows))]
     planes: dict = {}
     kernel_of: dict = {}
     numbers: dict[int, int] = {}
@@ -362,12 +346,21 @@ def number_row_kernels(matrices, q: int, rows: int) -> tuple[list[Subspace], lis
                 bits &= plane
             kernel_of[M] = bits
         ids.append(numbers.setdefault(bits, len(numbers)) if bits != full else -1)
-    kernels = []
-    for bits in numbers:
-        leads = (bits & block for block in blocks)
-        basis = tuple(points[(lead & -lead).bit_length() - 1] for lead in leads if lead)
-        kernels.append(Subspace(q, rows, basis, bits))
+    kernels = [Subspace.from_points(q, rows, bits) for bits in numbers]
     return [*kernels, Subspace.full(q, rows)], [len(numbers) if j < 0 else j for j in ids]
+
+
+def supports_at_points(q: int, t: int, supports) -> list[int]:
+    """Entry p is the bitset of the j with point p of PG(t-1, q) in supports[j]."""
+    at_point = [0] * gaussian_binomial(t, 1, q)
+    for j, K in enumerate(supports):
+        if K.q != q or K.ambient != t:
+            raise DimensionMismatchError(
+                f"support lives in F_{K.q}^{K.ambient}, not in F_{q}^{t}"
+            )
+        for p in members(K.points):
+            at_point[p] |= 1 << j
+    return at_point
 
 
 def gaussian_binomial(t: int, i: int, q: int) -> int:
@@ -433,7 +426,8 @@ def count_subspaces_containing(X: Subspace, i: int) -> int:
 def _check_subspace_count(q: int, t: int, d: int) -> None:
     if not 0 <= d <= t:
         raise DimensionMismatchError(f"need 0 <= d={d} <= t={t}")
-    budget.check_subspaces(gaussian_binomial(t, d, q))
+    # C(t, d)_q >= q^(d (t - d)).
+    budget.check_subspaces(lambda: gaussian_binomial(t, d, q), power=(q, d * (t - d)))
 
 
 def _check_subspaces_up_to_dim(q: int, t: int, max_dim: int) -> None:
@@ -494,18 +488,9 @@ class SubspaceLattice:
 
     def containment(self, supports) -> list[int]:
         """Entry i is the bitset of the j with subspaces[i] inside supports[j]."""
-        q, t = self.q, self.t
-        containing = [0] * gaussian_binomial(t, 1, q)
-        every = 0
-        for j, K in enumerate(supports):
-            if K.q != q or K.ambient != t:
-                raise DimensionMismatchError(
-                    f"support lives in F_{K.q}^{K.ambient}, the lattice in F_{q}^{t}"
-                )
-            bit = 1 << j
-            every |= bit
-            for p in members(K.points):
-                containing[p] |= bit
+        supports = list(supports)
+        containing = supports_at_points(self.q, self.t, supports)
+        every = (1 << len(supports)) - 1
         return [reduce(and_, (containing[p] for p in rows), every) for rows in self._rows]
 
     def balanced_rows(self, supports, W) -> list[bool]:

@@ -56,32 +56,25 @@ def min_distance(code: Code) -> int:
     return min(nonzero)
 
 
-def code_cardinality(code: Code) -> int:
-    """|C| = q^(m r), with r the rank of the t x nk concatenation [G_1 | ... | G_n]."""
-    sp = code.space
-    joint = [sum(rows, ()) for rows in zip(*code.generators)]
-    return sp.q ** (sp.m * matrix_rank(joint, sp.q))
-
-
 def is_mds(code: Code) -> MdsReport:
-    """MDS detection by the Singleton equality |C| = |A|^kappa.
+    """MDS detection by the Singleton equality |C| = |A|^kappa, compared as ranks.
 
-    Every kappa-column block of an injective code has rank t, so all
-    kappa-subsets are information sets iff t = kappa k, which is the
-    equality; each column then sits in a block of full column rank, so it is
-    surjective.  A non-MDS code's witness is its first non-surjective
-    column, else the first kappa-subset (0, ..., kappa - 1), which fails like
-    every other.
+    |C| = q^(m r), with r the rank of the t x nk concatenation
+    [G_1 | ... | G_n], so the code is injective iff r = t, and then the
+    equality is t = kappa k.  Each column of an MDS code sits in a block of
+    full column rank, so it is surjective.  A non-MDS code's witness is its
+    first non-surjective column, else the first kappa-subset
+    (0, ..., kappa - 1), which fails like every other.
     """
     sp = code.space
-    cardinality = code_cardinality(code)
-    if cardinality != sp.size:
+    joint = [sum(rows, ()) for rows in zip(*code.generators)]
+    if matrix_rank(joint, sp.q) != sp.t:
         raise DomainRejectionError("the parametrization is not injective")
     d = min_distance(code)
     n = code.length
     kappa = n - d + 1
     witnesses = None
-    if cardinality != code.alphabet.size**kappa:
+    if sp.t != kappa * code.alphabet.k:
         k = code.alphabet.k
         witnesses = next(
             ((i,) for i, G in enumerate(code.generators) if matrix_rank(G, sp.q) != k),
@@ -149,7 +142,8 @@ def exhaustive_isometry_scan(code: Code) -> list[tuple[Code, bool]]:
     """
     sp = code.space
     q, t, k, n = sp.q, sp.t, code.alphabet.k, code.length
-    budget.check_vectors(q ** (t * k * n), "isometry scan enumeration")
+    budget.check_vectors(lambda: q ** (t * k * n), "isometry scan enumeration",
+                         power=(q, t * k * n))
     candidates = module_elements(q, t, k)
     # The code's kernels and every candidate's, numbered at once.
     supports, ids = number_row_kernels(code.generators + candidates, q, t)
@@ -177,6 +171,6 @@ def exhaustive_isometry_scan(code: Code) -> list[tuple[Code, bool]]:
             # A match extends iff it has the code's kernel multiset: a zero row of W.
             (row,) = support_difference(ids[:n] + [ids[n + c] for c in combo], [n, n],
                                         len(supports))
-            results.append((Code._of_canonical(code.alphabet, sp, [candidates[c] for c in combo]),
+            results.append((Code._unchecked(code.alphabet, sp, tuple(candidates[c] for c in combo)),
                             not any(row)))
     return results

@@ -563,6 +563,8 @@ class TestColumnarCode:
         from_stack = Code(al, sp, G)
         homs = from_stack.columns
         assert all(isinstance(h, Hom) and np.array_equal(h.matrix, g) for h, g in zip(homs, G))
+        # Columns are built on each access; Hom records compare by value.
+        assert from_stack.columns == homs and from_stack.columns[0] is not homs[0]
         from_homs = Code(al, sp, [h.matrix for h in homs])
         assert from_stack == from_homs and hash(from_stack) == hash(from_homs)
         assert type(from_stack.generators) is tuple

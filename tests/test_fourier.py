@@ -104,7 +104,7 @@ class TestOrthogonalSubmodule:
         line = Submodule(sp, Subspace.from_rows([[1, 1]], 2))
         dual = orthogonal_submodule(line)
         assert dual.support == line.support
-        assert 2 ** line.support.dim * 2 ** dual.support.dim == sp.size
+        assert 2 ** line.support.dim * 2 ** dual.support.dim == 2 ** (sp.m * sp.t)
 
     def test_size_law_and_involution(self, rng):
         for q, m, t in [(2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 3)]:
@@ -112,7 +112,7 @@ class TestOrthogonalSubmodule:
             for _ in range(10):
                 sub = Submodule(sp, random_subspace(rng, q, t))
                 dual = orthogonal_submodule(sub)
-                assert q ** (m * sub.support.dim) * q ** (m * dual.support.dim) == sp.size
+                assert q ** (m * sub.support.dim) * q ** (m * dual.support.dim) == q ** (m * t)
                 assert orthogonal_submodule(dual).support == sub.support
 
     def test_de_morgan_exhaustive_f2_cubed(self):

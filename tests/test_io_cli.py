@@ -612,6 +612,20 @@ class TestNoDeadCode:
         assert name in names
 
 
+class TestOneRecordType:
+    def test_only_record_and_subspace_define_setattr(self):
+        """Immutability is written once for records and once for subspaces."""
+        root = Path(modcode.__file__).resolve().parent
+        owners = sorted(
+            f"{path.stem}.{node.name}"
+            for path in root.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef)
+            and any(getattr(item, "name", None) == "__setattr__" for item in node.body)
+        )
+        assert owners == ["codes.Record", "linalg.Subspace"]
+
+
 def python(*args, timeout=None):
     """Run a fresh interpreter on these sources, with MODCODE_BUDGET unset."""
     src = str(Path(modcode.__file__).resolve().parent.parent)
@@ -711,6 +725,26 @@ class TestProcessEntry:
         proc = python("-m", "modcode.cli", "minlen", "--q", "2", "--m", "20000", *bound,
                       timeout=20)
         assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: ") and "budget is" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["minlen", "forge", "mds", "check"])
+    def test_huge_dimension_exits_3_at_once(self, tmp_path, command):
+        # m = 10^18 is inside the int64 domain, but q^(m t) module elements and
+        # the 2^(10^18) - 1 points of PG(10^18, 2) are counts that would never
+        # be built: each is refused from its lower bound.
+        m = 10**18
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"q": 2, "m": m, "k": 1, "t": 1, "generators": [[[1]]] * 3}))
+        argv = {
+            "minlen": ["--q", "2", "--m", "1", "--t", str(m)],
+            "forge": ["--q", "2", "--m", str(m), "--k", str(m + 1), "--out-lambda",
+                      str(tmp_path / "l.json"), "--out-mu", str(tmp_path / "u.json")],
+            "mds": ["--code", str(path)],
+            "check": ["--lambda", str(path), "--mu", str(path), "--oracle"],
+        }[command]
+        proc = python("-m", "modcode.cli", command, *argv, timeout=20)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and "budget is" in proc.stderr
 
     def test_forge_oversized_pair_exits_3_at_once(self, tmp_path):

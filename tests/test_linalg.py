@@ -84,6 +84,12 @@ class TestRowKernel:
         K = row_kernel(np.array([[1], [1]]), 2)
         assert K == Subspace.from_rows([[1, 1]], 2)
 
+    def test_points_budget_checked(self, monkeypatch):
+        # PG(20, 2) has 2,097,151 points, past the default subspace budget of 10^6.
+        monkeypatch.delenv("MODCODE_BUDGET", raising=False)
+        with pytest.raises(EnumerationBudgetError):
+            row_kernel([[1]] * 21, 2)
+
     def test_kernel_annihilates(self, rng):
         for q in (2, 3, 5):
             for _ in range(20):
@@ -417,6 +423,65 @@ def reference_rref(M, q):
     return R, pivots
 
 
+def reference_row_kernel(M, q):
+    """Kernel of v -> v M by elimination: the row_kernel of earlier releases.
+
+    v M = 0 iff v is orthogonal to every column of M, so the kernel is the
+    null space of the RREF C of M^T, taken with its columns reversed.  Each
+    free column f of C gives the null vector with 1 at f and -C[row of p, f]
+    at each pivot p < f; read reversed, these vectors are already the RREF
+    basis of the kernel, in the order of decreasing f.
+    """
+    M = np.array(M, dtype=np.int64).reshape(np.shape(M))
+    n = M.shape[0]
+    C, pivots = reference_rref(M.T[:, ::-1], q)
+    basis = []
+    for f in reversed(range(n)):
+        if f not in pivots:
+            v = [0] * n
+            v[f] = 1
+            for row, p in zip(C, pivots):
+                v[p] = -int(row[f]) % q
+            basis.append(tuple(v[::-1]))
+    return Subspace(q, n, tuple(basis))
+
+
+def reference_intersect(S, T):
+    """S ∩ T by elimination, the intersect of earlier releases: a S + b T = 0 gives a S in both."""
+    if S.dim == 0 or T.dim == 0:
+        return Subspace.zero(S.q, S.ambient)
+    ker = reference_row_kernel(S.basis + T.basis, S.q)
+    if ker.dim == 0:
+        return Subspace.zero(S.q, S.ambient)
+    coeffs = np.array([row[: S.dim] for row in ker.basis])
+    return Subspace.from_rows(coeffs @ np.array(S.basis) % S.q, S.q, S.ambient)
+
+
+class TestReferenceKernels:
+    """row_kernel, intersect and from_points read bitsets; elimination checks them."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_row_kernel_matches_elimination(self, rng, q):
+        for rows, cols in [(1, 1), (3, 2), (2, 4), (4, 4), (5, 1), (3, 0)]:
+            Ms = rng.integers(0, q, size=(12, rows, cols))
+            Ms[3] = 0
+            for M in Ms:
+                assert row_kernel(M, q) == reference_row_kernel(M, q)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_intersect_matches_elimination(self, rng, q):
+        for t in (1, 2, 3, 4):
+            for _ in range(20):
+                S, T = random_subspace(rng, q, t), random_subspace(rng, q, t)
+                assert intersect(S, T) == reference_intersect(S, T)
+                assert intersect(S, S) == S
+
+    @pytest.mark.parametrize("q,t", [(2, 5), (3, 3), (5, 2)])
+    def test_from_points_reads_back_every_subspace(self, q, t):
+        for S in subspaces_up_to_dim(q, t, t):
+            assert Subspace.from_points(q, t, S.points) == S
+
+
 class TestRrefStack:
     """The pure-Python rref against the numpy reference, over stacks of random matrices."""
 
@@ -456,7 +521,7 @@ class TestRrefStack:
             Ms[5] = Ms[4]
             matrices = [tuple(map(tuple, M.tolist())) for M in Ms]
             kernels, ids = number_row_kernels(matrices, q, rows)
-            assert [kernels[i] for i in ids] == [row_kernel(M, q) for M in Ms]
+            assert [kernels[i] for i in ids] == [reference_row_kernel(M, q) for M in Ms]
             assert ids[5] == ids[4] and kernels[-1] == Subspace.full(q, rows)
             assert len(set(kernels)) == len(kernels)
             for K in kernels:  # the basis read off the points spans exactly those points
