@@ -31,7 +31,6 @@ _EXPORTS = {
         "is_isometry_bruteforce",
         "is_isometry_criterion",
         "kernel_tuple",
-        "satisfies_isometry_equation",
     ),
     "errors": (
         "DimensionMismatchError",
@@ -56,7 +55,6 @@ _EXPORTS = {
     ),
     "fourier": (
         "fourier_of_indicator",
-        "orthogonal_submodule",
         "verify_dual_equation",
     ),
     "io": ("load_code", "save_code"),
@@ -72,7 +70,6 @@ _EXPORTS = {
         "rref",
         "row_kernel",
         "subspace_lattice",
-        "subspace_sum",
     ),
     "mds": (
         "MdsReport",

@@ -326,38 +326,6 @@ def support_difference(ids, lengths, width: int) -> list[list[int]]:
     return W
 
 
-def kernel_difference(V, U):
-    """Number the supports of two nonempty kernel tuples and count their difference.
-
-    Returns ``(space, supports, W)``: the common source module, the distinct
-    supports with F_q^t last, and the one-row :func:`support_difference`.
-    """
-    V, U = tuple(V), tuple(U)
-    if not V or not U:
-        raise DimensionMismatchError("kernel tuples must be nonempty")
-    sp = V[0].space
-    if any(K.space != sp for K in V + U):
-        raise DimensionMismatchError("kernel tuples must share their source module")
-    full = Subspace.full(sp.q, sp.t)
-    supports = [*dict.fromkeys(K.support for K in V + U if K.support != full), full]
-    index = {S: j for j, S in enumerate(supports)}
-    ids = [index[K.support] for K in V + U]
-    return sp, supports, support_difference(ids, [len(V), len(U)], len(supports))
-
-
-def satisfies_isometry_equation(V, U) -> bool:
-    """Equality of the two kernel indicator sums, decided by counts.
-
-    Every element of the source module has row space of dimension at most m,
-    so equality of the two indicator sums is equivalent to equality of the
-    kernel-containment counts at every subspace of dimension <= m.  Kernels
-    common to both sides cancel first, so the counts run over the distinct
-    supports of the multiset difference only.
-    """
-    sp, supports, W = kernel_difference(V, U)
-    return subspace_lattice(sp.q, sp.t, min(sp.m, sp.t)).balanced_rows(supports, W)[0]
-
-
 def _count_difference(lam: Code, mus: list):
     """The support numbering of lam and the images and their count difference.
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from operator import mul
 
-from .codes import Submodule, kernel_difference, module_elements
+from . import budget
+from .codes import Submodule, module_elements, support_difference
 from .errors import DimensionMismatchError
-from .linalg import as_matrix, orthogonal, subspace_lattice
+from .linalg import Subspace, as_matrix, orthogonal, subspace_lattice
 
 
 def fourier_of_indicator(sub: Submodule, Y) -> tuple[int, ...]:
@@ -40,30 +41,34 @@ def fourier_of_indicator(sub: Submodule, Y) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def orthogonal_submodule(sub: Submodule) -> Submodule:
-    """The annihilator submodule under the trace pairing.
-
-    Its support is the dot-product orthogonal of the input support, so sizes
-    multiply to the size of the whole module and double orthogonal is the
-    identity.
-    """
-    return Submodule(sub.space, orthogonal(sub.support))
-
-
 def verify_dual_equation(V, U) -> bool:
-    """Check the size-weighted dual indicator equation.
+    """Check the size-weighted dual indicator equation of two nonempty kernel tuples.
 
     The dual equation is an equality of functions on the character module,
     whose elements all have row space of dimension at most m, so it is
     decided by the weighted containment counts at every subspace of
     dimension <= m: the sums of |V_i| over i with T inside the orthogonal
-    support of V_i must agree between the two tuples.  The size |V_i| =
+    support of V_i must agree between the two tuples.  The tuples' supports
+    are numbered here, F_q^t last, for the one-row :func:`support_difference`
+    (a length difference counts as full-space kernels).  The size |V_i| =
     q^(m dim) depends only on the support, so supports common to both sides
     cancel first and each remaining orthogonal support carries its count
-    difference times that size, an exact integer however large.
+    difference times that size, an exact integer whose 64-bit words are
+    charged to the vector budget before any is built.
     """
-    sp, supports, W = kernel_difference(V, U)
-    live = [j for j, w in enumerate(W[0]) if w]
-    weights = [[W[0][j] * sp.q ** (sp.m * supports[j].dim) for j in live]]
+    V, U = tuple(V), tuple(U)
+    if not V or not U:
+        raise DimensionMismatchError("kernel tuples must be nonempty")
+    sp = V[0].space
+    if any(K.space != sp for K in V + U):
+        raise DimensionMismatchError("kernel tuples must share their source module")
+    full = Subspace.full(sp.q, sp.t)
+    supports = [*dict.fromkeys(K.support for K in V + U if K.support != full), full]
+    index = {S: j for j, S in enumerate(supports)}
+    (W,) = support_difference([index[K.support] for K in V + U], [len(V), len(U)], len(supports))
+    live = [j for j, w in enumerate(W) if w]
+    bits = sum(sp.m * supports[j].dim for j in live) * sp.q.bit_length()
+    budget.check_vectors(bits // 64, "dual equation weights (one vector per 64-bit word)")
+    weights = [[W[j] * sp.q ** (sp.m * supports[j].dim) for j in live]]
     lattice = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t))
     return bool(lattice.balanced_rows([orthogonal(supports[j]) for j in live], weights)[0])

@@ -96,19 +96,6 @@ def matrix_rank(M, q: int) -> int:
     return rref(M, q)[1]
 
 
-def inverse(M, q: int) -> tuple[tuple[int, ...], ...]:
-    """Inverse of a square matrix over F_q; raises on singular input."""
-    M = as_matrix(M, q)
-    n = len(M)
-    if any(len(row) != n for row in M):
-        raise DimensionMismatchError("inverse needs a square matrix")
-    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    R, rank, _ = rref([row + e for row, e in zip(M, eye)], q)
-    if rank < n or tuple(row[:n] for row in R) != eye:
-        raise ValueError("matrix is singular over F_q")
-    return tuple(row[n:] for row in R)
-
-
 def complete_basis(rows, q: int, k: int) -> list:
     """The greedy independent rows, in order, then the greedy unit vectors: a basis of F_q^k.
 
@@ -257,11 +244,6 @@ def contains(S: Subspace, T: Subspace) -> bool:
     """True iff T is a subspace of S."""
     _check_compatible(S, T)
     return T.dim <= S.dim and not T.points & ~S.points
-
-
-def subspace_sum(S: Subspace, T: Subspace) -> Subspace:
-    _check_compatible(S, T)
-    return Subspace.from_rows(S.basis + T.basis, S.q, S.ambient)
 
 
 def row_kernel(M, q: int) -> Subspace:

@@ -10,6 +10,7 @@ import pytest
 
 from modcode import Alphabet, Code, ModuleSpace, MonomialMap, Subspace
 from modcode.cli import main
+from modcode.forge import kernel_generators
 from modcode.linalg import matrix_rank
 
 
@@ -60,3 +61,41 @@ def random_monomial(rng, q: int, k: int, n: int) -> MonomialMap:
     perm = tuple(int(i) for i in rng.permutation(n))
     autos = tuple(random_invertible(rng, q, k) for _ in range(n))
     return MonomialMap(perm, autos, q)
+
+
+def reference_rref(M, q):
+    """RREF and pivot list of one integer matrix by numpy row operations: the
+    elimination of earlier releases, kept as the oracle of the pure-Python rref."""
+    R = np.array(M, dtype=np.int64).reshape(np.shape(M)) % q
+    pivots: list[int] = []
+    for c in range(R.shape[1]):
+        r = len(pivots)
+        if r == R.shape[0]:
+            break
+        rows = np.flatnonzero(R[r:, c]) + r
+        if not rows.size:
+            continue
+        R[[r, rows[0]]] = R[[rows[0], r]]
+        R[r] = R[r] * pow(int(R[r, c]), -1, q) % q
+        for i in np.flatnonzero(R[:, c]):
+            if i != r:
+                R[i] = (R[i] - R[i, c] * R[r]) % q
+        pivots.append(c)
+    return R, pivots
+
+
+def reference_inverse(M, q):
+    """Inverse of a square matrix over F_q: the right block of reference_rref([M | I])."""
+    M = np.array(M, dtype=np.int64)
+    n = len(M)
+    R, pivots = reference_rref(np.hstack([M, np.eye(n, dtype=np.int64)]), q)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular over F_q")
+    return R[:, n:]
+
+
+def code_of_kernels(V) -> Code:
+    """A code whose column kernels are the supports of the nonempty kernel tuple V."""
+    sp = V[0].space
+    return Code(Alphabet(sp.q, sp.m, sp.t), sp,
+                kernel_generators(sp, [K.support for K in V], sp.t))

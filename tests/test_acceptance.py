@@ -30,14 +30,12 @@ from modcode import (
     mds_extension_check,
     min_nontrivial_length,
     minimal_counterexample,
-    orthogonal_submodule,
-    satisfies_isometry_equation,
     verify_dual_equation,
 )
 from modcode.codes import module_elements
-from modcode.linalg import contains, subspaces_up_to_dim
+from modcode.linalg import contains, orthogonal, subspaces_up_to_dim
 
-from conftest import random_code, random_monomial, random_subspace
+from conftest import code_of_kernels, random_code, random_monomial, random_subspace
 
 FORGE_TARGETS = [(2, 1, 2, 3), (3, 1, 2, 4), (2, 2, 3, 15)]
 
@@ -122,15 +120,14 @@ def test_criterion_5_fourier_duality(rng):
             sp = ModuleSpace(2, m, t)
             for S in subspaces_up_to_dim(2, t, t):
                 sub = Submodule(sp, S)
-                dual = orthogonal_submodule(sub)
                 size = 2 ** (m * S.dim)
                 for Y in module_elements(2, m, t):
                     counts = fourier_of_indicator(sub, Y)
-                    if contains(dual.support, Subspace.from_rows(Y, 2, t)):
+                    if contains(orthogonal(S), Subspace.from_rows(Y, 2, t)):
                         ok = ok and counts == (size, 0)
                     else:
                         ok = ok and counts == (size // 2, size // 2)
-    # Primal and dual equation checks agree on >= 10^3 random pairs.
+    # The criterion and the dual equation agree on >= 10^3 random pairs of kernel tuples.
     for _ in range(1000):
         q = int(rng.choice([2, 3]))
         m = int(rng.integers(1, 3))
@@ -142,7 +139,8 @@ def test_criterion_5_fourier_duality(rng):
             U = tuple(V[i] for i in rng.permutation(n))
         else:
             U = tuple(Submodule(sp, random_subspace(rng, q, t)) for _ in range(n))
-        ok = ok and satisfies_isometry_equation(V, U) == verify_dual_equation(V, U)
+        primal = is_isometry_criterion(code_of_kernels(V), code_of_kernels(U))
+        ok = ok and primal == verify_dual_equation(V, U)
     ok = ok and (time.perf_counter() - start) < 60.0
     verdict(5, ok, "Fourier collapse law exhaustive at q=2 and primal/dual equations agree")
 

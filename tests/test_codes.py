@@ -28,16 +28,15 @@ from modcode import (
     is_isometry_criterion,
     kernel_tuple,
     minimal_counterexample,
-    satisfies_isometry_equation,
     verify_dual_equation,
 )
 from modcode import codes, save_code
 from modcode.codes import codeword_weights, module_elements, transport_automorphisms
 from modcode.errors import DimensionMismatchError
-from modcode.linalg import inverse, matrix_rank, row_kernel
+from modcode.linalg import matrix_rank, row_kernel
 from modcode.mds import exhaustive_isometry_scan
 
-from conftest import random_code, random_invertible, random_monomial
+from conftest import random_code, random_invertible, random_monomial, reference_inverse
 
 
 def identity_code(q, m, t, n):
@@ -185,7 +184,6 @@ class TestIsometry:
         for a, b in ((lam, mu), (mu, lam)):
             assert is_isometry_bruteforce(a, b)
             assert is_isometry_criterion(a, b)
-            assert satisfies_isometry_equation(kernel_tuple(a), kernel_tuple(b))
             assert verify_dual_equation(kernel_tuple(a), kernel_tuple(b))
             (result,) = extend_to_monomials(a, [b])
             assert isinstance(result, Unextendable)
@@ -209,7 +207,7 @@ class TestIsometry:
             isometric += expected
             assert is_isometry_criterion(lam, mu) == expected
             V, U = kernel_tuple(lam), kernel_tuple(mu)
-            assert verify_dual_equation(V, U) == satisfies_isometry_equation(V, U) == expected
+            assert verify_dual_equation(V, U) == expected
             (result,) = extend_to_monomials(lam, [mu])
             assert (result is not None) == expected
             if lam.length != mu.length:
@@ -383,7 +381,7 @@ def reference_transport(G, H, q, k):
                 rows.append(e)
         return np.array(rows, dtype=np.int64)
 
-    return np.array(inverse(complete(G[idx]), q)) @ complete(H[idx]) % q
+    return reference_inverse(complete(G[idx]), q) @ complete(H[idx]) % q
 
 
 class TestBatchedKernels:

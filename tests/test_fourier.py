@@ -11,20 +11,18 @@ from modcode import (
     Subspace,
     fourier_of_indicator,
     intersect,
+    is_isometry_criterion,
     kernel_tuple,
     minimal_counterexample,
     orthogonal,
-    orthogonal_submodule,
     row_kernel,
-    satisfies_isometry_equation,
-    subspace_sum,
     verify_dual_equation,
 )
 from modcode.codes import Code, module_elements
 from modcode.errors import DimensionMismatchError
-from modcode.linalg import subspaces_up_to_dim
+from modcode.linalg import contains, subspaces_up_to_dim
 
-from conftest import random_subspace
+from conftest import code_of_kernels, random_subspace
 
 
 class TestPairing:
@@ -78,14 +76,10 @@ class TestFourierOfIndicator:
         sp = ModuleSpace(2, m, t)
         for S in subspaces_up_to_dim(2, t, t):
             sub = Submodule(sp, S)
-            dual = orthogonal_submodule(sub)
             size = 2 ** (m * S.dim)
             for Y in module_elements(2, m, t):
                 counts = fourier_of_indicator(sub, Y)
-                y_support = Subspace.from_rows(Y, 2, t)
-                from modcode.linalg import contains
-
-                if contains(dual.support, y_support):
+                if contains(orthogonal(S), Subspace.from_rows(Y, 2, t)):
                     assert counts == (size, 0)
                 else:
                     assert counts == (size // 2, size // 2)
@@ -96,14 +90,14 @@ class TestOrthogonalSubmodule:
         sp = ModuleSpace(2, 1, 2)
         zero = Submodule(sp, Subspace.zero(2, 2))
         full = Submodule(sp, Subspace.full(2, 2))
-        assert orthogonal_submodule(zero).support == Subspace.full(2, 2)
-        assert orthogonal_submodule(full).support == Subspace.zero(2, 2)
+        assert Submodule(sp, orthogonal(zero.support)) == full
+        assert Submodule(sp, orthogonal(full.support)) == zero
 
     def test_self_dual_line(self):
         sp = ModuleSpace(2, 1, 2)
         line = Submodule(sp, Subspace.from_rows([[1, 1]], 2))
-        dual = orthogonal_submodule(line)
-        assert dual.support == line.support
+        dual = Submodule(sp, orthogonal(line.support))
+        assert dual == line
         assert 2 ** line.support.dim * 2 ** dual.support.dim == 2 ** (sp.m * sp.t)
 
     def test_size_law_and_involution(self, rng):
@@ -111,17 +105,17 @@ class TestOrthogonalSubmodule:
             sp = ModuleSpace(q, m, t)
             for _ in range(10):
                 sub = Submodule(sp, random_subspace(rng, q, t))
-                dual = orthogonal_submodule(sub)
+                dual = Submodule(sp, orthogonal(sub.support))
                 assert q ** (m * sub.support.dim) * q ** (m * dual.support.dim) == q ** (m * t)
-                assert orthogonal_submodule(dual).support == sub.support
+                assert Submodule(sp, orthogonal(dual.support)) == sub
 
     def test_de_morgan_exhaustive_f2_cubed(self):
         spaces = subspaces_up_to_dim(2, 3, 3)
         assert len(spaces) == 16
         for S in spaces:
             for T in spaces:
-                assert orthogonal(intersect(S, T)) == subspace_sum(
-                    orthogonal(S), orthogonal(T)
+                assert orthogonal(intersect(S, T)) == Subspace.from_rows(
+                    orthogonal(S).basis + orthogonal(T).basis, 2, 3
                 )
 
 
@@ -134,19 +128,17 @@ class TestDualEquation:
     def test_forged_pair_solves_both_equations(self):
         for q, m, k in [(2, 1, 2), (3, 1, 2), (2, 2, 3)]:
             lam, mu = minimal_counterexample(q, m, k)
-            V, U = kernel_tuple(lam), kernel_tuple(mu)
-            assert satisfies_isometry_equation(V, U)
-            assert verify_dual_equation(V, U)
+            assert is_isometry_criterion(lam, mu)
+            assert verify_dual_equation(kernel_tuple(lam), kernel_tuple(mu))
 
     def test_perturbed_pair_fails_both(self):
         lam, mu = minimal_counterexample(2, 1, 2)
         broken = Code(mu.alphabet, mu.space, [*mu.generators[:-1], mu.generators[0]])
-        V, U = kernel_tuple(lam), kernel_tuple(broken)
-        assert not satisfies_isometry_equation(V, U)
-        assert not verify_dual_equation(V, U)
+        assert not is_isometry_criterion(lam, broken)
+        assert not verify_dual_equation(kernel_tuple(lam), kernel_tuple(broken))
 
     def test_equivalence_on_random_tuples(self, rng):
-        # The primal and dual equation checks must always agree.
+        # The criterion on codes with these kernels and the dual equation must always agree.
         for _ in range(300):
             q = int(rng.choice([2, 3]))
             m = int(rng.integers(1, 3))
@@ -159,7 +151,8 @@ class TestDualEquation:
                 U = tuple(V[i] for i in perm)
             else:
                 U = tuple(Submodule(sp, random_subspace(rng, q, t)) for _ in range(n))
-            assert satisfies_isometry_equation(V, U) == verify_dual_equation(V, U)
+            primal = is_isometry_criterion(code_of_kernels(V), code_of_kernels(U))
+            assert primal == verify_dual_equation(V, U)
 
 
 def image_is_kernel_dual(G, q: int) -> bool:

@@ -470,7 +470,7 @@ class TestLeanImports:
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) == len(modcode.__all__) == 59
+        assert int(proc.stdout) == len(modcode.__all__) == 56
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError):
@@ -541,61 +541,102 @@ def ast_names(node):
             yield child.value
 
 
-# Package definitions that nothing in src/modcode or bench/ names, each kept
+# Package definitions that nothing in src/modcode or bench/ uses, each kept
 # as an independent reference that the named test compares the package with.
 REFERENCES = {
-    "inverse": "test_codes.py::TestBatchedTransport::test_batch_matches_per_pair_reference",
-    "subspace_sum": "test_linalg.py::TestSubspaceOps::test_modular_law",
     "count_subspaces_containing": "test_acceptance.py::test_criterion_4_identity_suites",
     "apply_monomial": "test_acceptance.py::test_criterion_7_monomial_roundtrip",
     "fourier_of_indicator": "test_acceptance.py::test_criterion_5_fourier_duality",
-    "orthogonal_submodule": "test_acceptance.py::test_criterion_5_fourier_duality",
     "covering_by_proper_submodules":
         "test_forge.py::TestSolutionToCodes::test_covering_route_matches_minimal_pair",
     "inclusion_exclusion_solution":
         "test_forge.py::TestSolutionToCodes::test_covering_route_matches_minimal_pair",
     "solution_to_codes":
         "test_forge.py::TestSolutionToCodes::test_covering_route_matches_minimal_pair",
-    "satisfies_isometry_equation":
-        "test_fourier.py::TestDualEquation::test_equivalence_on_random_tuples",
 }
+
+
+def unused_definitions(root: Path, users=()) -> dict[str, str]:
+    """The functions, classes and methods of the package at root that nothing uses.
+
+    Returns ``{name: "file:line"}``.  A top-level definition of module mod
+    is used only where a binding reaches it, outside its own body: a Name in
+    mod, an import of it from mod, ``mod.name``, ``<package>.name`` or an
+    import from the package where its ``_EXPORTS`` send the name to mod, or
+    a ``("<package>.mod", "name", ...)`` probe tuple.  A method is used
+    where any Name, Attribute, import alias or string constant outside its
+    own body names it.  The package's modules and the ``users`` files are
+    searched; the ``_EXPORTS`` of ``__init__.py`` are not uses, and dunders
+    are exempt.
+    """
+    package = root.name
+    trees = {path: ast.parse(path.read_text()) for path in [*sorted(root.glob("*.py")), *users]}
+    init = trees.get(root / "__init__.py", ast.Module(body=[]))
+    exports = [node for node in init.body
+               if [getattr(t, "id", None) for t in getattr(node, "targets", [])] == ["_EXPORTS"]]
+    home = {name: mod for node in exports
+            for mod, names in ast.literal_eval(node.value).items() for name in names}
+    uses = collections.Counter()
+    bound = collections.Counter()
+    for path, tree in trees.items():
+        here = path.stem if path.parent == root else None
+        for node in tree.body:
+            if node in exports:
+                continue
+            uses.update(ast_names(node))
+            for child in ast.walk(node):
+                if isinstance(child, ast.Name):
+                    bound[here, child.id] += 1
+                elif isinstance(child, ast.ImportFrom):
+                    source = child.module if child.level else child.module.removeprefix(package + ".")
+                    for alias in child.names:
+                        mod = home.get(alias.name) if child.module == package else source
+                        bound[mod, alias.name] += 1
+                elif isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+                    owner = child.value.id
+                    bound[home.get(child.attr) if owner == package else owner, child.attr] += 1
+                elif isinstance(child, ast.Tuple) and len(child.elts) >= 2:
+                    head = [getattr(e, "value", None) for e in child.elts[:2]]
+                    if all(isinstance(v, str) for v in head) and head[0].startswith(package + "."):
+                        bound[head[0][len(package) + 1 :], head[1]] += 1
+    unused = {}
+    for path, tree in trees.items():
+        if path.parent != root:
+            continue
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for item in [node, *members]:
+                if not isinstance(item, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                name = item.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if item is node:
+                    inside = sum(1 for c in ast.walk(item) if isinstance(c, ast.Name) and c.id == name)
+                    used = bound[path.stem, name] > inside
+                else:
+                    used = uses[name] > sum(1 for n in ast_names(item) if n == name)
+                if not used:
+                    unused[name] = f"{path.name}:{item.lineno}"
+    return unused
 
 
 class TestNoDeadCode:
     def test_every_definition_is_named_elsewhere(self):
-        """Each top-level function, class and method of the package is used by the program.
-
-        A use is a Name, an Attribute, an import alias or a string constant
-        (the benchmark probes functions by name) in src/modcode or bench/,
-        outside the definition's own body.  The _EXPORTS strings of
-        __init__.py are not uses, and dunders are exempt.  The definitions
-        without a use are exactly the keys of REFERENCES.
-        """
+        """The package definitions without a use are exactly the keys of REFERENCES."""
         root = Path(modcode.__file__).resolve().parent
-        uses = collections.Counter()
-        unused = {}
-        files = [*root.glob("*.py"), *(root.parent.parent / "bench").glob("*.py")]
-        trees = {path: ast.parse(path.read_text()) for path in sorted(files)}
-        for path, tree in trees.items():
-            for node in tree.body:
-                targets = [getattr(t, "id", None) for t in getattr(node, "targets", [])]
-                if not (path.name == "__init__.py" and targets == ["_EXPORTS"]):
-                    uses.update(ast_names(node))
-        for path, tree in trees.items():
-            if path.parent != root:
-                continue
-            for node in tree.body:
-                members = node.body if isinstance(node, ast.ClassDef) else []
-                for item in [node, *members]:
-                    if not isinstance(item, (ast.FunctionDef, ast.ClassDef)):
-                        continue
-                    name = item.name
-                    inside = sum(1 for used in ast_names(item) if used == name)
-                    if uses[name] == inside and not (name.startswith("__") and name.endswith("__")):
-                        unused[name] = f"{path.name}:{item.lineno}"
+        unused = unused_definitions(root, sorted((root.parent.parent / "bench").glob("*.py")))
         dead = sorted(f"{where} {name}" for name, where in unused.items() if name not in REFERENCES)
         stale = sorted(REFERENCES.keys() - unused.keys())
         assert not dead and not stale, {"dead": dead, "stale references": stale}
+
+    def test_a_shared_name_is_not_a_use(self, tmp_path):
+        # b's local f is not bound to a's function, so a.f is dead although f is named.
+        root = tmp_path / "pkg"
+        root.mkdir()
+        (root / "a.py").write_text("def f():\n    return 0\n\n\ndef g():\n    return 1\n")
+        (root / "b.py").write_text("from .a import g\n\nf = 1\nprint(f, g())\n")
+        assert unused_definitions(root) == {"f": "a.py:1"}
 
     @pytest.mark.parametrize("name", sorted(REFERENCES))
     def test_reference_is_used_by_its_test(self, name):
@@ -747,6 +788,28 @@ class TestProcessEntry:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and "budget is" in proc.stderr
 
+    def test_dual_equation_huge_m_raises_budget_error_at_once(self):
+        # The weights q^(m dim) at m = 10^18 are refused by their size in
+        # 64-bit words before any is built.  The address-space limit keeps a
+        # regression from growing one of them without bound.
+        script = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from modcode.codes import Alphabet, Code, ModuleSpace, kernel_tuple\n"
+            "from modcode.errors import EnumerationBudgetError\n"
+            "from modcode.fourier import verify_dual_equation\n"
+            "sp, al = ModuleSpace(2, 10**18, 2), Alphabet(2, 10**18, 1)\n"
+            "lam = Code(al, sp, [[[1], [0]], [[0], [1]], [[1], [1]]])\n"
+            "mu = Code(al, sp, [[[1], [0]], [[1], [0]], [[1], [1]]])\n"
+            "try:\n"
+            "    verify_dual_equation(kernel_tuple(lam), kernel_tuple(mu))\n"
+            "except EnumerationBudgetError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = python("-c", script, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("dual equation weights") and "budget is" in proc.stdout
+
     def test_forge_oversized_pair_exits_3_at_once(self, tmp_path):
         proc = python("-m", "modcode.cli", "forge", "--q", "2", "--m", "1", "--k", str(10**12),
                       "--out-lambda", str(tmp_path / "l.json"),
@@ -785,10 +848,30 @@ class TestProcessEntry:
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# The codes of the benchmark's mds-scan workload, without its seeded monomial images.
+PARITY = [[[1], [0], [0]], [[0], [1], [0]], [[0], [0], [1]], [[1], [1], [1]]]
+MDS_SCAN_CODES = {
+    "rep2_3_1": {"q": 2, "m": 1, "k": 1, "t": 1, "generators": [[[1]]] * 3},
+    "parity2_4_3": {"q": 2, "m": 1, "k": 1, "t": 3, "generators": PARITY},
+    "forged_2_1_2": {"q": 2, "m": 1, "k": 2, "t": 2,
+                     "generators": [[[1, 0], [0, 1]], [[1, 0], [0, 1]], [[0, 0], [0, 0]]]},
+    "parity3_4_3": {"q": 3, "m": 1, "k": 1, "t": 3, "generators": PARITY},
+}
+
+
+def report_bytes(output: str) -> bytes:
+    """A --json report without its timing, as the golden report files hold it."""
+    report = json.loads(output)
+    del report["seconds"]
+    return (json.dumps(report, indent=1) + "\n").encode()
 
 
 class TestGoldenFiles:
-    """Files and reports written by the numpy release of the package, byte for byte."""
+    """Files and reports of earlier releases, byte for byte.
+
+    The forge and check files come from the numpy release; the minlen and
+    mds --scan reports from the first release on plain Python ints.
+    """
 
     @pytest.mark.parametrize("q, m, k", [(2, 1, 2), (3, 2, 3)])
     def test_forged_files_match(self, cli, tmp_path, q, m, k):
@@ -808,10 +891,24 @@ class TestGoldenFiles:
         image = str(GOLDEN / "check_2_2_3_image.json")
         result = cli(["check", "--lambda", paths[side], "--mu", image, "--json"] + ["--oracle"] * oracle)
         assert result.exit_code == 0
-        report = json.loads(result.output)
-        del report["seconds"]
         expected = GOLDEN / ("check_2_2_3_report.json" if oracle else "check_2_2_3_mu_report.json")
-        assert (json.dumps(report, indent=1) + "\n").encode() == expected.read_bytes()
+        assert report_bytes(result.output) == expected.read_bytes()
+
+    @pytest.mark.parametrize("q, m, t, bound", [(2, 2, 3, 20), (2, 1, 3, 4), (5, 1, 2, 11)])
+    def test_minlen_report_matches(self, cli, q, m, t, bound):
+        result = cli(["minlen", "--q", str(q), "--m", str(m), "--t", str(t),
+                      "--bound", str(bound), "--json"])
+        assert result.exit_code == 0
+        expected = GOLDEN / f"minlen_{q}_{m}_{t}_{bound}_report.json"
+        assert report_bytes(result.output) == expected.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(MDS_SCAN_CODES))
+    def test_mds_scan_report_matches(self, cli, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(MDS_SCAN_CODES[name]))
+        result = cli(["mds", "--code", str(path), "--scan", "--json"])
+        assert result.exit_code == 0
+        assert report_bytes(result.output) == (GOLDEN / f"mds_{name}_report.json").read_bytes()
 
 
 class TestIdentitiesCommand:
