@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import index
 
 from . import budget
 from .errors import DimensionMismatchError, NotAnIsometryError
 from .linalg import (
+    Record,
     Subspace,
     as_matrix,
     check_prime,
+    check_subspace_of,
     complete_basis,
     enumerate_subspaces,
     mat_mul,
@@ -47,79 +50,35 @@ def _check_exact(q: int, *dims: int) -> None:
         )
 
 
-class Record:
-    """An immutable record whose positional fields are its ``__slots__``.
-
-    Equality, hashing and the repr use the field values in slot order, and
-    ``_check`` validates them once they are set.  Assignment raises
-    AttributeError.
-    """
+class MatrixModule(Record):
+    """The module of m x n matrices over F_q; n, the third field, is at least ``least``."""
 
     __slots__ = ()
+    least = 0
 
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes fields {', '.join(self.__slots__)}")
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-        self._check()
-
-    @classmethod
-    def _unchecked(cls, *values):
-        """A record from fields the caller has already validated; ``_check`` is skipped."""
-        record = object.__new__(cls)
-        for name, value in zip(cls.__slots__, values):
-            object.__setattr__(record, name, value)
-        return record
-
-    def _check(self) -> None:
-        """Validate the fields; a subclass overrides it."""
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+    def _check(self):
+        try:
+            q, m, n = map(index, self._values())
+        except TypeError as exc:
+            raise ValueError(f"module parameters must be integers: {exc}") from exc
+        # The bound first: trial division of a huge modulus would not end.
+        _check_exact(q, m, n)
+        check_prime(q)
+        if m < 1 or n < self.least:
+            raise ValueError(f"need m >= 1 and {self._fields[2]} >= {self.least}")
 
 
-class Alphabet(Record):
+class Alphabet(MatrixModule):
     """The alphabet of m x k matrices over F_q, a module over m x m matrices."""
 
     __slots__ = ("q", "m", "k")
-
-    def _check(self):
-        # The bound first: trial division of a huge modulus would not end.
-        _check_exact(self.q, self.m, self.k)
-        check_prime(self.q)
-        if self.m < 1 or self.k < 1:
-            raise ValueError("alphabet parameters m and k must be >= 1")
+    least = 1
 
 
-class ModuleSpace(Record):
+class ModuleSpace(MatrixModule):
     """The source module W of m x t matrices over F_q."""
 
     __slots__ = ("q", "m", "t")
-
-    def _check(self):
-        # The bound first: trial division of a huge modulus would not end.
-        _check_exact(self.q, self.m, self.t)
-        check_prime(self.q)
-        if self.m < 1 or self.t < 0:
-            raise ValueError("need m >= 1 and t >= 0")
 
 
 class Submodule(Record):
@@ -132,8 +91,7 @@ class Submodule(Record):
     __slots__ = ("space", "support")
 
     def _check(self):
-        if self.support.q != self.space.q or self.support.ambient != self.space.t:
-            raise DimensionMismatchError("support must be a subspace of F_q^t")
+        check_subspace_of(self.support, self.space.q, self.space.t)
 
 
 class Hom(Record):
@@ -159,36 +117,22 @@ class Code(Record):
     """A length-n code parametrized by n homomorphisms with common source.
 
     The code holds its n t x k generator matrices as one tuple of row
-    tuples, given as any nested sequence; ``columns`` are the matching Hom
-    objects, built on each access.  ``_unchecked`` takes a tuple of
-    generators already reduced mod q.
+    tuples, given as any nested sequence; each is checked and reduced by
+    ``Hom``.  ``columns`` are the matching Hom objects, built on each
+    access.  ``_unchecked`` takes a tuple of generators already reduced mod q.
     """
 
     __slots__ = ("alphabet", "space", "generators")
 
     def _check(self):
-        alphabet, space, generators = self.alphabet, self.space, self.generators
-        if space.q != alphabet.q or space.m != alphabet.m:
-            raise DimensionMismatchError("source and target live over different rings")
-        if len(generators) == 0:
+        if len(self.generators) == 0:
             raise ValueError("a code needs at least one column")
-        q, t, k = space.q, space.t, alphabet.k
-        reduced: dict = {}  # each distinct row is reduced once: a code repeats few rows
-        try:
-            G = tuple(
-                tuple([reduced[r] if r in reduced else reduced.setdefault(r, as_matrix([r], q)[0])
-                       for r in map(tuple, M)])
-                for M in generators
-            )
-        except TypeError as exc:
-            raise DimensionMismatchError(f"generators must be {t}x{k} matrices: {exc}") from exc
-        if any(len(M) != t for M in G) or any(len(r) != k for r in reduced.values()):
-            raise DimensionMismatchError(f"generators must be {t}x{k}")
+        G = tuple(Hom(self.space, self.alphabet, M).matrix for M in self.generators)
         object.__setattr__(self, "generators", G)
 
     @property
     def columns(self) -> tuple[Hom, ...]:
-        return tuple(Hom(self.space, self.alphabet, G) for G in self.generators)
+        return tuple(Hom._unchecked(self.space, self.alphabet, G) for G in self.generators)
 
     @property
     def length(self) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import budget
-from .codes import Alphabet, Code, ModuleSpace, Record, Submodule
+from .codes import Alphabet, Code, ModuleSpace, Submodule
 from .errors import (
     DimensionMismatchError,
     DomainRejectionError,
@@ -24,6 +24,8 @@ from .errors import (
     RankInfeasibleError,
 )
 from .linalg import (
+    Record,
+    check_subspace_of,
     contains,
     intersect,
     rref,
@@ -53,8 +55,7 @@ class SolutionPair(Record):
     def _check(self):
         for side in (self.V, self.U):
             for S, mult in side:
-                if S.q != self.space.q or S.ambient != self.space.t:
-                    raise DimensionMismatchError("supports must be subspaces of F_q^t")
+                check_subspace_of(S, self.space.q, self.space.t)
                 if mult <= 0:
                     raise ValueError("multiplicities must be positive")
         if self.length(self.V) != self.length(self.U):
@@ -138,8 +139,7 @@ def kernel_generators(space: ModuleSpace, supports, k: int) -> list:
     supports = list(supports)
     t, q = space.t, space.q
     for S in supports:
-        if S.q != q or S.ambient != t:
-            raise DimensionMismatchError("kernel must be a subspace of F_q^t")
+        check_subspace_of(S, q, t)
         if t - S.dim > k:
             raise RankInfeasibleError(
                 f"kernel of codimension {t - S.dim} needs k >= {t - S.dim}, got {k}"

@@ -15,13 +15,18 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, reduce
-from operator import and_, mul
+from operator import and_, index, mul
 
 from . import budget
 from .errors import DimensionMismatchError
 
 
 def is_prime(n: int) -> bool:
+    """True iff n is a prime integer; a float or any other non-integer is not prime."""
+    try:
+        n = index(n)
+    except TypeError:
+        return False
     if n < 2:
         return False
     if n < 4:
@@ -43,11 +48,15 @@ def check_prime(q: int) -> int:
 
 
 def as_matrix(entries, q: int) -> tuple[tuple[int, ...], ...]:
-    """Coerce a 2-d array-like to a tuple of equal-length row tuples reduced mod q."""
+    """Coerce a 2-d array-like of integers to a tuple of equal-length row tuples reduced mod q.
+
+    An entry is coerced by ``operator.index``, so a float or a string is
+    rejected, never truncated.
+    """
     try:
-        M = tuple(tuple([int(x) % q for x in row]) for row in entries)
+        M = tuple(tuple([index(x) % q for x in row]) for row in entries)
     except TypeError as exc:
-        raise DimensionMismatchError(f"expected a 2-d matrix: {exc}") from exc
+        raise DimensionMismatchError(f"expected a 2-d matrix of integer entries: {exc}") from exc
     if len({len(row) for row in M}) > 1:
         raise DimensionMismatchError("matrix rows have unequal lengths")
     return M
@@ -114,11 +123,11 @@ def point_index(v, q: int) -> int:
     base-q value of its entries after the leading 1.
     """
     lead = next(i for i, x in enumerate(v) if x)
-    index = 0
+    number = 0
     for x in v[lead + 1 :]:
-        index = index * q + x
+        number = number * q + x
     r = len(v) - 1 - lead
-    return (q**r - 1) // (q - 1) + index
+    return (q**r - 1) // (q - 1) + number
 
 
 def members(bits: int):
@@ -129,27 +138,68 @@ def members(bits: int):
         bits ^= low
 
 
-class Subspace:
+class Record:
+    """An immutable record whose positional fields are its public ``__slots__``.
+
+    Equality, hashing and the repr use the field values in slot order, and
+    ``_check`` validates them once they are set.  A slot whose name starts
+    with ``_`` is a cache, not a field; cache slots come last, and
+    ``_unchecked`` fills them after the fields (None when not given).
+    Assignment raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes fields {', '.join(self._fields)}")
+        for name, value in itertools.zip_longest(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    @classmethod
+    def _unchecked(cls, *values):
+        """A record from fields the caller has already validated; ``_check`` is skipped."""
+        record = object.__new__(cls)
+        for name, value in itertools.zip_longest(cls.__slots__, values):
+            object.__setattr__(record, name, value)
+        return record
+
+    def _check(self) -> None:
+        """Validate the fields; a subclass overrides it."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        # False, not NotImplemented, for another type: an array would compare elementwise.
+        return other is self or type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Subspace(Record):
     """A canonical subspace of F_q^t.
 
     The basis is a tuple of RREF rows with no zero rows, so equality and
     hashing are structural.  ``points`` is the bitset of the points of
-    PG(t-1, q) in the subspace, computed on first use.  Instances are
-    immutable.
+    PG(t-1, q) in the subspace, cached in ``_points`` on first use.  The
+    constructor is trusted: the basis must already be canonical.  Use
+    from_rows() for arbitrary spanning sets.
     """
 
-    __slots__ = ("q", "ambient", "basis", "_key", "_points")
-
-    def __init__(self, q: int, ambient: int, basis, points: int | None = None):
-        # Trusted constructor: basis must already be canonical (a tuple of RREF
-        # row tuples, no zero rows), and points its point set when given.
-        # Use from_rows() for arbitrary spanning sets.
-        key = (q, ambient, basis)
-        for name, value in zip(Subspace.__slots__, (q, ambient, basis, key, points)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
+    __slots__ = ("q", "ambient", "basis", "_points")
 
     @classmethod
     def from_rows(cls, rows, q: int, ambient: int | None = None) -> "Subspace":
@@ -163,7 +213,7 @@ class Subspace:
         if not M:
             return cls.zero(q, ambient)
         R, rank, _ = rref(M, q)
-        return cls(q, ambient, R[:rank])
+        return cls._unchecked(q, ambient, R[:rank])
 
     @classmethod
     def from_points(cls, q: int, ambient: int, bits: int) -> "Subspace":
@@ -180,16 +230,16 @@ class Subspace:
             lead = bits & ((1 << q**r) - 1) << (q**r - 1) // (q - 1)
             if lead:
                 basis.append(points[(lead & -lead).bit_length() - 1])
-        return cls(q, ambient, tuple(basis), bits)
+        return cls._unchecked(q, ambient, tuple(basis), bits)
 
     @classmethod
     def zero(cls, q: int, ambient: int) -> "Subspace":
-        return cls(q, ambient, (), 0)
+        return cls._unchecked(q, ambient, (), 0)
 
     @classmethod
     def full(cls, q: int, ambient: int) -> "Subspace":
         eye = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
-        return cls(q, ambient, eye)
+        return cls._unchecked(q, ambient, eye)
 
     @property
     def dim(self) -> int:
@@ -222,27 +272,20 @@ class Subspace:
     def sort_key(self):
         return len(self.basis), self.basis
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Subspace) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
     def __repr__(self) -> str:
         rows = [list(row) for row in self.basis]
         return f"Subspace(q={self.q}, ambient={self.ambient}, basis={rows})"
 
 
-def _check_compatible(S: Subspace, T: Subspace) -> None:
-    if S.q != T.q or S.ambient != T.ambient:
-        raise DimensionMismatchError(
-            f"subspaces live in different spaces: F_{S.q}^{S.ambient} vs F_{T.q}^{T.ambient}"
-        )
+def check_subspace_of(S: Subspace, q: int, t: int) -> None:
+    """Raise DimensionMismatchError unless S is a subspace of F_q^t."""
+    if S.q != q or S.ambient != t:
+        raise DimensionMismatchError(f"a subspace of F_{S.q}^{S.ambient} does not lie in F_{q}^{t}")
 
 
 def contains(S: Subspace, T: Subspace) -> bool:
     """True iff T is a subspace of S."""
-    _check_compatible(S, T)
+    check_subspace_of(T, S.q, S.ambient)
     return T.dim <= S.dim and not T.points & ~S.points
 
 
@@ -260,7 +303,7 @@ def row_kernel(M, q: int) -> Subspace:
 
 def intersect(S: Subspace, T: Subspace) -> Subspace:
     """S ∩ T, whose point set is the AND of theirs."""
-    _check_compatible(S, T)
+    check_subspace_of(T, S.q, S.ambient)
     return Subspace.from_points(S.q, S.ambient, S.points & T.points)
 
 
@@ -336,10 +379,7 @@ def supports_at_points(q: int, t: int, supports) -> list[int]:
     """Entry p is the bitset of the j with point p of PG(t-1, q) in supports[j]."""
     at_point = [0] * gaussian_binomial(t, 1, q)
     for j, K in enumerate(supports):
-        if K.q != q or K.ambient != t:
-            raise DimensionMismatchError(
-                f"support lives in F_{K.q}^{K.ambient}, not in F_{q}^{t}"
-            )
+        check_subspace_of(K, q, t)
         for p in members(K.points):
             at_point[p] |= 1 << j
     return at_point
@@ -431,7 +471,7 @@ def enumerate_subspaces(q: int, t: int, d: int) -> tuple[Subspace, ...]:
             M = [[int(c == p) for c in range(t)] for p in pivots]
             for (r, c), v in zip(free_positions, values):
                 M[r][c] = v
-            out.append(Subspace(q, t, tuple(map(tuple, M))))
+            out.append(Subspace._unchecked(q, t, tuple(map(tuple, M))))
     out.sort(key=Subspace.sort_key)
     assert len(out) == gaussian_binomial(t, d, q)
     return tuple(out)

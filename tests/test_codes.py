@@ -33,7 +33,7 @@ from modcode import (
 from modcode import codes, save_code
 from modcode.codes import codeword_weights, module_elements, transport_automorphisms
 from modcode.errors import DimensionMismatchError
-from modcode.linalg import matrix_rank, row_kernel
+from modcode.linalg import is_prime, matrix_rank, row_kernel
 from modcode.mds import exhaustive_isometry_scan
 
 from conftest import random_code, random_invertible, random_monomial, reference_inverse
@@ -360,6 +360,46 @@ class TestExactnessGuard:
             ModuleSpace(q, m, dim)
         with pytest.raises(DimensionMismatchError):
             Alphabet(q, m, dim)
+
+
+class TestIntegerInputs:
+    """Library constructors reject a non-integer entry or parameter, never truncate it."""
+
+    @pytest.mark.parametrize("entry", [2.9, 1.0, np.float64(2.2), "2"],
+                             ids=["float", "integral_float", "numpy_float", "string"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: Code(Alphabet(2, 1, 1), ModuleSpace(2, 1, 1), [[[x]]]),
+            lambda x: Hom(ModuleSpace(2, 1, 1), Alphabet(2, 1, 1), [[x]]),
+            lambda x: MonomialMap((0,), ([[x]],), 3),
+            lambda x: Subspace.from_rows([[x, 1]], 3),
+        ],
+        ids=["Code", "Hom", "MonomialMap", "Subspace.from_rows"],
+    )
+    def test_non_integer_entry_rejected(self, build, entry):
+        with pytest.raises(DimensionMismatchError, match="integer entries"):
+            build(entry)
+
+    @pytest.mark.parametrize("cls", [Alphabet, ModuleSpace])
+    @pytest.mark.parametrize("params", [(2.5, 1, 1), (3.0, 1, 2), (2, 1.5, 2), (2, 1, 2.0),
+                                        ("2", 1, 1)],
+                             ids=["float_q", "integral_float_q", "float_m", "integral_float_n",
+                                  "string_q"])
+    def test_non_integer_parameter_rejected(self, cls, params):
+        with pytest.raises(ValueError, match="must be integers"):
+            cls(*params)
+
+    def test_numpy_integer_parameters_accepted(self):
+        assert ModuleSpace(np.int64(3), np.int64(1), 2) == ModuleSpace(3, 1, 2)
+
+    def test_non_integer_is_not_prime(self):
+        assert not is_prime(2.5) and not is_prime(3.0) and not is_prime("3")
+        assert is_prime(3) and is_prime(np.int64(3))
+
+    def test_float_modulus_rejected_before_any_work(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            minimal_counterexample(2.0, 1, 2)
 
 
 def reference_transport(G, H, q, k):

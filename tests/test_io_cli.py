@@ -18,7 +18,7 @@ import modcode
 from modcode import forge
 from modcode import Alphabet, Code, ModuleSpace, load_code, minimal_counterexample, save_code
 from modcode.errors import DimensionMismatchError
-from modcode.linalg import SubspaceLattice, gaussian_binomial, matrix_rank
+from modcode.linalg import Record, Subspace, SubspaceLattice, gaussian_binomial, matrix_rank
 
 
 class TestCodeFiles:
@@ -654,17 +654,25 @@ class TestNoDeadCode:
 
 
 class TestOneRecordType:
-    def test_only_record_and_subspace_define_setattr(self):
-        """Immutability is written once for records and once for subspaces."""
+    @pytest.mark.parametrize("method", ["__setattr__", "__eq__", "__hash__"])
+    def test_only_record_defines(self, method):
+        """Immutability, equality and hashing are written once, in linalg.Record."""
         root = Path(modcode.__file__).resolve().parent
         owners = sorted(
             f"{path.stem}.{node.name}"
             for path in root.glob("*.py")
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.ClassDef)
-            and any(getattr(item, "name", None) == "__setattr__" for item in node.body)
+            and any(getattr(item, "name", None) == method for item in node.body)
         )
-        assert owners == ["codes.Record", "linalg.Subspace"]
+        assert owners == ["linalg.Record"]
+
+    def test_subspace_is_a_record_with_a_cached_point_set(self):
+        assert issubclass(Subspace, Record)
+        S = Subspace.from_rows([[1, 1]], 2)
+        assert S._fields == ("q", "ambient", "basis") and S._points is None
+        assert S.points == 0b100 and S._points == 0b100
+        assert S == Subspace(2, 2, ((1, 1),)) and hash(S) == hash(Subspace(2, 2, ((1, 1),)))
 
 
 def python(*args, timeout=None):
@@ -715,6 +723,13 @@ class TestProcessEntry:
         assert identities["all_pass"] is True
         # numpy was never imported over the block, and nothing loaded dataclasses.
         assert loaded == [True, False]
+
+    def test_readme_example_runs_with_numpy_blocked(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = readme.split("```python\n")[1].split("```")[0]
+        proc = python("-c", 'import sys\nsys.modules["numpy"] = None\n' + example, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("((Subspace(q=2, ambient=3, basis=[[0, 0, 1]]), 2), ")
 
     def test_package_sources_never_name_numpy(self):
         root = Path(modcode.__file__).resolve().parent
