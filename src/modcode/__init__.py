@@ -53,16 +53,12 @@ _EXPORTS = {
         "minimal_counterexample",
         "solution_to_codes",
     ),
-    "fourier": (
-        "fourier_of_indicator",
-        "verify_dual_equation",
-    ),
+    "fourier": ("verify_dual_equation",),
     "io": ("load_code", "save_code"),
     "linalg": (
         "Subspace",
         "cauchy_identities_check",
         "contains",
-        "count_subspaces_containing",
         "enumerate_subspaces",
         "gaussian_binomial",
         "intersect",

@@ -125,9 +125,13 @@ class Code(Record):
     __slots__ = ("alphabet", "space", "generators")
 
     def _check(self):
-        if len(self.generators) == 0:
+        try:
+            generators = tuple(self.generators)
+        except TypeError as exc:
+            raise DimensionMismatchError(f"generators must be a sequence: {exc}") from exc
+        if not generators:
             raise ValueError("a code needs at least one column")
-        G = tuple(Hom(self.space, self.alphabet, M).matrix for M in self.generators)
+        G = tuple(Hom(self.space, self.alphabet, M).matrix for M in generators)
         object.__setattr__(self, "generators", G)
 
     @property
@@ -153,17 +157,21 @@ class MonomialMap(Record):
     __slots__ = ("permutation", "automorphisms", "q")
 
     def _check(self):
-        n = len(self.permutation)
-        if sorted(self.permutation) != list(range(n)):
+        try:
+            perm, autos = tuple(map(index, self.permutation)), tuple(self.automorphisms)
+        except TypeError as exc:
+            raise DimensionMismatchError(f"expected sequences of ints and matrices: {exc}") from exc
+        if sorted(perm) != list(range(len(perm))):
             raise ValueError("permutation must be a bijection of range(n)")
-        if len(self.automorphisms) != n:
+        if len(autos) != len(perm):
             raise DimensionMismatchError("need one automorphism per coordinate")
         frozen = []
-        for P in self.automorphisms:
+        for P in autos:
             P = as_matrix(P, self.q)
             if any(len(row) != len(P) for row in P) or matrix_rank(P, self.q) != len(P):
                 raise ValueError("automorphisms must be invertible square matrices")
             frozen.append(P)
+        object.__setattr__(self, "permutation", perm)
         object.__setattr__(self, "automorphisms", tuple(frozen))
 
 
@@ -299,7 +307,8 @@ def transport_automorphisms(Gs, Hs, q: int, k: int) -> list:
     at the same indices.  P = F_G^-1 F_H, the right block of the RREF of
     [F_G | F_H], maps a basis of rowspace(G) to the matching rows of H and a
     complement to a complement: the semisimple splitting argument made
-    concrete.  A pivot-free left block or a rank-deficient P fails loudly.
+    concrete.  Both frames are bases of F_q^k, so P is invertible once the
+    left block has pivots 0..k-1; a left block without them fails loudly.
     """
     out = []
     solved: dict = {}  # equal pairs share one automorphism
@@ -310,7 +319,7 @@ def transport_automorphisms(Gs, Hs, q: int, k: int) -> list:
         frames = zip(complete_basis(G, q, k), complete_basis(H, q, k))
         R, _, pivots = rref([tuple(f) + tuple(h) for f, h in frames], q)
         P = tuple(row[k:] for row in R)
-        if pivots[:k] != list(range(k)) or rref(P, q)[1] != k:
+        if pivots[:k] != list(range(k)):
             raise AssertionError("transport automorphism is singular")
         if mat_mul(G, P, q) != H:
             raise AssertionError("transport automorphism failed; kernels were not equal")
@@ -373,7 +382,7 @@ def extend_to_monomials(lam: Code, mus) -> list:
     # One transport call serves every extendable image.
     autos = transport_automorphisms(Gs, Hs, sp.q, lam.alphabet.k) if chosen else []
     for r, (i, perm) in enumerate(chosen):
-        # transport_automorphisms proved each automorphism invertible.
+        # transport_automorphisms found pivots 0..k-1, so each automorphism is invertible.
         results[i] = MonomialMap._unchecked(perm, tuple(autos[r * n : (r + 1) * n]), sp.q)
     return results
 
@@ -397,11 +406,14 @@ def apply_monomial(mmap: MonomialMap, code: Code) -> Code:
     if len(mmap.permutation) != code.length:
         raise DimensionMismatchError("monomial map size does not match code length")
     q = code.space.q
+    if mmap.q != q:
+        raise DimensionMismatchError(f"a monomial map over F_{mmap.q} does not act on F_{q}")
+    # mat_mul rejects an automorphism whose size is not k.
     G = tuple(
         mat_mul(code.generators[src], P, q)
         for src, P in zip(mmap.permutation, mmap.automorphisms)
     )
-    return Code._unchecked(code.alphabet, code.space, G)
+    return Code(code.alphabet, code.space, G)
 
 
 def is_cyclic_submodule(sub: Submodule) -> bool:

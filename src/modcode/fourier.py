@@ -1,44 +1,19 @@
-"""Exact additive character sums over matrix modules.
+"""The dual form of the isometry equation, decided exactly.
 
 The character group of the module of m x t matrices is identified with the
-module itself through the trace pairing <X, Y> = trace(X Y^T) mod q.  A
-character sum is never evaluated in floating point: the summands are bucketed
-by pairing residue into a length-q integer vector (one count per power of a
-primitive q-th root of unity).  The only facts the theory needs -- "the sum
-equals the submodule size" versus "the sum vanishes" -- are decided exactly
-from those counts.
+module itself through the trace pairing <X, Y> = trace(X Y^T) mod q.  The
+character sum of a submodule indicator collapses to the submodule size on
+the annihilator and vanishes off it, so the Fourier transform of the
+isometry equation is an equality of size-weighted indicators of orthogonal
+supports, decided by exact integer containment counts.
 """
 
 from __future__ import annotations
 
-from operator import mul
-
 from . import budget
-from .codes import Submodule, module_elements, support_difference
+from .codes import support_difference
 from .errors import DimensionMismatchError
-from .linalg import Subspace, as_matrix, orthogonal, subspace_lattice
-
-
-def fourier_of_indicator(sub: Submodule, Y) -> tuple[int, ...]:
-    """Character sum of the submodule indicator at the character of Y.
-
-    Returns q counts: counts[j] is the number of submodule elements whose
-    pairing with Y equals j.  The value is |submodule| at index 0 (all other
-    counts zero) when the pairing vanishes on the submodule, and the balanced
-    all-equal pattern (a vanishing root sum) otherwise.
-    """
-    q, m, t = sub.space.q, sub.space.m, sub.space.t
-    Y = as_matrix(Y, q)
-    if len(Y) != m or any(len(row) != t for row in Y):
-        raise DimensionMismatchError(f"character index must be {m} x {t}")
-    S = sub.support
-    # An element is A S for an m x dim coefficient matrix A, and
-    # <A S, Y> = sum over i, r of A[i][r] (S_r . Y_i).
-    dots = [[sum(map(mul, b, y)) for y in Y] for b in S.basis]
-    counts = [0] * q
-    for A in module_elements(q, m, S.dim):
-        counts[sum(a * dots[r][i] for i, row in enumerate(A) for r, a in enumerate(row)) % q] += 1
-    return tuple(counts)
+from .linalg import Subspace, orthogonal, subspace_lattice
 
 
 def verify_dual_equation(V, U) -> bool:

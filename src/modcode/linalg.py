@@ -51,9 +51,11 @@ def as_matrix(entries, q: int) -> tuple[tuple[int, ...], ...]:
     """Coerce a 2-d array-like of integers to a tuple of equal-length row tuples reduced mod q.
 
     An entry is coerced by ``operator.index``, so a float or a string is
-    rejected, never truncated.
+    rejected, never truncated.  The modulus q must be an integer >= 2.
     """
     try:
+        if index(q) < 2:
+            raise DimensionMismatchError(f"the modulus must be at least 2, got {q}")
         M = tuple(tuple([index(x) % q for x in row]) for row in entries)
     except TypeError as exc:
         raise DimensionMismatchError(f"expected a 2-d matrix of integer entries: {exc}") from exc
@@ -64,6 +66,8 @@ def as_matrix(entries, q: int) -> tuple[tuple[int, ...], ...]:
 
 def mat_mul(A, B, q: int) -> tuple[tuple[int, ...], ...]:
     """The product A B over F_q of two matrices given as row tuples; B has at least one row."""
+    if any(len(row) != len(B) for row in A):
+        raise DimensionMismatchError(f"inner dimensions differ: a row of A is not {len(B)} long")
     columns = tuple(zip(*B))
     return tuple(tuple(sum(map(mul, row, col)) % q for col in columns) for row in A)
 
@@ -195,25 +199,35 @@ class Subspace(Record):
     The basis is a tuple of RREF rows with no zero rows, so equality and
     hashing are structural.  ``points`` is the bitset of the points of
     PG(t-1, q) in the subspace, cached in ``_points`` on first use.  The
-    constructor is trusted: the basis must already be canonical.  Use
-    from_rows() for arbitrary spanning sets.
+    constructor checks that the basis is already canonical; use from_rows()
+    for arbitrary spanning sets.
     """
 
     __slots__ = ("q", "ambient", "basis", "_points")
 
+    def _check(self):
+        try:
+            ambient = index(self.ambient)
+        except TypeError as exc:
+            raise DimensionMismatchError(f"ambient must be an integer: {exc}") from exc
+        B = as_matrix(self.basis, self.q)
+        R, rank, _ = rref(B, self.q)
+        shaped = ambient >= 0 and all(len(row) == ambient for row in B)
+        if not shaped or tuple(map(tuple, self.basis)) != R[:rank]:
+            raise DimensionMismatchError(f"a basis must be its own RREF, with no zero rows, "
+                                         f"of rows of {ambient} entries in [0, {self.q})")
+        object.__setattr__(self, "basis", R[:rank])
+
     @classmethod
     def from_rows(cls, rows, q: int, ambient: int | None = None) -> "Subspace":
+        """The span of ``rows``; the checked constructor takes its RREF rows."""
         M = as_matrix(rows, q)
         if ambient is None:
             if not M:
                 raise DimensionMismatchError("ambient required for an empty spanning set")
             ambient = len(M[0])
-        if M and len(M[0]) != ambient:
-            raise DimensionMismatchError(f"rows have length {len(M[0])}, ambient is {ambient}")
-        if not M:
-            return cls.zero(q, ambient)
         R, rank, _ = rref(M, q)
-        return cls._unchecked(q, ambient, R[:rank])
+        return cls(q, ambient, R[:rank])
 
     @classmethod
     def from_points(cls, q: int, ambient: int, bits: int) -> "Subspace":
@@ -434,15 +448,6 @@ def cauchy_identities_check(t: int, q: int) -> bool:
     for i in range(t):
         product *= 1 + q**i
     return sum(terms) == product
-
-
-def count_subspaces_containing(X: Subspace, i: int) -> int:
-    """Number of i-dimensional subspaces of the ambient space containing X."""
-    p = X.dim
-    t = X.ambient
-    if not p <= i <= t:
-        raise DimensionMismatchError(f"need dim(X)={p} <= i={i} <= ambient={t}")
-    return gaussian_binomial(t - p, i - p, X.q)
 
 
 def _check_subspace_count(q: int, t: int, d: int) -> None:

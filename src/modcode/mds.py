@@ -19,13 +19,12 @@ from operator import add, sub
 from . import budget
 from .codes import (
     Code,
-    Record,
     Unextendable,
     codeword_weights,
-    extend_to_monomial,
     extend_to_monomials,
     # Not called here, but the traced replay in bench/traced.py probes them
     # under this module's name.
+    extend_to_monomial,  # noqa: F401
     is_isometry_criterion,  # noqa: F401
     kernel_support_multiset,  # noqa: F401
     module_elements,
@@ -33,7 +32,7 @@ from .codes import (
     vanishing_columns,
 )
 from .errors import DomainRejectionError, NotAnIsometryError, ZeroCodeError
-from .linalg import matrix_rank, number_row_kernels
+from .linalg import Record, matrix_rank, number_row_kernels
 
 
 class MdsReport(Record):
@@ -83,47 +82,37 @@ def is_mds(code: Code) -> MdsReport:
     return MdsReport(n, d, kappa, witnesses is None, witnesses)
 
 
-def _check_theorem_scope(code: Code) -> None:
+def _extend_images(code: Code, images) -> list:
+    """The monomial map of each image of an MDS code, or a TheoremViolation the theorem rules out.
+
+    Preconditions are errors, not violations: ``code`` is MDS with kappa != 2,
+    checked once, and the one :func:`extend_to_monomials` call must find
+    every image an isometry, else NotAnIsometryError.
+    """
     report = is_mds(code)
     if not report.is_mds:
         raise DomainRejectionError("the source code is not MDS")
     if report.kappa == 2:
         raise DomainRejectionError("MDS dimension 2 is outside the theorem's scope")
-
-
-def mds_extension_check(lam: Code, mu: Code):
-    """Extend an isometry of an MDS code, verifying the extension theorem.
-
-    Preconditions (violations are errors, not theorem violations): lam is
-    MDS with dimension kappa != 2 and the pair is a Hamming isometry.
-    Returns the monomial map; a TheoremViolation result would mean the
-    kernel multisets differ, which the theorem rules out.
-    """
-    _check_theorem_scope(lam)
-    result = extend_to_monomial(lam, mu)
-    if isinstance(result, Unextendable):
-        return TheoremViolation(result.lambda_only, result.mu_only)
-    return result
-
-
-def theorem_violations(code: Code, images) -> list[TheoremViolation]:
-    """Run :func:`mds_extension_check` on many images of one MDS code.
-
-    The MDS preconditions on ``code`` are checked once, not per image; each
-    image still gets the kernel-count criterion and the monomial-map
-    construction, all in one :func:`extend_to_monomials` call.  Every image
-    must be an isometry: one that the criterion rejects raises
-    NotAnIsometryError.  Returns the violations found, which the theorem
-    says is always an empty list.
-    """
-    _check_theorem_scope(code)
-    violations = []
+    results = []
     for i, result in enumerate(extend_to_monomials(code, images)):
         if result is None:
             raise NotAnIsometryError(f"the kernel-count criterion rejects image {i}, an isometry")
         if isinstance(result, Unextendable):
-            violations.append(TheoremViolation(result.lambda_only, result.mu_only))
-    return violations
+            result = TheoremViolation(result.lambda_only, result.mu_only)
+        results.append(result)
+    return results
+
+
+def mds_extension_check(lam: Code, mu: Code):
+    """The monomial map extending an isometry of an MDS code, or a TheoremViolation."""
+    (result,) = _extend_images(lam, [mu])
+    return result
+
+
+def theorem_violations(code: Code, images) -> list[TheoremViolation]:
+    """The violations among many images of one MDS code, which the theorem says are none."""
+    return [r for r in _extend_images(code, images) if isinstance(r, TheoremViolation)]
 
 
 def exhaustive_isometry_scan(code: Code) -> list[tuple[Code, bool]]:

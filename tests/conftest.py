@@ -11,7 +11,26 @@ import pytest
 from modcode import Alphabet, Code, ModuleSpace, MonomialMap, Subspace
 from modcode.cli import main
 from modcode.forge import kernel_generators
-from modcode.linalg import matrix_rank
+from modcode.linalg import Record, matrix_rank
+
+
+@pytest.fixture(autouse=True)
+def audit_trusted_records(request, monkeypatch):
+    """Every record a library path builds with ``_unchecked`` must pass its own ``_check``.
+
+    A test that breaks a check's helpers on purpose opts out with the
+    ``trusted_records(reason)`` marker.
+    """
+    if request.node.get_closest_marker("trusted_records"):
+        return
+    unchecked = Record._unchecked.__func__
+
+    def audited(cls, *values):
+        record = unchecked(cls, *values)
+        record._check()
+        return record
+
+    monkeypatch.setattr(Record, "_unchecked", classmethod(audited))
 
 
 @pytest.fixture

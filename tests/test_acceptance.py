@@ -20,11 +20,9 @@ from modcode import (
     Unextendable,
     apply_monomial,
     cauchy_identities_check,
-    count_subspaces_containing,
     enumerate_subspaces,
     exhaustive_isometry_scan,
     extend_to_monomial,
-    fourier_of_indicator,
     is_isometry_bruteforce,
     is_isometry_criterion,
     mds_extension_check,
@@ -36,6 +34,7 @@ from modcode.codes import module_elements
 from modcode.linalg import contains, orthogonal, subspaces_up_to_dim
 
 from conftest import code_of_kernels, random_code, random_monomial, random_subspace
+from references import count_subspaces_containing, fourier_of_indicator
 
 FORGE_TARGETS = [(2, 1, 2, 3), (3, 1, 2, 4), (2, 2, 3, 15)]
 

@@ -32,7 +32,8 @@ from modcode import (
 )
 from modcode import codes, save_code
 from modcode.codes import codeword_weights, module_elements, transport_automorphisms
-from modcode.errors import DimensionMismatchError
+from modcode.errors import DimensionMismatchError, ModcodeError
+from modcode.io import code_from_dict
 from modcode.linalg import is_prime, matrix_rank, row_kernel
 from modcode.mds import exhaustive_isometry_scan
 
@@ -305,6 +306,20 @@ class TestApplyMonomial:
         with pytest.raises(ValueError):
             MonomialMap((0,), (np.zeros((2, 2), dtype=int),), 2)
 
+    @pytest.mark.trusted_records("apply_monomial must refuse on its own, not through the audit")
+    def test_automorphism_of_another_size_rejected(self):
+        code = Code(Alphabet(2, 1, 2), ModuleSpace(2, 1, 1), [[[1, 0]]])
+        with pytest.raises(DimensionMismatchError):
+            apply_monomial(MonomialMap((0,), ([[1]],), 2), code)
+        with pytest.raises(DimensionMismatchError):
+            apply_monomial(MonomialMap((0,), (np.eye(3, dtype=int),), 2), code)
+
+    @pytest.mark.trusted_records("apply_monomial must refuse on its own, not through the audit")
+    def test_map_over_another_field_rejected(self):
+        code = identity_code(2, 1, 2, 1)
+        with pytest.raises(DimensionMismatchError, match="F_3"):
+            apply_monomial(MonomialMap((0,), (np.eye(2, dtype=int),), 3), code)
+
 
 class TestCyclicAndCovering:
     def test_dim_le_m_is_cyclic(self):
@@ -400,6 +415,76 @@ class TestIntegerInputs:
     def test_float_modulus_rejected_before_any_work(self):
         with pytest.raises(ValueError, match="must be integers"):
             minimal_counterexample(2.0, 1, 2)
+
+
+# Values a caller may pass where a constructor wants an integer, a sequence or a matrix.
+SCALARS = st.one_of(st.integers(-2, 6), st.booleans(), st.floats(-2, 6), st.text(max_size=2),
+                    st.none())
+NESTED = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=12)
+# Module parameters and moduli, valid more often than not.
+PARAMS = st.one_of(st.sampled_from([2, 3]), st.integers(1, 3), st.integers(-1, 5))
+
+
+def matrices(rows, cols):
+    """Matrices of the given shape, of small integers or of any values."""
+    return st.sampled_from([st.integers(0, 2), st.integers(-1, 3), SCALARS]).flatmap(
+        lambda entry: st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows))
+
+
+def checked_or_refused(build) -> None:
+    """build() returns a record that its own check and its constructor accept, or
+    raises ModcodeError or ValueError; any other exception fails the test."""
+    try:
+        record = build()
+    except (ModcodeError, ValueError):
+        return
+    record._check()
+    assert type(record)(*record._values()) == record
+
+
+class TestConstructorProperties:
+    """The public constructors, on inputs of any shape and with any entries."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=PARAMS, m=PARAMS, t=PARAMS, k=PARAMS, data=st.data())
+    def test_code_and_hom(self, q, m, t, k, data):
+        G = data.draw(st.one_of(NESTED, matrices(max(t, 0), max(k, 0))))
+        gens = data.draw(st.one_of(NESTED, st.lists(matrices(max(t, 0), max(k, 0)), max_size=3)))
+        checked_or_refused(lambda: Hom(ModuleSpace(q, m, t), Alphabet(q, m, k), G))
+        checked_or_refused(lambda: Code(Alphabet(q, m, k), ModuleSpace(q, m, t), gens))
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=st.one_of(PARAMS, SCALARS), n=st.integers(0, 3), k=st.integers(0, 3),
+           data=st.data())
+    def test_monomial_map(self, q, n, k, data):
+        perm = data.draw(st.one_of(NESTED, st.permutations(range(n)), st.lists(PARAMS)))
+        autos = data.draw(st.one_of(NESTED, st.lists(matrices(k, k), min_size=n, max_size=n)))
+        checked_or_refused(lambda: MonomialMap(perm, autos, q))
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=st.one_of(PARAMS, SCALARS), ambient=st.one_of(PARAMS, SCALARS), data=st.data())
+    def test_subspace_and_from_rows(self, q, ambient, data):
+        width = ambient if type(ambient) is int and ambient >= 0 else 2
+        shaped = st.integers(0, 3).flatmap(lambda r: matrices(r, width))
+        rows = data.draw(st.one_of(NESTED, shaped))
+        checked_or_refused(lambda: Subspace(q, ambient, rows))
+        checked_or_refused(lambda: Subspace.from_rows(rows, q, ambient))
+        checked_or_refused(lambda: Subspace.from_rows(rows, q))
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=PARAMS, m=PARAMS, k=PARAMS, t=PARAMS, data=st.data())
+    def test_code_from_dict(self, q, m, k, t, data):
+        fields = {"q": q, "m": m, "k": k, "t": t}
+        fields["generators"] = data.draw(
+            st.one_of(NESTED, st.lists(matrices(max(t, 0), max(k, 0)), max_size=3)))
+        spoilt = data.draw(st.sampled_from([None, None, None, *fields]))
+        if spoilt:
+            fields[spoilt] = data.draw(NESTED)
+        document = data.draw(st.sampled_from([fields, fields, None]))
+        if document is None:
+            document = data.draw(NESTED)
+        checked_or_refused(lambda: code_from_dict(document))
 
 
 def reference_transport(G, H, q, k):
@@ -658,6 +743,7 @@ class TestBatchedImages:
             if isinstance(result, MonomialMap):
                 assert apply_monomial(result, lam) == mu
 
+    @pytest.mark.trusted_records("matrix_rank is None here, so MonomialMap._check cannot run")
     def test_monomial_images_share_one_batched_transport(self, rng, monkeypatch):
         code = random_code(rng, 3, 1, 3, 2, 5)
         images = [apply_monomial(random_monomial(rng, 3, 2, 5), code) for _ in range(4)]

@@ -9,7 +9,6 @@ from modcode import (
     ModuleSpace,
     Submodule,
     Subspace,
-    fourier_of_indicator,
     intersect,
     is_isometry_criterion,
     kernel_tuple,
@@ -23,6 +22,7 @@ from modcode.errors import DimensionMismatchError
 from modcode.linalg import contains, subspaces_up_to_dim
 
 from conftest import code_of_kernels, random_subspace
+from references import fourier_of_indicator
 
 
 class TestPairing:

@@ -470,7 +470,7 @@ class TestLeanImports:
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) == len(modcode.__all__) == 56
+        assert int(proc.stdout) == len(modcode.__all__) == 54
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError):
@@ -544,9 +544,7 @@ def ast_names(node):
 # Package definitions that nothing in src/modcode or bench/ uses, each kept
 # as an independent reference that the named test compares the package with.
 REFERENCES = {
-    "count_subspaces_containing": "test_acceptance.py::test_criterion_4_identity_suites",
     "apply_monomial": "test_acceptance.py::test_criterion_7_monomial_roundtrip",
-    "fourier_of_indicator": "test_acceptance.py::test_criterion_5_fourier_duality",
     "covering_by_proper_submodules":
         "test_forge.py::TestSolutionToCodes::test_covering_route_matches_minimal_pair",
     "inclusion_exclusion_solution":

@@ -9,7 +9,6 @@ from modcode import (
     Subspace,
     cauchy_identities_check,
     contains,
-    count_subspaces_containing,
     enumerate_subspaces,
     gaussian_binomial,
     intersect,
@@ -21,6 +20,7 @@ from modcode.linalg import (
     check_prime,
     complete_basis,
     is_prime,
+    mat_mul,
     matrix_rank,
     number_row_kernels,
     point_index,
@@ -30,6 +30,7 @@ from modcode.linalg import (
 )
 
 from conftest import random_subspace, reference_inverse, reference_rref
+from references import count_subspaces_containing
 
 
 class TestRref:
@@ -384,6 +385,13 @@ class TestCountContaining:
 
 
 class TestFieldBasics:
+    def test_mat_mul_rejects_mismatched_inner_dimension(self):
+        assert mat_mul(((1, 1),), ((1,), (1,)), 2) == ((0,),)
+        with pytest.raises(DimensionMismatchError, match="inner dimensions differ"):
+            mat_mul(((1, 0),), ((1,),), 2)
+        with pytest.raises(DimensionMismatchError):
+            mat_mul(((1,),), ((1, 0), (0, 1)), 2)
+
     def test_prime_check(self):
         for q in (2, 3, 5, 7, 11, 13):
             assert check_prime(q) == q
@@ -523,6 +531,43 @@ class TestRrefStack:
 
 
 class TestKeyedSubspace:
+    @pytest.mark.parametrize(
+        "q, ambient, basis",
+        [
+            (2, 2, ((1, 1), (0, 1))),  # spans F_2^2 but is not its RREF
+            (2, 2, ((0, 1), (1, 0))),
+            (2, 2, ((1, 0), (0, 0))),
+            (2, 2, ((1, 0, 0),)),
+            (3, 2, ((1, 3),)),
+            (3, 2, ((1, -1),)),
+            (2, -1, ()),
+            (1, 2, ()),
+            (2, 2.0, ()),
+            (2, 2, ((1, 0.0),)),
+        ],
+        ids=["not_rref", "rows_out_of_order", "zero_row", "long_row", "entry_q", "entry_negative",
+             "ambient_negative", "q_one", "ambient_float", "entry_float"],
+    )
+    def test_constructor_rejects_a_non_canonical_basis(self, q, ambient, basis):
+        with pytest.raises(DimensionMismatchError):
+            Subspace(q, ambient, basis)
+
+    def test_constructor_accepts_a_canonical_basis(self):
+        S = Subspace(2, 2, [[1, 0], [0, 1]])
+        assert S == Subspace.full(2, 2) and S.basis == ((1, 0), (0, 1))
+        plane = Subspace.from_rows([[1, 2, 1], [0, 0, 2]], 3)
+        assert Subspace(3, 3, ((1, 2, 0), (0, 0, 1))) == plane
+        assert Subspace(2, 0, ()) == Subspace.zero(2, 0)
+
+    def test_audit_checks_a_trusted_construction(self):
+        # The audit fixture in conftest.py runs _check on every _unchecked record.
+        with pytest.raises(DimensionMismatchError):
+            Subspace._unchecked(2, 2, ((1, 1), (0, 1)))
+
+    @pytest.mark.trusted_records("shows that _unchecked alone skips the check the audit adds")
+    def test_unchecked_skips_the_check_without_the_audit(self):
+        assert Subspace._unchecked(2, 2, ((1, 1), (0, 1))).basis == ((1, 1), (0, 1))
+
     def test_equal_spans_are_equal_and_hash_alike(self):
         S = Subspace.from_rows([[1, 1, 0], [0, 1, 1]], 2)
         T = Subspace.from_rows([[1, 0, 1], [1, 1, 0], [0, 1, 1]], 2)
