@@ -72,6 +72,7 @@ _EXPORTS = {
         "TheoremViolation",
         "exhaustive_isometry_scan",
         "is_mds",
+        "isometry_census",
         "mds_extension_check",
         "min_distance",
         "theorem_violations",

@@ -45,7 +45,7 @@ EXIT_VIOLATION = 5
 # Exception class -> exit code, first match wins.  ValueError covers bad
 # command-line values (a non-prime q) and malformed code files.  check takes a
 # NotAnIsometryError as its verdict; forge's pair is isometric by construction
-# and every mds --scan image by brute force, so elsewhere it is a defect.
+# and so is every class the mds --scan census counts, so elsewhere it is a defect.
 EXIT_CODES = (
     (EnumerationBudgetError, EXIT_BUDGET),
     (DimensionMismatchError, EXIT_INPUT),
@@ -172,8 +172,8 @@ def cmd_minlen(q, m, t, bound, cyclic_only, as_json) -> int:
 
 
 def cmd_mds(code_file, scan, as_json) -> int:
-    """MDS report for a code file, optionally with an exhaustive isometry scan."""
-    from .mds import exhaustive_isometry_scan, is_mds, theorem_violations
+    """MDS report for a code file, optionally with an exact census of its isometries."""
+    from .mds import is_mds, isometry_census, theorem_violations
 
     start = time.perf_counter()
     code = load_code(code_file)
@@ -188,11 +188,12 @@ def cmd_mds(code_file, scan, as_json) -> int:
     }
     violation = False
     if scan:
-        results = exhaustive_isometry_scan(code)
-        report["isometries"] = len(results)
-        report["unextendable"] = sum(1 for _, ok in results if not ok)
+        census = isometry_census(code)
+        report["isometries"] = census.isometries
+        report["unextendable"] = census.unextendable
         if mds_report.is_mds and mds_report.kappa != 2:
-            violation = bool(theorem_violations(code, [mu for mu, _ in results]))
+            images = census.representatives()
+            violation = bool(theorem_violations(code, images, mds_report))
             report["theorem_violations"] = int(violation)
     report["seconds"] = round(time.perf_counter() - start, 3)
     _emit(report, as_json)
@@ -261,7 +262,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = command("mds", cmd_mds)
     sub.add_argument("--code", dest="code_file", required=True)
     sub.add_argument("--scan", action="store_true",
-                     help="Exhaustively scan all isometries of the code.")
+                     help="Count every isometry of the code by kernel multiset.")
 
     sub = command("identities", cmd_identities)
     sub.add_argument("--q", type=int, required=True)

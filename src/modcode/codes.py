@@ -157,6 +157,7 @@ class MonomialMap(Record):
     __slots__ = ("permutation", "automorphisms", "q")
 
     def _check(self):
+        check_prime(self.q)
         try:
             perm, autos = tuple(map(index, self.permutation)), tuple(self.automorphisms)
         except TypeError as exc:

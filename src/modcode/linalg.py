@@ -42,6 +42,18 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(q: int) -> int:
+    """Return q when it is a prime integer, else raise ValueError.
+
+    A modulus with (q - 1)^2 >= 2^63, outside the exact int64 domain at any
+    dimension, raises DimensionMismatchError before the primality test: trial
+    division of a huge prime would not end.
+    """
+    try:
+        huge = (index(q) - 1) ** 2 >= 2**63
+    except TypeError:
+        huge = False
+    if huge:
+        raise DimensionMismatchError(f"q={q} is too large for exact int64 arithmetic")
     if not is_prime(q):
         raise ValueError(f"field modulus must be prime, got {q}")
     return q
@@ -199,8 +211,8 @@ class Subspace(Record):
     The basis is a tuple of RREF rows with no zero rows, so equality and
     hashing are structural.  ``points`` is the bitset of the points of
     PG(t-1, q) in the subspace, cached in ``_points`` on first use.  The
-    constructor checks that the basis is already canonical; use from_rows()
-    for arbitrary spanning sets.
+    constructor checks that q is prime and that the basis is already
+    canonical; use from_rows() for arbitrary spanning sets.
     """
 
     __slots__ = ("q", "ambient", "basis", "_points")
@@ -211,6 +223,8 @@ class Subspace(Record):
         except TypeError as exc:
             raise DimensionMismatchError(f"ambient must be an integer: {exc}") from exc
         B = as_matrix(self.basis, self.q)
+        # Before the elimination, which inverts pivots mod q.
+        check_prime(self.q)
         R, rank, _ = rref(B, self.q)
         shaped = ambient >= 0 and all(len(row) == ambient for row in B)
         if not shaped or tuple(map(tuple, self.basis)) != R[:rank]:
@@ -222,6 +236,8 @@ class Subspace(Record):
     def from_rows(cls, rows, q: int, ambient: int | None = None) -> "Subspace":
         """The span of ``rows``; the checked constructor takes its RREF rows."""
         M = as_matrix(rows, q)
+        # Before the elimination, which inverts pivots mod q.
+        check_prime(q)
         if ambient is None:
             if not M:
                 raise DimensionMismatchError("ambient required for an empty spanning set")

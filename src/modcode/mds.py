@@ -10,10 +10,15 @@ so the equality alone decides MDS.
 For MDS codes of dimension different from 2 every Hamming isometry extends
 to a monomial map.  The checker verifies the theorem instead of assuming it:
 a TheoremViolation result is a defect signal, never a domain outcome.
+
+The isometric images of a code are counted exactly by their multisets of
+column kernels (:func:`isometry_census`); the brute-force scan over every
+generator tuple (:func:`exhaustive_isometry_scan`) is kept as its reference.
 """
 
 from __future__ import annotations
 
+from math import factorial, prod
 from operator import add, sub
 
 from . import budget
@@ -32,7 +37,14 @@ from .codes import (
     vanishing_columns,
 )
 from .errors import DomainRejectionError, NotAnIsometryError, ZeroCodeError
-from .linalg import Record, matrix_rank, number_row_kernels
+from .linalg import (
+    Record,
+    enumerate_subspaces,
+    matrix_rank,
+    members,
+    number_row_kernels,
+    subspace_lattice,
+)
 
 
 class MdsReport(Record):
@@ -82,14 +94,16 @@ def is_mds(code: Code) -> MdsReport:
     return MdsReport(n, d, kappa, witnesses is None, witnesses)
 
 
-def _extend_images(code: Code, images) -> list:
+def _extend_images(code: Code, images, report: MdsReport | None = None) -> list:
     """The monomial map of each image of an MDS code, or a TheoremViolation the theorem rules out.
 
     Preconditions are errors, not violations: ``code`` is MDS with kappa != 2,
-    checked once, and the one :func:`extend_to_monomials` call must find
+    checked once from ``report``, its :func:`is_mds` report (computed here
+    when not given), and the one :func:`extend_to_monomials` call must find
     every image an isometry, else NotAnIsometryError.
     """
-    report = is_mds(code)
+    if report is None:
+        report = is_mds(code)
     if not report.is_mds:
         raise DomainRejectionError("the source code is not MDS")
     if report.kappa == 2:
@@ -110,9 +124,152 @@ def mds_extension_check(lam: Code, mu: Code):
     return result
 
 
-def theorem_violations(code: Code, images) -> list[TheoremViolation]:
-    """The violations among many images of one MDS code, which the theorem says are none."""
-    return [r for r in _extend_images(code, images) if isinstance(r, TheoremViolation)]
+def theorem_violations(code: Code, images,
+                       report: MdsReport | None = None) -> list[TheoremViolation]:
+    """The violations among many images of one MDS code, which the theorem says are none.
+
+    A caller that already holds the code's :func:`is_mds` report passes it,
+    so the check runs once.
+    """
+    return [r for r in _extend_images(code, images, report) if isinstance(r, TheoremViolation)]
+
+
+class IsometryCensus(Record):
+    """The isometric images of a code, grouped by their multiset of column kernels.
+
+    ``supports`` are the candidate kernels, the subspaces of F_q^t of codim
+    <= min(k, t).  Each class is a kernel multiset y, its counts in supports
+    order, and ``counts`` holds the number of generator tuples of each.
+    Class ``own`` is the code's own multiset: its images are the ones that
+    extend to a monomial map.
+    """
+
+    __slots__ = ("code", "supports", "classes", "counts", "own")
+
+    @property
+    def isometries(self) -> int:
+        return sum(self.counts)
+
+    @property
+    def unextendable(self) -> int:
+        return self.isometries - self.counts[self.own]
+
+    def representatives(self) -> list[Code]:
+        """One image code per class but the code's own, built by ``forge.kernel_generators``."""
+        others = [y for i, y in enumerate(self.classes) if i != self.own]
+        if not others:
+            return []
+        from .forge import kernel_generators
+
+        code = self.code
+        return [
+            Code._unchecked(code.alphabet, code.space, tuple(kernel_generators(
+                code.space, [S for S, c in zip(self.supports, y) for _ in range(c)],
+                code.alphabet.k)))
+            for y in others
+        ]
+
+
+def isometry_census(code: Code) -> IsometryCensus:
+    """Every isometric image of a code, counted exactly by kernel multiset.
+
+    The weight of a codeword is n minus the number of columns whose kernel
+    holds the row space of its source element, a subspace of dim <= min(m, t).
+    So a tuple of generators is an isometric image iff its kernel multiset y
+    over the candidates satisfies Z y = b = Z y_code, with Z the incidence of
+    those subspaces in the candidates; the zero subspace's row is sum(y) = n.
+
+    The y >= 0 are found depth first, on an explicit stack, over the
+    candidates in order of decreasing dimension.  Each y_S is capped by the
+    least residual of its rows, so none goes negative, and a row's residual
+    must be zero once its last containing candidate is set, which forces that
+    candidate's value.  Rows with equal containing sets are one row.  The
+    search charges its nodes to the vector budget.
+
+    Class y stands for n!/prod y_S! * prod N_S^y_S tuples, where
+    N_S = prod_{i < codim S} (q^k - q^i) counts the t x k matrices with row
+    kernel S.  One ``balanced_rows`` call re-decides every class against the
+    code, and a class it rejects raises NotAnIsometryError.
+    """
+    sp = code.space
+    q, t, k, n = sp.q, sp.t, code.alphabet.k, code.length
+    candidates = [S for d in reversed(range(t - min(k, t), t + 1))
+                  for S in enumerate_subspaces(q, t, d)]
+    position = {S: j for j, S in enumerate(candidates)}
+    kernels, ids = number_row_kernels(code.generators, q, t)
+    own = [0] * len(candidates)
+    for i in ids:
+        own[position[kernels[i]]] += 1
+    lattice = subspace_lattice(q, t, min(sp.m, t))
+    # Every row lies in F_q^t, candidate 0, so no containing set is empty.
+    table = sorted(set(lattice.containment(candidates)))
+    rows_of: list[list[int]] = [[] for _ in candidates]
+    closes: list[list[int]] = [[] for _ in candidates]
+    residual = []
+    for r, bits in enumerate(table):
+        for j in members(bits):
+            rows_of[j].append(r)
+        closes[bits.bit_length() - 1].append(r)
+        residual.append(sum(own[j] for j in members(bits)))
+
+    limit = budget.vector_budget()
+    y = [0] * len(candidates)
+    classes = []
+    # One frame per entered candidate: its position and the values still to
+    # try; y[pos] holds the value the frame last took from its rows.
+    stack: list = []
+    nodes = pos = 0
+    while True:
+        nodes += 1
+        if nodes > limit:
+            budget.check_vectors(nodes, "isometry census (one vector per search node)")
+        if pos == len(candidates):
+            classes.append(tuple(y))
+        else:
+            cap = min(residual[r] for r in rows_of[pos])
+            closing = closes[pos]
+            if not closing:
+                stack.append((pos, iter(range(cap + 1))))
+            else:
+                forced = residual[closing[0]]
+                if forced <= cap and all(residual[r] == forced for r in closing[1:]):
+                    stack.append((pos, iter((forced,))))
+        # Move the deepest frame to its next value; pop spent frames.
+        while stack:
+            frame_pos, values = stack[-1]
+            rows = rows_of[frame_pos]
+            v = y[frame_pos]
+            if v:
+                for r in rows:
+                    residual[r] += v
+            v = next(values, None)
+            if v is None:
+                y[frame_pos] = 0
+                stack.pop()
+                continue
+            if v:
+                for r in rows:
+                    residual[r] -= v
+            y[frame_pos] = v
+            pos = frame_pos + 1
+            break
+        else:
+            break
+
+    own = tuple(own)
+    W = [[a - b for a, b in zip(c, own)] for c in classes]
+    for i, ok in enumerate(lattice.balanced_rows(candidates, W)):
+        if not ok:
+            raise NotAnIsometryError(f"the kernel-count criterion rejects census class {i}")
+    with_kernel = [prod(q**k - q**i for i in range(t - S.dim)) for S in candidates]
+    counts = []
+    for c in classes:
+        count = factorial(n)
+        for v, N in zip(c, with_kernel):
+            count = count // factorial(v) * N**v
+        counts.append(count)
+    return IsometryCensus(code, tuple(candidates), tuple(classes), tuple(counts),
+                          classes.index(own))
 
 
 def exhaustive_isometry_scan(code: Code) -> list[tuple[Code, bool]]:

@@ -417,6 +417,33 @@ class TestIntegerInputs:
             minimal_counterexample(2.0, 1, 2)
 
 
+class TestPrimeModulus:
+    """Every record that holds a modulus requires a prime integer."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MonomialMap((), (), "x"),
+            lambda: MonomialMap((0,), ([[1]],), 4),
+            lambda: Subspace(4, 2, ((1, 3),)),
+            lambda: Subspace.from_rows([[2, 1]], 4),
+            lambda: Subspace.from_rows([[1, 1]], 9),
+        ],
+        ids=["MonomialMap_string", "MonomialMap_composite", "Subspace_composite",
+             "from_rows_non_invertible_pivot", "from_rows_composite"],
+    )
+    def test_composite_or_non_integer_modulus_rejected(self, build):
+        with pytest.raises(ValueError, match="must be prime"):
+            build()
+
+    def test_huge_prime_refused_before_trial_division(self):
+        # 2^61 - 1 is prime, and trial division up to its square root would not end.
+        with pytest.raises(DimensionMismatchError, match="int64"):
+            Subspace(2**61 - 1, 1, ((1,),))
+        with pytest.raises(DimensionMismatchError, match="int64"):
+            MonomialMap((), (), 2**61 - 1)
+
+
 # Values a caller may pass where a constructor wants an integer, a sequence or a matrix.
 SCALARS = st.one_of(st.integers(-2, 6), st.booleans(), st.floats(-2, 6), st.text(max_size=2),
                     st.none())

@@ -18,7 +18,8 @@ import modcode
 from modcode import forge
 from modcode import Alphabet, Code, ModuleSpace, load_code, minimal_counterexample, save_code
 from modcode.errors import DimensionMismatchError
-from modcode.linalg import Record, Subspace, SubspaceLattice, gaussian_binomial, matrix_rank
+from modcode.linalg import (Record, Subspace, SubspaceLattice, gaussian_binomial, is_prime,
+                            matrix_rank)
 
 
 class TestCodeFiles:
@@ -394,6 +395,42 @@ class TestMdsCommand:
         result = cli(["mds", "--code", str(path), "--scan"])
         assert result.exit_code == 4
 
+    def test_f5_parity_census(self, cli, tmp_path):
+        # 125^4 generator tuples, beyond the default budget of a brute-force scan.
+        path = tmp_path / "p5.json"
+        path.write_text(json.dumps({"q": 5, "m": 1, "k": 1, "t": 3, "generators": PARITY}))
+        result = cli(["mds", "--code", str(path), "--scan", "--json"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert (report["isometries"], report["unextendable"], report["theorem_violations"]) == (
+            6144, 0, 0)
+
+    def test_scan_runs_is_mds_once(self, cli, tmp_path, monkeypatch):
+        from modcode import mds
+
+        path = tmp_path / "parity3.json"
+        path.write_text(json.dumps({"q": 3, "m": 1, "k": 1, "t": 3, "generators": PARITY}))
+        calls = []
+        is_mds = mds.is_mds
+        monkeypatch.setattr(mds, "is_mds", lambda code: calls.append(code) or is_mds(code))
+        result = cli(["mds", "--code", str(path), "--scan", "--json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["theorem_violations"] == 0
+        assert len(calls) == 1
+
+    def test_scan_of_an_mds_code_leaves_forge_unloaded(self, tmp_path):
+        # forge builds class representatives, and an MDS code with kappa != 2 has none to build.
+        path = tmp_path / "parity3.json"
+        path.write_text(json.dumps({"q": 3, "m": 1, "k": 1, "t": 3, "generators": PARITY}))
+        script = ("import sys\nfrom modcode.cli import main\n"
+                  f"assert main(['mds', '--code', {str(path)!r}, '--scan']) == 0\n"
+                  "assert 'modcode.forge' not in sys.modules\n")
+        src = str(Path(modcode.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "isometries: 384" in proc.stdout
+
     @pytest.mark.parametrize("command", ["mds", "forge"])
     def test_criterion_rejecting_a_known_isometry_exit_5(self, cli, tmp_path, monkeypatch, command):
         # A scanned image is an isometry by brute force, a forged pair by construction.
@@ -470,7 +507,7 @@ class TestLeanImports:
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) == len(modcode.__all__) == 54
+        assert int(proc.stdout) == len(modcode.__all__) == 55
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError):
@@ -985,14 +1022,25 @@ class TestBudgetEnv:
         result = cli(["mds", "--code", str(path)])
         assert result.exit_code == 3
 
+    def test_mds_scan_budget_exit_code_prints_no_count(self, cli, tmp_path, monkeypatch):
+        # The binary parity code passes is_mds under this budget; its census needs 30 nodes.
+        path = tmp_path / "parity2.json"
+        path.write_text(json.dumps({"q": 2, "m": 1, "k": 1, "t": 3, "generators": PARITY}))
+        monkeypatch.setenv("MODCODE_BUDGET", "20")
+        assert cli(["mds", "--code", str(path), "--json"]).exit_code == 0
+        result = cli(["mds", "--code", str(path), "--scan", "--json"])
+        assert result.exit_code == 3
+        assert "isometry census" in result.output and "isometries" not in result.output
+
     def test_caches_keep_at_most_cache_entries(self):
         from modcode.budget import CACHE_ENTRIES
         from modcode.codes import module_elements
         from modcode.linalg import enumerate_subspaces, subspace_lattice, subspaces_up_to_dim
 
+        primes = [q for q in range(2, 300) if is_prime(q)][: CACHE_ENTRIES + 10]
         for cached, dims in [(module_elements, (1, 1)), (enumerate_subspaces, (1, 0)),
                              (subspaces_up_to_dim, (1, 0)), (subspace_lattice, (1, 0))]:
-            for q in range(2, CACHE_ENTRIES + 12):
+            for q in primes:
                 cached(q, *dims)
             assert cached.cache_info().currsize == CACHE_ENTRIES
 

@@ -1,11 +1,12 @@
 """Singleton bound, MDS detection and the MDS extension theorem."""
 
 import itertools
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modcode import (
@@ -16,19 +17,25 @@ from modcode import (
     ModuleSpace,
     MonomialMap,
     NotAnIsometryError,
+    Subspace,
     TheoremViolation,
+    Unextendable,
     ZeroCodeError,
     apply_monomial,
     exhaustive_isometry_scan,
+    extend_to_monomial,
+    is_isometry_bruteforce,
     is_mds,
+    isometry_census,
     mds_extension_check,
     min_distance,
     minimal_counterexample,
     theorem_violations,
 )
 from modcode import mds
-from modcode.codes import codeword_weights
-from modcode.linalg import SubspaceLattice, matrix_rank, row_kernel
+from modcode.codes import codeword_weights, module_elements
+from modcode.forge import kernel_generators
+from modcode.linalg import SubspaceLattice, matrix_rank, number_row_kernels, row_kernel
 
 from conftest import random_code, random_monomial
 
@@ -347,3 +354,159 @@ class TestExhaustiveScan:
         monkeypatch.setattr(mds, "module_elements", None)
         with pytest.raises(EnumerationBudgetError):
             exhaustive_isometry_scan(code)
+
+
+def kernel_counts(code, supports):
+    """The kernel multiset of a code, as its counts over ``supports``."""
+    kernels = Counter(row_kernel(G, code.space.q) for G in code.generators)
+    assert set(kernels) <= set(supports)
+    return tuple(kernels[S] for S in supports)
+
+
+def scan_classes(code, supports):
+    """The reference scan's images counted by kernel multiset over ``supports``."""
+    return Counter(kernel_counts(mu, supports) for mu, _ in exhaustive_isometry_scan(code))
+
+
+def census_classes(census):
+    return dict(zip(census.classes, census.counts))
+
+
+class TestIsometryCensus:
+    @pytest.mark.parametrize(
+        "code, isometries, unextendable",
+        [(repetition_code(), 1, 0), (parity_code(3), 24, 0),
+         (minimal_counterexample(2, 1, 2)[0], 270, 162), (parity_code(3, q=3), 384, 0)],
+        ids=["rep2", "parity2", "forged212", "parity3"],
+    )
+    def test_matches_reference_scan_class_by_class(self, code, isometries, unextendable):
+        census = isometry_census(code)
+        assert (census.isometries, census.unextendable) == (isometries, unextendable)
+        assert census_classes(census) == scan_classes(code, census.supports)
+        own = census.classes[census.own]
+        assert own == kernel_counts(code, census.supports)
+        assert sum(ok for _, ok in exhaustive_isometry_scan(code)) == census.counts[census.own]
+
+    @staticmethod
+    def check_against_scan(q, m, t, k, n, data):
+        """A drawn code of these sizes, zero columns allowed, has the reference scan's classes."""
+        entries = st.lists(st.lists(st.integers(0, q - 1), min_size=k, max_size=k),
+                           min_size=t, max_size=t)
+        zero = [[0] * k] * t
+        gens = data.draw(st.lists(st.one_of(st.just(zero), entries), min_size=n, max_size=n))
+        code = Code(Alphabet(q, m, k), ModuleSpace(q, m, t), gens)
+        census = isometry_census(code)
+        scan = exhaustive_isometry_scan(code)
+        assert census_classes(census) == scan_classes(code, census.supports)
+        assert census.isometries == len(scan)
+        assert census.unextendable == sum(1 for _, ok in scan if not ok)
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.sampled_from([2, 3]), m=st.integers(1, 2), t=st.integers(1, 3),
+           k=st.integers(1, 2), n=st.integers(1, 4), data=st.data())
+    def test_matches_reference_scan_on_small_codes(self, q, m, t, k, n, data):
+        # Within the scan's default budget of 10^7 tuples, and quick.
+        assume(q ** (t * k * n) <= 3**12)
+        self.check_against_scan(q, m, t, k, n, data)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(3, 4), data=st.data())
+    def test_matches_reference_scan_where_isometries_fail_to_extend(self, n, data):
+        # k > m at length >= 1 + q: about one binary code in six here has more than one class.
+        self.check_against_scan(2, 1, 2, 2, n, data)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tuples_per_kernel_match_a_direct_count(self, q, t, k):
+        # module_elements(q, t, k) lists every t x k matrix; count them by row kernel.
+        matrices = module_elements(q, t, k)
+        kernels, ids = number_row_kernels(matrices, q, t)
+        direct = {kernels[i]: c for i, c in Counter(ids).items()}
+        assert sum(direct.values()) == q ** (t * k)
+        # With m = t every subspace is a lattice row, so a one-column code has one
+        # class, its own kernel, standing for every matrix with that kernel.
+        space, alphabet = ModuleSpace(q, t, t), Alphabet(q, t, k)
+        for S, count in direct.items():
+            census = isometry_census(Code(alphabet, space, kernel_generators(space, [S], k)))
+            assert set(census.supports) == set(direct)
+            assert census.counts == (count,)
+
+    def test_f5_parity_matches_reference_scan(self, monkeypatch):
+        code = parity_code(3, q=5)
+        census = isometry_census(code)
+        assert (census.isometries, census.unextendable) == (6144, 0)
+        # 125^4 candidate tuples, over the scan's default budget.
+        with pytest.raises(EnumerationBudgetError):
+            exhaustive_isometry_scan(code)
+        monkeypatch.setenv("MODCODE_BUDGET", str(5**12))
+        assert census_classes(census) == scan_classes(code, census.supports)
+
+    @pytest.mark.parametrize("n, isometries, unextendable", [(3, 2592, 1296), (4, 248832, 217728)])
+    def test_spread_codes(self, n, isometries, unextendable, monkeypatch):
+        # Columns of M_{1x2}(F_2) whose kernels are n planes of a spread of F_2^4:
+        # the F_4-lines {(x, c x)} and {(0, x)} of F_4^2, with F_4 = F_2[w], w^2 = w + 1.
+        def times(a, c):
+            return (a[0] * c[0] + a[1] * c[1]) % 2, (a[0] * c[1] + a[1] * (c[0] + c[1])) % 2
+
+        planes = [[(1, 0, *times((1, 0), c)), (0, 1, *times((0, 1), c))]
+                  for c in [(0, 0), (1, 0), (0, 1), (1, 1)]]
+        planes.append([(0, 0, 1, 0), (0, 0, 0, 1)])
+        space = ModuleSpace(2, 1, 4)
+        spread = [Subspace.from_rows(rows, 2) for rows in planes]
+        code = Code(Alphabet(2, 1, 2), space, kernel_generators(space, spread[:n], 2))
+        census = isometry_census(code)
+        assert (census.isometries, census.unextendable) == (isometries, unextendable)
+        if n == 3:
+            # 256^3 candidate tuples, over the scan's default budget.
+            monkeypatch.setenv("MODCODE_BUDGET", str(2**24))
+            assert census_classes(census) == scan_classes(code, census.supports)
+
+    def test_representatives_are_the_unextendable_classes(self):
+        lam = minimal_counterexample(2, 1, 2)[0]
+        census = isometry_census(lam)
+        others = [y for i, y in enumerate(census.classes) if i != census.own]
+        reps = census.representatives()
+        assert len(reps) == len(others) == 1
+        for rep, y in zip(reps, others):
+            assert kernel_counts(rep, census.supports) == y
+            assert is_isometry_bruteforce(lam, rep)
+            assert isinstance(extend_to_monomial(lam, rep), Unextendable)
+        assert isometry_census(parity_code(3)).representatives() == []
+
+    def test_search_nodes_charged_to_vector_budget(self, monkeypatch):
+        monkeypatch.setenv("MODCODE_BUDGET", "20")
+        with pytest.raises(EnumerationBudgetError, match="isometry census"):
+            isometry_census(parity_code(3))
+        monkeypatch.setenv("MODCODE_BUDGET", "30")
+        assert isometry_census(parity_code(3)).isometries == 24
+
+    def test_criterion_rejecting_a_class_raises(self, monkeypatch):
+        decide = SubspaceLattice.balanced_rows
+        monkeypatch.setattr(SubspaceLattice, "balanced_rows",
+                            lambda self, supports, W: [False] + decide(self, supports, W)[1:])
+        with pytest.raises(NotAnIsometryError, match="census class 0"):
+            isometry_census(parity_code(3))
+
+    def test_search_runs_past_the_recursion_limit(self):
+        # All 67 subspaces of F_2^4 are candidates, more than the 40 frames left.
+        code = Code(Alphabet(2, 1, 4), ModuleSpace(2, 1, 4),
+                    [np.eye(4, dtype=int), np.zeros((4, 4), dtype=int)])
+        frame, limit = sys._getframe(), 40
+        while frame is not None:
+            frame, limit = frame.f_back, limit + 1
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
+        try:
+            census = isometry_census(code)
+        finally:
+            sys.setrecursionlimit(old)
+        assert len(census.supports) == 67
+        # One class: an invertible column and a zero column, in either order.
+        assert census.counts == (2 * 15 * 14 * 12 * 8,)
+
+    def test_theorem_violations_takes_a_known_report(self, monkeypatch):
+        code = parity_code(3)
+        report = is_mds(code)
+        monkeypatch.setattr(mds, "is_mds", None)
+        assert theorem_violations(code, [code], report) == []
