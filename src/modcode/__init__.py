@@ -24,10 +24,8 @@ _EXPORTS = {
         "Submodule",
         "Unextendable",
         "apply_monomial",
-        "covering_by_proper_submodules",
         "extend_to_monomial",
         "extend_to_monomials",
-        "is_cyclic_submodule",
         "is_isometry_bruteforce",
         "is_isometry_criterion",
         "kernel_tuple",
@@ -37,7 +35,6 @@ _EXPORTS = {
         "DomainRejectionError",
         "EnumerationBudgetError",
         "ModcodeError",
-        "NotACoverError",
         "NotAnIsometryError",
         "RankInfeasibleError",
         "ZeroCodeError",
@@ -48,7 +45,6 @@ _EXPORTS = {
         "SolutionPair",
         "counterexample_length",
         "incidence_matrix",
-        "inclusion_exclusion_solution",
         "min_nontrivial_length",
         "minimal_counterexample",
         "solution_to_codes",
@@ -61,7 +57,6 @@ _EXPORTS = {
         "contains",
         "enumerate_subspaces",
         "gaussian_binomial",
-        "intersect",
         "orthogonal",
         "rref",
         "row_kernel",

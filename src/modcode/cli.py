@@ -1,19 +1,19 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 domain rejection, 3 budget exceeded (or a search
-bound hit without exhaustion), 4 input error, 5 defect (a theorem violation,
-a failed identity, or a criterion that rejects a known isometry).
-Every command prints a human-readable summary; ``--json`` switches to a
-machine-readable report mirroring the library return values.
+Exit codes: 0 success, 2 domain rejection or usage error, 3 budget exceeded
+(or a search bound hit without exhaustion), 4 input error, 5 defect (a
+theorem violation, a failed identity, or a criterion that rejects a known
+isometry).  Every command prints a human-readable summary; ``--json``
+switches to a machine-readable report mirroring the library return values.
 
 ``main(argv)`` runs one command in-process and returns its exit code;
 ``entry()`` is the process entry of ``python -m modcode.cli`` and of the
-``modcode`` script.
+``modcode`` script.  The command line is read against the ``COMMANDS``
+table alone.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
@@ -38,6 +38,7 @@ from .linalg import cauchy_identities_check, check_identities_budget, subspace_l
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
+EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INPUT = 4
 EXIT_VIOLATION = 5
@@ -221,66 +222,158 @@ def cmd_identities(q, tmax, as_json) -> int:
     return EXIT_OK if all_pass else EXIT_VIOLATION
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="modcode",
-        description="Isometry extension toolkit for codes over matrix-module alphabets.",
-        allow_abbrev=False,
-    )
-    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+REQUIRED = object()  # the default of an option that must be given
+HELP = ("-h", "--help")
 
-    def command(name, run):
-        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
-                                  allow_abbrev=False)
-        sub.set_defaults(run=run)
-        sub.add_argument("--json", dest="as_json", action="store_true",
-                         help="Emit a JSON report.")
-        return sub
+# Each command's function and options.  An option is (flag, dest, kind,
+# default, help): kind is int, str or bool, and a bool option is a flag that
+# takes no value and defaults to False.
+JSON = ("--json", "as_json", bool, False, "Emit a JSON report.")
+COMMANDS = {
+    "forge": (cmd_forge, (
+        ("--q", "q", int, REQUIRED, "Prime field modulus."),
+        ("--m", "m", int, REQUIRED, "Ring parameter (m x m matrices)."),
+        ("--k", "k", int, REQUIRED, "Alphabet parameter (m x k matrices); needs k > m."),
+        ("--out-lambda", "out_lambda", str, REQUIRED, "Code file to write lambda to."),
+        ("--out-mu", "out_mu", str, REQUIRED, "Code file to write mu to."),
+        JSON,
+    )),
+    "check": (cmd_check, (
+        ("--lambda", "lambda_file", str, REQUIRED, "Code file of lambda."),
+        ("--mu", "mu_file", str, REQUIRED, "Code file of mu."),
+        ("--oracle", "oracle", bool, False, "Also run the brute-force weight oracle."),
+        JSON,
+    )),
+    "minlen": (cmd_minlen, (
+        ("--q", "q", int, REQUIRED, "Prime field modulus."),
+        ("--m", "m", int, REQUIRED, "Ring parameter (m x m matrices)."),
+        ("--t", "t", int, None, "Ambient dimension; defaults to m + 1."),
+        ("--bound", "bound", int, None,
+         "Length bound; defaults to N + 5, with N taken at min(m, t)."),
+        ("--cyclic-only", "cyclic_only", bool, False, "Restrict supports to dimension <= m."),
+        JSON,
+    )),
+    "mds": (cmd_mds, (
+        ("--code", "code_file", str, REQUIRED, "Code file to report on."),
+        ("--scan", "scan", bool, False, "Count every isometry of the code by kernel multiset."),
+        JSON,
+    )),
+    "identities": (cmd_identities, (
+        ("--q", "q", int, REQUIRED, "Prime field modulus."),
+        ("--tmax", "tmax", int, REQUIRED, "Largest dimension t to check."),
+        JSON,
+    )),
+}
 
-    sub = command("forge", cmd_forge)
-    sub.add_argument("--q", type=int, required=True, help="Prime field modulus.")
-    sub.add_argument("--m", type=int, required=True, help="Ring parameter (m x m matrices).")
-    sub.add_argument("--k", type=int, required=True, help="Alphabet parameter (m x k matrices).")
-    sub.add_argument("--out-lambda", required=True)
-    sub.add_argument("--out-mu", required=True)
 
-    sub = command("check", cmd_check)
-    sub.add_argument("--lambda", dest="lambda_file", required=True)
-    sub.add_argument("--mu", dest="mu_file", required=True)
-    sub.add_argument("--oracle", action="store_true",
-                     help="Also run the brute-force weight oracle.")
+class UsageError(Exception):
+    """A command line that the table does not accept; ``command`` is None at the top level."""
 
-    sub = command("minlen", cmd_minlen)
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--t", type=int, default=None, help="Ambient dimension; defaults to m + 1.")
-    sub.add_argument("--bound", type=int, default=None,
-                     help="Length bound; defaults to N + 5, with N taken at min(m, t).")
-    sub.add_argument("--cyclic-only", action="store_true",
-                     help="Restrict supports to dimension <= m.")
+    def __init__(self, command, message):
+        super().__init__(message)
+        self.command = command
 
-    sub = command("mds", cmd_mds)
-    sub.add_argument("--code", dest="code_file", required=True)
-    sub.add_argument("--scan", action="store_true",
-                     help="Count every isometry of the code by kernel multiset.")
 
-    sub = command("identities", cmd_identities)
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--tmax", type=int, required=True)
-    return parser
+def _form(flag: str, kind) -> str:
+    """How an option is written: a flag alone, any other option with its value."""
+    return flag if kind is bool else f"{flag} {flag[2:].upper().replace('-', '_')}"
+
+
+def _usage(command) -> str:
+    if command is None:
+        return "usage: modcode [-h] COMMAND ..."
+    words = [_form(flag, kind) if default is REQUIRED else f"[{_form(flag, kind)}]"
+             for flag, _, kind, default, _ in COMMANDS[command][1]]
+    return f"usage: modcode {command} [-h] " + " ".join(words)
+
+
+def _help(command) -> str:
+    """The usage, the description and one line per command or option."""
+    if command is None:
+        description = "Isometry extension toolkit for codes over matrix-module alphabets."
+        heading = "commands"
+        rows = [(name, run.__doc__) for name, (run, _) in COMMANDS.items()]
+        footer = "\n\nRun 'modcode COMMAND --help' for the options of a command."
+    else:
+        run, options = COMMANDS[command]
+        description, heading, footer = run.__doc__, "options", ""
+        rows = [("-h, --help", "Show this help and exit.")]
+        rows += [(_form(flag, kind), text) for flag, _, kind, _, text in options]
+    width = max(len(left) for left, _ in rows) + 2
+    lines = "\n".join(f"  {left:{width}}{text}" for left, text in rows)
+    return f"{_usage(command)}\n\n{description}\n\n{heading}:\n{lines}{footer}"
+
+
+def _parse(argv: list[str]):
+    """The command named by argv and its keyword arguments.
+
+    Options are given as ``--opt value`` or ``--opt=value``, by their exact
+    names, and the last of a repeated option wins.  A value that starts with
+    "-" must be a negative number or "-" itself.  Returns (command, None)
+    when -h or --help asks for help, with command None at the top level, and
+    raises UsageError for any argument the table does not accept.
+    """
+    if not argv:
+        raise UsageError(None, "the following arguments are required: COMMAND")
+    command, *args = argv
+    if command in HELP:
+        return None, None
+    if command not in COMMANDS:
+        if command.startswith("-"):
+            raise UsageError(None, f"options go after the command: {command}")
+        raise UsageError(None, f"argument COMMAND: invalid choice: {command!r} "
+                               f"(choose from {', '.join(COMMANDS)})")
+    if any(arg in HELP for arg in args):
+        return command, None
+    options = COMMANDS[command][1]
+    by_flag = {option[0]: option for option in options}
+    values = {}
+    args = iter(args)
+    for arg in args:
+        flag, given, value = arg.partition("=")
+        if not flag.startswith("--") or flag not in by_flag:
+            raise UsageError(command, f"unrecognized arguments: {arg}")
+        _, dest, kind, _, _ = by_flag[flag]
+        if kind is bool:
+            if given:
+                raise UsageError(command, f"argument {flag}: ignored explicit argument {value!r}")
+            values[dest] = True
+            continue
+        if not given:
+            value = next(args, None)
+            if value is None or value.startswith("-") and value != "-" and not value[1:].isdigit():
+                raise UsageError(command, f"argument {flag}: expected one argument")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                message = f"argument {flag}: invalid int value: {value!r}"
+                raise UsageError(command, message) from None
+        values[dest] = value
+    missing = [flag for flag, dest, _, default, _ in options
+               if default is REQUIRED and dest not in values]
+    if missing:
+        raise UsageError(command, f"the following arguments are required: {', '.join(missing)}")
+    return command, {dest: values.get(dest, default) for _, dest, _, default, _ in options}
 
 
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
-    An error of a class in EXIT_CODES is reported on stderr and mapped to its
-    code; a usage error raises SystemExit(2) from argparse.
+    A usage error prints the usage and the error on stderr and returns 2,
+    and -h or --help prints the help and returns 0.  An error of a class in
+    EXIT_CODES is reported on stderr and mapped to its code.
     """
-    options = vars(_parser().parse_args(argv))
-    del options["command"]
-    run = options.pop("run")
     try:
-        return run(**options)
+        command, options = _parse(sys.argv[1:] if argv is None else [*argv])
+    except UsageError as exc:
+        print(_usage(exc.command), f"modcode: error: {exc}", sep="\n", file=sys.stderr)
+        return EXIT_USAGE
+    if options is None:
+        print(_help(command))
+        return EXIT_OK
+    try:
+        return COMMANDS[command][0](**options)
     except (ModcodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
@@ -293,10 +386,7 @@ def entry() -> None:
     the interpreter's final collection does not walk the command's objects.
     Unlike os._exit it keeps atexit handlers and stream flushes.
     """
-    try:
-        code = main()
-    except SystemExit as exc:
-        code = exc.code
+    code = main()
     gc.freeze()
     sys.exit(code)
 

@@ -26,7 +26,6 @@ from .linalg import (
     check_prime,
     check_subspace_of,
     complete_basis,
-    enumerate_subspaces,
     mat_mul,
     matrix_rank,
     number_row_kernels,
@@ -416,26 +415,3 @@ def apply_monomial(mmap: MonomialMap, code: Code) -> Code:
     )
     return Code(code.alphabet, code.space, G)
 
-
-def is_cyclic_submodule(sub: Submodule) -> bool:
-    """A submodule is cyclic iff its support dimension is at most m."""
-    return sub.support.dim <= sub.space.m
-
-
-def covering_by_proper_submodules(sub: Submodule):
-    """Cover a non-cyclic submodule by proper nonzero submodules.
-
-    Returns the codimension-1 submodules of the support (every element has
-    row space of dimension <= m, hence lies inside some hyperplane of the
-    support).  Returns None for cyclic submodules, which admit no cover.
-    """
-    if is_cyclic_submodule(sub):
-        return None
-    S = sub.support
-    q = sub.space.q
-    out = []
-    for hyper in enumerate_subspaces(q, S.dim, S.dim - 1):
-        rows = mat_mul(hyper.basis, S.basis, q)
-        out.append(Submodule(sub.space, Subspace.from_rows(rows, q, S.ambient)))
-    out.sort(key=lambda s: s.support.sort_key())
-    return out

@@ -17,10 +17,6 @@ class NotAnIsometryError(ModcodeError):
     """An operation requiring a Hamming isometry was given a non-isometry."""
 
 
-class NotACoverError(ModcodeError):
-    """The given submodules do not cover the target module."""
-
-
 class RankInfeasibleError(ModcodeError):
     """No homomorphism with the requested kernel exists at this alphabet size."""
 

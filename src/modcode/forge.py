@@ -1,9 +1,7 @@
 """Construction of nontrivial solutions of the isometry equation.
 
-Three routes are provided:
+Two routes are provided:
 
-* inclusion-exclusion over a covering of a non-cyclic submodule, which
-  produces a nontrivial solution with 2^(r-1) terms per side;
 * the explicit minimum-length unextendable pair for a matrix-module alphabet
   with k > m, of length N = prod_{i=1..m} (1 + q^i);
 * an incidence-matrix linearization whose integer kernel vectors are exactly
@@ -13,21 +11,12 @@ Three routes are provided:
 
 from __future__ import annotations
 
-from collections import Counter
-
 from . import budget
-from .codes import Alphabet, Code, ModuleSpace, Submodule
-from .errors import (
-    DimensionMismatchError,
-    DomainRejectionError,
-    NotACoverError,
-    RankInfeasibleError,
-)
+from .codes import Alphabet, Code, ModuleSpace
+from .errors import DomainRejectionError, RankInfeasibleError
 from .linalg import (
     Record,
     check_subspace_of,
-    contains,
-    intersect,
     rref,
     subspace_lattice,
     subspaces_up_to_dim,
@@ -69,58 +58,6 @@ class SolutionPair(Record):
     @staticmethod
     def length(side) -> int:
         return sum(mult for _, mult in side)
-
-    @classmethod
-    def from_counters(cls, space: ModuleSpace, V: Counter, U: Counter) -> "SolutionPair":
-        def canon(counter: Counter):
-            return tuple(sorted(counter.items(), key=lambda p: p[0].sort_key()))
-
-        return cls(space, canon(V), canon(U))
-
-
-def inclusion_exclusion_solution(module: Submodule, covering) -> SolutionPair:
-    """Nontrivial solution from a covering of a module by proper submodules.
-
-    Intersections over even-size index subsets land on one side, odd-size on
-    the other; the empty intersection is the module itself, so the covered
-    module appears only on the even side and the solution is nontrivial.
-    """
-    covering = list(covering)
-    if not covering:
-        raise NotACoverError("a covering needs at least one submodule")
-    sp = module.space
-    for E in covering:
-        if E.space != sp:
-            raise DimensionMismatchError("covering submodules must share the module space")
-        if E.support.dim == 0:
-            raise NotACoverError("covering submodules must be nonzero")
-        if E.support == module.support or not contains(module.support, E.support):
-            raise NotACoverError("covering submodules must be proper submodules")
-    _verify_cover(module, covering)
-
-    r = len(covering)
-    even: Counter = Counter()
-    odd: Counter = Counter()
-    for mask in range(1 << r):
-        support = module.support
-        bits = 0
-        for i in range(r):
-            if mask >> i & 1:
-                bits += 1
-                support = intersect(support, covering[i].support)
-        (even if bits % 2 == 0 else odd)[support] += 1
-    return SolutionPair.from_counters(sp, even, odd)
-
-
-def _verify_cover(module: Submodule, covering) -> None:
-    """Check that the row space of every module element lies in some covering support."""
-    # Those row spaces are exactly the subspaces of the support of dimension <= m.
-    sp = module.space
-    lattice = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t))
-    # Bit 0 of each containing set is the module's support, the rest the covering's.
-    containing = lattice.containment([module.support] + [E.support for E in covering])
-    if any(bits == 1 for bits in containing):
-        raise NotACoverError("an element of the module escapes every covering submodule")
 
 
 def kernel_generators(space: ModuleSpace, supports, k: int) -> list:

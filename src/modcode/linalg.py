@@ -212,7 +212,7 @@ class Subspace(Record):
     hashing are structural.  ``points`` is the bitset of the points of
     PG(t-1, q) in the subspace, cached in ``_points`` on first use.  The
     constructor checks that q is prime and that the basis is already
-    canonical; use from_rows() for arbitrary spanning sets.
+    canonical.
     """
 
     __slots__ = ("q", "ambient", "basis", "_points")
@@ -231,19 +231,6 @@ class Subspace(Record):
             raise DimensionMismatchError(f"a basis must be its own RREF, with no zero rows, "
                                          f"of rows of {ambient} entries in [0, {self.q})")
         object.__setattr__(self, "basis", R[:rank])
-
-    @classmethod
-    def from_rows(cls, rows, q: int, ambient: int | None = None) -> "Subspace":
-        """The span of ``rows``; the checked constructor takes its RREF rows."""
-        M = as_matrix(rows, q)
-        # Before the elimination, which inverts pivots mod q.
-        check_prime(q)
-        if ambient is None:
-            if not M:
-                raise DimensionMismatchError("ambient required for an empty spanning set")
-            ambient = len(M[0])
-        R, rank, _ = rref(M, q)
-        return cls(q, ambient, R[:rank])
 
     @classmethod
     def from_points(cls, q: int, ambient: int, bits: int) -> "Subspace":
@@ -329,12 +316,6 @@ def row_kernel(M, q: int) -> Subspace:
     M = as_matrix(M, q)
     kernels, (i,) = number_row_kernels([M], q, len(M))
     return kernels[i]
-
-
-def intersect(S: Subspace, T: Subspace) -> Subspace:
-    """S ∩ T, whose point set is the AND of theirs."""
-    check_subspace_of(T, S.q, S.ambient)
-    return Subspace.from_points(S.q, S.ambient, S.points & T.points)
 
 
 def orthogonal(S: Subspace) -> Subspace:

@@ -11,7 +11,8 @@ import pytest
 from modcode import Alphabet, Code, ModuleSpace, MonomialMap, Subspace
 from modcode.cli import main
 from modcode.forge import kernel_generators
-from modcode.linalg import Record, matrix_rank
+from modcode.errors import DimensionMismatchError
+from modcode.linalg import Record, as_matrix, check_prime, matrix_rank, rref
 
 
 @pytest.fixture(autouse=True)
@@ -57,9 +58,22 @@ def cli(capsys):
     return invoke
 
 
+def span(rows, q: int, ambient: int | None = None) -> Subspace:
+    """The span of ``rows``: the checked Subspace of their RREF rows."""
+    M = as_matrix(rows, q)
+    # Before the elimination, which inverts pivots mod q.
+    check_prime(q)
+    if ambient is None:
+        if not M:
+            raise DimensionMismatchError("ambient required for an empty spanning set")
+        ambient = len(M[0])
+    R, rank, _ = rref(M, q)
+    return Subspace(q, ambient, R[:rank])
+
+
 def random_subspace(rng, q: int, t: int) -> Subspace:
     rows = rng.integers(0, q, size=(rng.integers(0, t + 1), t))
-    return Subspace.from_rows(rows, q, t)
+    return span(rows, q, t)
 
 
 def random_code(rng, q: int, m: int, t: int, k: int, n: int) -> Code:

@@ -33,7 +33,7 @@ from modcode import (
 from modcode.codes import module_elements
 from modcode.linalg import contains, orthogonal, subspaces_up_to_dim
 
-from conftest import code_of_kernels, random_code, random_monomial, random_subspace
+from conftest import code_of_kernels, random_code, random_monomial, random_subspace, span
 from references import count_subspaces_containing, fourier_of_indicator
 
 FORGE_TARGETS = [(2, 1, 2, 3), (3, 1, 2, 4), (2, 2, 3, 15)]
@@ -122,7 +122,7 @@ def test_criterion_5_fourier_duality(rng):
                 size = 2 ** (m * S.dim)
                 for Y in module_elements(2, m, t):
                     counts = fourier_of_indicator(sub, Y)
-                    if contains(orthogonal(S), Subspace.from_rows(Y, 2, t)):
+                    if contains(orthogonal(S), span(Y, 2, t)):
                         ok = ok and counts == (size, 0)
                     else:
                         ok = ok and counts == (size // 2, size // 2)

@@ -20,10 +20,8 @@ from modcode import (
     Subspace,
     Unextendable,
     apply_monomial,
-    covering_by_proper_submodules,
     extend_to_monomial,
     extend_to_monomials,
-    is_cyclic_submodule,
     is_isometry_bruteforce,
     is_isometry_criterion,
     kernel_tuple,
@@ -37,7 +35,8 @@ from modcode.io import code_from_dict
 from modcode.linalg import is_prime, matrix_rank, row_kernel
 from modcode.mds import exhaustive_isometry_scan
 
-from conftest import random_code, random_invertible, random_monomial, reference_inverse
+from conftest import random_code, random_invertible, random_monomial, reference_inverse, span
+from references import covering_by_proper_submodules, is_cyclic_submodule
 
 
 def identity_code(q, m, t, n):
@@ -93,7 +92,7 @@ class TestKernelTuple:
         _, mu = minimal_counterexample(2, 1, 2)
         supports = {k.support for k in kernel_tuple(mu)}
         assert supports == set(
-            Subspace.from_rows(v, 2) for v in ([[1, 0]], [[0, 1]], [[1, 1]])
+            span(v, 2) for v in ([[1, 0]], [[0, 1]], [[1, 1]])
         )
 
 
@@ -334,7 +333,7 @@ class TestCyclicAndCovering:
         cover = covering_by_proper_submodules(sub)
         assert len(cover) == 3
         assert {c.support for c in cover} == set(
-            Subspace.from_rows(v, 2) for v in ([[1, 0]], [[0, 1]], [[1, 1]])
+            span(v, 2) for v in ([[1, 0]], [[0, 1]], [[1, 1]])
         )
 
     def test_f3_plane_covered_by_four_lines(self):
@@ -388,7 +387,7 @@ class TestIntegerInputs:
             lambda x: Code(Alphabet(2, 1, 1), ModuleSpace(2, 1, 1), [[[x]]]),
             lambda x: Hom(ModuleSpace(2, 1, 1), Alphabet(2, 1, 1), [[x]]),
             lambda x: MonomialMap((0,), ([[x]],), 3),
-            lambda x: Subspace.from_rows([[x, 1]], 3),
+            lambda x: span([[x, 1]], 3),
         ],
         ids=["Code", "Hom", "MonomialMap", "Subspace.from_rows"],
     )
@@ -426,8 +425,8 @@ class TestPrimeModulus:
             lambda: MonomialMap((), (), "x"),
             lambda: MonomialMap((0,), ([[1]],), 4),
             lambda: Subspace(4, 2, ((1, 3),)),
-            lambda: Subspace.from_rows([[2, 1]], 4),
-            lambda: Subspace.from_rows([[1, 1]], 9),
+            lambda: span([[2, 1]], 4),
+            lambda: span([[1, 1]], 9),
         ],
         ids=["MonomialMap_string", "MonomialMap_composite", "Subspace_composite",
              "from_rows_non_invertible_pivot", "from_rows_composite"],
@@ -496,8 +495,8 @@ class TestConstructorProperties:
         shaped = st.integers(0, 3).flatmap(lambda r: matrices(r, width))
         rows = data.draw(st.one_of(NESTED, shaped))
         checked_or_refused(lambda: Subspace(q, ambient, rows))
-        checked_or_refused(lambda: Subspace.from_rows(rows, q, ambient))
-        checked_or_refused(lambda: Subspace.from_rows(rows, q))
+        checked_or_refused(lambda: span(rows, q, ambient))
+        checked_or_refused(lambda: span(rows, q))
 
     @settings(max_examples=100, deadline=None)
     @given(q=PARAMS, m=PARAMS, k=PARAMS, t=PARAMS, data=st.data())
@@ -725,7 +724,7 @@ class TestColumnarCode:
         for K, g in zip(kernels, G):  # checked by the scalar rref alone
             basis = np.array(K.basis, dtype=int).reshape(K.dim, t)
             assert K.dim == t - matrix_rank(g, q) and not (basis @ g % q).any()
-            assert Subspace.from_rows(K.basis, q, t) == K
+            assert span(K.basis, q, t) == K
         images = [apply_monomial(random_monomial(rng, q, k, n), from_stack) for _ in range(2)]
         images += [from_homs, random_code(rng, q, m, t, k, n), Code(al, sp, G[1:])]
         expected = reference_extend(from_homs, images)

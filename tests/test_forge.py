@@ -10,18 +10,15 @@ import pytest
 from modcode import (
     DomainRejectionError,
     ModuleSpace,
-    NotACoverError,
     RankInfeasibleError,
     SolutionPair,
     Submodule,
     Subspace,
     Unextendable,
     counterexample_length,
-    covering_by_proper_submodules,
     extend_to_monomial,
     gaussian_binomial,
     incidence_matrix,
-    inclusion_exclusion_solution,
     is_isometry_bruteforce,
     is_isometry_criterion,
     kernel_tuple,
@@ -32,10 +29,12 @@ from modcode import (
 )
 from modcode import forge
 from modcode.codes import module_elements
-from modcode.forge import _verify_cover, kernel_generators
+from modcode.forge import kernel_generators
 from modcode.linalg import contains, enumerate_subspaces, matrix_rank, subspaces_up_to_dim
 
-from conftest import random_subspace, reference_inverse
+from conftest import random_subspace, reference_inverse, span
+from references import (NotACoverError, covering_by_proper_submodules,
+                        inclusion_exclusion_solution, solution_from_counters, verify_cover)
 
 
 class TestInclusionExclusion:
@@ -96,7 +95,7 @@ class TestVerifyCover:
                     masks = [
                         sum(1 << i for i, E in enumerate(parts) if contains(E.support, row_space))
                         for row_space in (
-                            Subspace.from_rows(X, q, t)
+                            span(X, q, t)
                             for X in module_elements_in(module)
                         )
                     ]
@@ -105,7 +104,7 @@ class TestVerifyCover:
                             bits = sum(1 << i for i in chosen)
                             expected = all(mask & bits for mask in masks)
                             try:
-                                _verify_cover(module, [parts[i] for i in chosen])
+                                verify_cover(module, [parts[i] for i in chosen])
                                 covered = True
                             except NotACoverError:
                                 covered = False
@@ -118,9 +117,9 @@ class TestVerifyCover:
         # The three lines of F_2^2 cover its vectors, but not the 2 x 2 matrices of rank 2.
         M = Submodule(ModuleSpace(2, 1, 2), Subspace.full(2, 2))
         lines = covering_by_proper_submodules(M)
-        _verify_cover(M, lines)
+        verify_cover(M, lines)
         with pytest.raises(NotACoverError):
-            _verify_cover(Submodule(ModuleSpace(2, 2, 2), Subspace.full(2, 2)), lines)
+            verify_cover(Submodule(ModuleSpace(2, 2, 2), Subspace.full(2, 2)), lines)
 
 
 class TestSolutionPair:
@@ -150,7 +149,7 @@ class TestHomWithKernel:
 
     def test_prescribed_line_kernel(self):
         sp = ModuleSpace(2, 1, 2)
-        S = Subspace.from_rows([[1, 1]], 2)
+        S = span([[1, 1]], 2)
         G = kernel_generators(sp, [S], 2)[0]
         assert row_kernel(G, 2) == S
 
@@ -327,14 +326,14 @@ class TestMinimalitySearch:
 class TestSolutionToCodes:
     def test_trivial_pair_gives_monomially_related_codes(self):
         sp = ModuleSpace(2, 1, 2)
-        line = Subspace.from_rows([[1, 0]], 2)
+        line = span([[1, 0]], 2)
         sol = SolutionPair(sp, ((line, 2),), ((line, 2),))
         lam, mu = solution_to_codes(sol, 2)
         assert not isinstance(extend_to_monomial(lam, mu), Unextendable)
 
     def test_forged_minimal_pair_matches_construction(self):
         lam0, mu0 = minimal_counterexample(2, 1, 2)
-        sol = SolutionPair.from_counters(
+        sol = solution_from_counters(
             ModuleSpace(2, 1, 2),
             Counter(k.support for k in kernel_tuple(lam0)),
             Counter(k.support for k in kernel_tuple(mu0)),

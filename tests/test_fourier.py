@@ -9,7 +9,6 @@ from modcode import (
     ModuleSpace,
     Submodule,
     Subspace,
-    intersect,
     is_isometry_criterion,
     kernel_tuple,
     minimal_counterexample,
@@ -21,8 +20,8 @@ from modcode.codes import Code, module_elements
 from modcode.errors import DimensionMismatchError
 from modcode.linalg import contains, subspaces_up_to_dim
 
-from conftest import code_of_kernels, random_subspace
-from references import fourier_of_indicator
+from conftest import code_of_kernels, random_subspace, span
+from references import fourier_of_indicator, intersect
 
 
 class TestPairing:
@@ -65,7 +64,7 @@ class TestFourierOfIndicator:
 
     def test_line_against_orthogonal_point(self):
         sp = ModuleSpace(2, 1, 2)
-        sub = Submodule(sp, Subspace.from_rows([[1, 0]], 2))
+        sub = Submodule(sp, span([[1, 0]], 2))
         assert fourier_of_indicator(sub, np.array([[0, 1]])) == (2, 0)
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -79,7 +78,7 @@ class TestFourierOfIndicator:
             size = 2 ** (m * S.dim)
             for Y in module_elements(2, m, t):
                 counts = fourier_of_indicator(sub, Y)
-                if contains(orthogonal(S), Subspace.from_rows(Y, 2, t)):
+                if contains(orthogonal(S), span(Y, 2, t)):
                     assert counts == (size, 0)
                 else:
                     assert counts == (size // 2, size // 2)
@@ -95,7 +94,7 @@ class TestOrthogonalSubmodule:
 
     def test_self_dual_line(self):
         sp = ModuleSpace(2, 1, 2)
-        line = Submodule(sp, Subspace.from_rows([[1, 1]], 2))
+        line = Submodule(sp, span([[1, 1]], 2))
         dual = Submodule(sp, orthogonal(line.support))
         assert dual == line
         assert 2 ** line.support.dim * 2 ** dual.support.dim == 2 ** (sp.m * sp.t)
@@ -114,7 +113,7 @@ class TestOrthogonalSubmodule:
         assert len(spaces) == 16
         for S in spaces:
             for T in spaces:
-                assert orthogonal(intersect(S, T)) == Subspace.from_rows(
+                assert orthogonal(intersect(S, T)) == span(
                     orthogonal(S).basis + orthogonal(T).basis, 2, 3
                 )
 
@@ -161,7 +160,7 @@ def image_is_kernel_dual(G, q: int) -> bool:
     Under the trace pairing the dual of a hom X -> X G acts by Y -> Y G^T,
     so the image of the dual hom is supported on the column space of G.
     """
-    return orthogonal(row_kernel(G, q)) == Subspace.from_rows(G.T, q, G.shape[0])
+    return orthogonal(row_kernel(G, q)) == span(G.T, q, G.shape[0])
 
 
 class TestImageKernelDuality:

@@ -21,6 +21,19 @@ from modcode.errors import DimensionMismatchError
 from modcode.linalg import (Record, Subspace, SubspaceLattice, gaussian_binomial, is_prime,
                             matrix_rank)
 
+from references import code_to_dict
+
+
+def loaded_code(tmp_path):
+    """A code read back by load_code, whose equal generators are equal but separate tuples."""
+    path = tmp_path / "in.json"
+    G, H = [[1, 2], [0, 1]], [[0, 0], [1, 1]]
+    path.write_text(json.dumps({"q": 3, "m": 1, "k": 2, "t": 2, "generators": [G, H, G, G, H]}))
+    code = load_code(path)
+    first, _, again, *_ = code.generators
+    assert first == again and first is not again
+    return code
+
 
 class TestCodeFiles:
     def test_roundtrip(self, tmp_path):
@@ -104,13 +117,18 @@ class TestCodeFiles:
             Code(Alphabet(5, 1, 3), ModuleSpace(5, 1, 1), [np.array([[4, 0, 1]])]),
             Code(Alphabet(3, 2, 1), ModuleSpace(3, 2, 3), [np.array([[1], [2], [0]])] * 2),
             Code(Alphabet(2, 1, 2), ModuleSpace(2, 1, 0), [np.zeros((0, 2), dtype=int)] * 3),
+            Code(Alphabet(3, 1, 4), ModuleSpace(3, 1, 2), [np.zeros((2, 4), dtype=int)] * 4),
+            loaded_code,
         ],
-        ids=["forged_3_2_3", "t1_k1", "one_generator", "column_generators", "t0"],
+        ids=["forged_3_2_3", "t1_k1", "one_generator", "column_generators", "t0", "all_zero",
+             "loaded"],
     )
     def test_file_matches_per_generator_encoding(self, tmp_path, code):
+        if callable(code):
+            code = code(tmp_path)
         path = tmp_path / "code.json"
         save_code(code, path)
-        data = modcode.io.code_to_dict(code)
+        data = code_to_dict(code)
         generators = ",\n".join(map(json.dumps, data.pop("generators")))
         expected = json.dumps(data)[:-1] + f', "generators": [\n{generators}\n]}}\n'
         assert path.read_text() == expected
@@ -507,7 +525,7 @@ class TestLeanImports:
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) == len(modcode.__all__) == 55
+        assert int(proc.stdout) == len(modcode.__all__) == 50
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError):
@@ -582,10 +600,6 @@ def ast_names(node):
 # as an independent reference that the named test compares the package with.
 REFERENCES = {
     "apply_monomial": "test_acceptance.py::test_criterion_7_monomial_roundtrip",
-    "covering_by_proper_submodules":
-        "test_forge.py::TestSolutionToCodes::test_covering_route_matches_minimal_pair",
-    "inclusion_exclusion_solution":
-        "test_forge.py::TestSolutionToCodes::test_covering_route_matches_minimal_pair",
     "solution_to_codes":
         "test_forge.py::TestSolutionToCodes::test_covering_route_matches_minimal_pair",
 }
@@ -704,7 +718,7 @@ class TestOneRecordType:
 
     def test_subspace_is_a_record_with_a_cached_point_set(self):
         assert issubclass(Subspace, Record)
-        S = Subspace.from_rows([[1, 1]], 2)
+        S = Subspace(2, 2, ((1, 1),))
         assert S._fields == ("q", "ambient", "basis") and S._points is None
         assert S.points == 0b100 and S._points == 0b100
         assert S == Subspace(2, 2, ((1, 1),)) and hash(S) == hash(Subspace(2, 2, ((1, 1),)))
@@ -741,6 +755,13 @@ print(json.dumps([sys.modules["numpy"] is None, "dataclasses" in sys.modules]))
 """
 
 
+# What -h lists: the options of a command, or the five commands at the top level.
+HELP_LISTS = {
+    "check": ["--lambda", "--mu", "--oracle", "--json"],
+    "--help": ["forge", "check", "minlen", "mds", "identities"],
+}
+
+
 class TestProcessEntry:
     def test_commands_run_with_numpy_blocked(self, tmp_path):
         proc = python("-c", NUMPY_BLOCKED, str(tmp_path), timeout=60)
@@ -770,9 +791,27 @@ class TestProcessEntry:
         root = Path(modcode.__file__).resolve().parent
         assert [p.name for p in sorted(root.glob("*.py")) if "numpy" in p.read_text()] == []
 
-    def test_cli_import_leaves_click_unloaded(self):
-        proc = python("-c", "import sys, modcode.cli; assert 'click' not in sys.modules")
+    def test_cli_import_leaves_click_unloaded(self, tmp_path):
+        """All five commands run through main without click, argparse or gettext."""
+        script = (
+            "import contextlib, io, sys\n"
+            "from modcode.cli import main\n"
+            "lam, mu = sys.argv[1] + '/lam.json', sys.argv[1] + '/mu.json'\n"
+            "codes = []\n"
+            "for argv in (\n"
+            "    ['forge', '--q', '2', '--m', '1', '--k', '2', '--out-lambda', lam, '--out-mu', mu],\n"
+            "    ['check', '--lambda', lam, '--mu', mu, '--oracle'],\n"
+            "    ['mds', '--code', lam, '--scan'],\n"
+            "    ['minlen', '--q', '2', '--m', '1'],\n"
+            "    ['identities', '--q', '3', '--tmax', '4'],\n"
+            "):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(main([*argv, '--json']))\n"
+            "print(codes, [m for m in ('argparse', 'click', 'gettext') if m in sys.modules])\n"
+        )
+        proc = python("-c", script, str(tmp_path), timeout=60)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 0, 0, 0, 0] []\n"
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -782,16 +821,34 @@ class TestProcessEntry:
             (["identities", "--q", "4", "--tmax", "2"], 4),
             (["identities", "--q", "2"], 2),
             (["no-such-command"], 2),
+            (["identities", "--q", "2", "--tmax", "3", "--bogus"], 2),
+            (["identities", "--q", "2", "--tmax"], 2),
+            (["identities", "--q", "x", "--tmax", "3"], 2),
+            (["identities", "--q", "2", "--tmax", "3", "--json=1"], 2),
+            (["identities", "--q", "2", "--tmax", "3", "stray"], 2),
+            (["--json", "identities", "--q", "2", "--tmax", "3"], 2),
+            (["identities", "--q=2", "--tmax", "3", "--json"], 0),
+            (["check", "--help"], 0),
+            (["--help"], 0),
         ],
-        ids=["ok", "budget", "input", "missing-option", "unknown-command"],
+        ids=["ok", "budget", "input", "missing-option", "unknown-command", "unknown-option",
+             "option-without-value", "non-integer-value", "flag-with-value", "stray-argument",
+             "option-before-command", "equals-value", "command-help", "top-level-help"],
     )
     def test_module_exit_codes(self, argv, code):
         proc = python("-m", "modcode.cli", *argv)
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
-        if code == 0:
+        if "--help" in argv:
+            listed = HELP_LISTS[argv[0]]
+            assert proc.stdout.startswith("usage: modcode ") and proc.stderr == ""
+            assert all(f"\n  {word} " in proc.stdout for word in listed), proc.stdout
+        elif code == 0:
             assert json.loads(proc.stdout)["all_pass"]
-        elif code in (3, 4):
+        elif code == 2:
+            assert proc.stdout == "" and proc.stderr.startswith("usage: modcode ")
+            assert "\nmodcode: error: " in proc.stderr
+        else:
             assert proc.stdout == "" and proc.stderr.startswith("error: ")
 
     @pytest.mark.parametrize("command", ["mds", "minlen", "identities"])

@@ -11,7 +11,6 @@ from modcode import (
     contains,
     enumerate_subspaces,
     gaussian_binomial,
-    intersect,
     orthogonal,
     row_kernel,
     rref,
@@ -29,8 +28,8 @@ from modcode.linalg import (
     subspaces_up_to_dim,
 )
 
-from conftest import random_subspace, reference_inverse, reference_rref
-from references import count_subspaces_containing
+from conftest import random_subspace, reference_inverse, reference_rref, span
+from references import count_subspaces_containing, intersect
 
 
 class TestRref:
@@ -59,7 +58,7 @@ class TestRref:
                 assert np.array_equal(R, R2) and rank == rank2
                 # Row spaces agree: every row combination of M reduces to zero
                 # against the RREF basis and vice versa.
-                assert Subspace.from_rows(M, q) == Subspace.from_rows(R, q)
+                assert span(M, q) == span(R, q)
 
     def test_scaled_pivots_q5(self):
         R, rank, pivots = rref([[2, 4], [0, 3]], 5)
@@ -81,7 +80,7 @@ class TestRowKernel:
     def test_column_vector(self):
         # v (1,1)^T = 0 over F_2 exactly for v in {(0,0), (1,1)}.
         K = row_kernel(np.array([[1], [1]]), 2)
-        assert K == Subspace.from_rows([[1, 1]], 2)
+        assert K == span([[1, 1]], 2)
 
     def test_points_budget_checked(self, monkeypatch):
         # PG(20, 2) has 2,097,151 points, past the default subspace budget of 10^6.
@@ -108,14 +107,14 @@ class TestSubspaceOps:
             assert contains(full, S)
 
     def test_sum_of_axes_f2(self):
-        a = Subspace.from_rows([[1, 0, 0]], 2)
-        b = Subspace.from_rows([[0, 1, 0]], 2)
-        assert Subspace.from_rows(a.basis + b.basis, 2, 3) == Subspace.from_rows(
+        a = span([[1, 0, 0]], 2)
+        b = span([[0, 1, 0]], 2)
+        assert span(a.basis + b.basis, 2, 3) == span(
             [[1, 0, 0], [0, 1, 0]], 2
         )
 
     def test_self_dual_line(self):
-        line = Subspace.from_rows([[1, 1]], 2)
+        line = span([[1, 1]], 2)
         assert orthogonal(line) == line
 
     def test_orthogonal_laws(self, rng):
@@ -134,7 +133,7 @@ class TestSubspaceOps:
             for _ in range(20):
                 S = random_subspace(rng, q, 3)
                 T = random_subspace(rng, q, 3)
-                total = Subspace.from_rows(S.basis + T.basis, q, 3)
+                total = span(S.basis + T.basis, q, 3)
                 assert intersect(S, T).dim + total.dim == S.dim + T.dim
 
     def test_ambient_mismatch_raises(self):
@@ -239,7 +238,7 @@ REFERENCE_PAIRS = 50_000
 
 def reference_contains(K, S) -> bool:
     """S <= K by elimination alone: adding S's basis to K's leaves K."""
-    return Subspace.from_rows(K.basis + S.basis, K.q, K.ambient) == K
+    return span(K.basis + S.basis, K.q, K.ambient) == K
 
 
 def as_table(containing, width: int) -> np.ndarray:
@@ -341,7 +340,7 @@ class TestPoints:
     def test_point_set_is_the_span(self, q, t):
         points = projective_points(q, t)
         for S in subspaces_up_to_dim(q, t, t):
-            inside = [reference_contains(S, Subspace.from_rows([v], q)) for v in points]
+            inside = [reference_contains(S, span([v], q)) for v in points]
             assert [bool(S.points >> i & 1) for i in range(len(points))] == inside
 
     def test_points_budget_checked(self, monkeypatch):
@@ -362,7 +361,7 @@ class TestCountContaining:
         assert count_subspaces_containing(X, 3) == 1
 
     def test_planes_over_line(self):
-        line = Subspace.from_rows([[1, 0, 0]], 2)
+        line = span([[1, 0, 0]], 2)
         planes = enumerate_subspaces(2, 3, 2)
         direct = sum(1 for P in planes if contains(P, line))
         assert direct == 3
@@ -442,7 +441,7 @@ def reference_intersect(S, T):
     if ker.dim == 0:
         return Subspace.zero(S.q, S.ambient)
     coeffs = np.array([row[: S.dim] for row in ker.basis])
-    return Subspace.from_rows(coeffs @ np.array(S.basis) % S.q, S.q, S.ambient)
+    return span(coeffs @ np.array(S.basis) % S.q, S.q, S.ambient)
 
 
 class TestReferenceKernels:
@@ -555,7 +554,7 @@ class TestKeyedSubspace:
     def test_constructor_accepts_a_canonical_basis(self):
         S = Subspace(2, 2, [[1, 0], [0, 1]])
         assert S == Subspace.full(2, 2) and S.basis == ((1, 0), (0, 1))
-        plane = Subspace.from_rows([[1, 2, 1], [0, 0, 2]], 3)
+        plane = span([[1, 2, 1], [0, 0, 2]], 3)
         assert Subspace(3, 3, ((1, 2, 0), (0, 0, 1))) == plane
         assert Subspace(2, 0, ()) == Subspace.zero(2, 0)
 
@@ -569,8 +568,8 @@ class TestKeyedSubspace:
         assert Subspace._unchecked(2, 2, ((1, 1), (0, 1))).basis == ((1, 1), (0, 1))
 
     def test_equal_spans_are_equal_and_hash_alike(self):
-        S = Subspace.from_rows([[1, 1, 0], [0, 1, 1]], 2)
-        T = Subspace.from_rows([[1, 0, 1], [1, 1, 0], [0, 1, 1]], 2)
+        S = span([[1, 1, 0], [0, 1, 1]], 2)
+        T = span([[1, 0, 1], [1, 1, 0], [0, 1, 1]], 2)
         assert S == T and hash(S) == hash(T)
         assert len({S, T}) == 1
 

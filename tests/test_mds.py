@@ -17,7 +17,6 @@ from modcode import (
     ModuleSpace,
     MonomialMap,
     NotAnIsometryError,
-    Subspace,
     TheoremViolation,
     Unextendable,
     ZeroCodeError,
@@ -37,7 +36,7 @@ from modcode.codes import codeword_weights, module_elements
 from modcode.forge import kernel_generators
 from modcode.linalg import SubspaceLattice, matrix_rank, number_row_kernels, row_kernel
 
-from conftest import random_code, random_monomial
+from conftest import random_code, random_monomial, span
 
 
 def repetition_code(q=2, n=3):
@@ -453,7 +452,7 @@ class TestIsometryCensus:
                   for c in [(0, 0), (1, 0), (0, 1), (1, 1)]]
         planes.append([(0, 0, 1, 0), (0, 0, 0, 1)])
         space = ModuleSpace(2, 1, 4)
-        spread = [Subspace.from_rows(rows, 2) for rows in planes]
+        spread = [span(rows, 2) for rows in planes]
         code = Code(Alphabet(2, 1, 2), space, kernel_generators(space, spread[:n], 2))
         census = isometry_census(code)
         assert (census.isometries, census.unextendable) == (isometries, unextendable)
