@@ -17,6 +17,7 @@ from .errors import DomainRejectionError, RankInfeasibleError
 from .linalg import (
     Record,
     check_subspace_of,
+    integer_points,
     rref,
     subspace_lattice,
     subspaces_up_to_dim,
@@ -177,106 +178,38 @@ def min_nontrivial_length(
 ) -> SearchResult:
     """Minimum one-side length of a nontrivial solution, by branch and bound.
 
-    Searches nonzero integer vectors in the kernel of the containment matrix
-    with L1 norm at most 2 * length_bound.  Columns are processed in order of
-    decreasing subspace dimension; whenever the column being assigned is the
-    last remaining column containing some evaluation row, its value is forced
-    by that row's partial sum, which collapses the search.  Ties between
-    optimal witnesses are broken by the lexicographically smallest assignment
-    in search order.  The search runs on an explicit stack of columns, so its
-    depth is not bounded by the recursion limit; after NODE_BUDGET nodes it
-    stops and reports the best witness found so far with exhausted False.
+    Searches the nonzero integer vectors in the kernel of the containment
+    matrix with L1 norm at most 2 * length_bound: one signed
+    :func:`~modcode.linalg.integer_points` pass over the columns in order of
+    decreasing subspace dimension, from base 0, with its cap lowered to each
+    better witness's L1 norm.  Ties between optimal witnesses are broken by
+    the lexicographically smallest assignment in search order.  After
+    NODE_BUDGET nodes the search stops and reports the best witness found
+    so far with exhausted False.
     """
     if t < 1 or length_bound < 1:
         raise ValueError("need t >= 1 and length_bound >= 1")
     system = incidence_matrix(q, m, t, max_col_dim=max_col_dim)
-    n_rows, n_cols = len(system.rows), len(system.cols)
-    order = sorted(range(n_cols), key=lambda j: (-system.cols[j].dim, system.cols[j].sort_key()))
-    Z = system.Z
+    cols = system.cols
+    order = sorted(range(len(cols)), key=lambda j: (-cols[j].dim, cols[j].sort_key()))
+    rows = [sum(row[j] << pos for pos, j in enumerate(order)) for row in system.Z]
+    best = None
 
-    rows_of_col = [[r for r in range(n_rows) if Z[r][j]] for j in order]
-    last_col_of_row = [-1] * n_rows
-    for pos, j in enumerate(order):
-        for r in rows_of_col[pos]:
-            last_col_of_row[r] = pos
-    open_rows = [
-        [r for r in rows if last_col_of_row[r] > pos] for pos, rows in enumerate(rows_of_col)
-    ]
-    closes_at = [[] for _ in range(n_cols)]
-    for r, pos in enumerate(last_col_of_row):
-        if pos >= 0:
-            closes_at[pos].append(r)
+    def keep(y):
+        nonlocal best
+        used = sum(map(abs, y))
+        if used and (best is None or (used, y) < best):
+            best = used, y.copy()
+            return used
 
-    def candidate_values(limit: int):
-        yield 0
-        for v in range(1, limit + 1):
-            yield -v
-            yield v
-
-    l1_cap = 2 * length_bound
-    partial = [0] * n_rows
-    assignment = [0] * n_cols
-    best_l1 = best_vec = None
-    # One frame per entered column: its position, the L1 used before it, the
-    # slack fixed on entry and the values still to try.  assignment[pos]
-    # holds the value the frame last added to the partial row sums.
-    stack: list = []
-    nodes = pos = used = 0
-    while True:
-        # Enter the node at column position pos with L1 norm used so far.
-        nodes += 1
-        if nodes > NODE_BUDGET:
-            break
-        if pos == n_cols:
-            if used and (best_l1 is None or (used, assignment) < (best_l1, best_vec)):
-                best_l1, best_vec = used, assignment.copy()
-        else:
-            slack = l1_cap - used if best_l1 is None else min(l1_cap, best_l1) - used
-            closing = closes_at[pos]
-            if slack >= 0:
-                if not closing:
-                    stack.append((pos, used, slack, candidate_values(slack)))
-                else:
-                    forced = -partial[closing[0]]
-                    if abs(forced) <= slack and all(-partial[r] == forced for r in closing[1:]):
-                        stack.append((pos, used, slack, iter((forced,))))
-        # Move the deepest frame to its next feasible value; pop spent frames.
-        while stack:
-            frame_pos, frame_used, slack, values = stack[-1]
-            touched = rows_of_col[frame_pos]
-            v = assignment[frame_pos]
-            if v:
-                for r in touched:
-                    partial[r] -= v
-            for v in values:
-                if v:
-                    for r in touched:
-                        partial[r] += v
-                # An open row's remaining columns can absorb at most the leftover
-                # L1 budget, so a partial sum beyond it can never return to zero.
-                room = slack - abs(v)
-                if all(abs(partial[r]) <= room for r in open_rows[frame_pos]):
-                    break
-                if v:
-                    for r in touched:
-                        partial[r] -= v
-            else:
-                assignment[frame_pos] = 0
-                stack.pop()
-                continue
-            assignment[frame_pos] = v
-            pos, used = frame_pos + 1, frame_used + abs(v)
-            break
-        else:
-            break
-
-    exhausted = nodes <= NODE_BUDGET
-    if best_l1 is None:
+    _, exhausted = integer_points(rows, [0] * len(order), keep, True, NODE_BUDGET,
+                                  2 * length_bound)
+    if best is None:
         return SearchResult(None, None, exhausted, system)
-    witness = tuple(c for _, c in sorted(zip(order, best_vec)))
-    if any(sum(z * c for z, c in zip(row, witness)) for row in Z):
+    witness = tuple(c for _, c in sorted(zip(order, best[1])))
+    if any(sum(z * c for z, c in zip(row, witness)) for row in system.Z):
         raise AssertionError("search produced a vector outside the kernel")
-    return SearchResult(best_l1 // 2, witness, exhausted, system)
+    return SearchResult(best[0] // 2, witness, exhausted, system)
 
 
 def solution_to_codes(sol: SolutionPair, k: int) -> tuple[Code, Code]:

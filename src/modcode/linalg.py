@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, reduce
+from math import inf
 from operator import and_, index, mul
 
 from . import budget
@@ -546,3 +547,106 @@ class SubspaceLattice:
 def subspace_lattice(q: int, t: int, max_dim: int) -> SubspaceLattice:
     """The shared containment engine for subspaces of F_q^t of dimension <= max_dim."""
     return SubspaceLattice(q, t, max_dim)
+
+
+def integer_points(rows, base, found, signed: bool, limit: int, cap=None) -> tuple[int, bool]:
+    """Every integer vector y with Z y = Z base, depth first; returns (nodes, exhausted).
+
+    Row r of Z is the bitset ``rows[r]`` of its columns, which are numbered
+    in search order, and every column lies in some row.  Equal rows are one
+    row, and an empty row, whose equation is 0 = 0, is dropped.  With ``signed`` False the values are y >= 0; with it True they are
+    signed, and ``cap``, an upper bound on the L1 norm of y, is required.
+
+    The columns are set in order on an explicit stack, so no number of
+    columns meets the recursion limit.  A row's residual is its entry of
+    Z (base - y) over the columns set so far.  A column that is the last of
+    some row is forced to that row's residual, which every row it closes
+    must share.  Otherwise its values run
+    0, -1, 1, -2, 2, ..., the signed ones up to the L1 room left under the
+    cap, the values y >= 0 up to the least residual of the column's rows,
+    so that none goes negative.  Under a cap, a value is skipped when it
+    leaves a row of its column that is still open with a residual larger
+    than the room left after it, as the row's other columns can no longer
+    bring it back to zero.
+
+    At each solution ``found(y)`` is called with y, a list the search goes
+    on to change; a number it returns becomes the cap from the next node
+    on, so a caller may lower it between solutions.  The search counts the
+    nodes it enters and stops on entering node ``limit + 1``, with
+    exhausted False.
+    """
+    rows = [bits for bits in dict.fromkeys(rows) if bits]
+    rows_of: list[list[int]] = [[] for _ in base]
+    closes: list[list[int]] = [[] for _ in base]
+    residual = []
+    for r, bits in enumerate(rows):
+        cols = list(members(bits))
+        for j in cols:
+            rows_of[j].append(r)
+        closes[cols[-1]].append(r)
+        residual.append(sum(base[j] for j in cols))
+    if cap is None:
+        if signed:
+            raise ValueError("a signed search needs an L1 cap")
+        cap, open_rows = inf, [()] * len(base)
+    else:
+        open_rows = [[r for r in rs if r not in last] for rs, last in zip(rows_of, closes)]
+
+    def signed_values(hi: int):
+        yield 0
+        for v in range(1, hi + 1):
+            yield -v
+            yield v
+
+    y = [0] * len(base)
+    # One frame per entered column: its position, the L1 norm before it, the
+    # room left on entry and the values still to try.  y[pos] holds the value
+    # the frame last took from its rows' residuals.
+    stack: list = []
+    nodes = pos = used = 0
+    while True:
+        nodes += 1
+        if nodes > limit:
+            return nodes, False
+        if pos == len(y):
+            lowered = found(y)
+            if lowered is not None:
+                cap = lowered
+        elif used <= cap:
+            slack = cap - used
+            closing = closes[pos]
+            hi = slack if signed else min(slack, min(residual[r] for r in rows_of[pos]))
+            if closing:
+                v = residual[closing[0]]
+                feasible = abs(v) <= hi and all(residual[r] == v for r in closing)
+                values = iter((v,) if feasible else ())
+            else:
+                values = signed_values(hi) if signed else iter(range(hi + 1))
+            stack.append((pos, used, slack, values))
+        # Move the deepest frame to its next feasible value; pop spent frames.
+        while stack:
+            frame_pos, frame_used, slack, values = stack[-1]
+            touched = rows_of[frame_pos]
+            v = y[frame_pos]
+            if v:
+                for r in touched:
+                    residual[r] += v
+            for v in values:
+                if v:
+                    for r in touched:
+                        residual[r] -= v
+                room = slack - abs(v)
+                if all(abs(residual[r]) <= room for r in open_rows[frame_pos]):
+                    break
+                if v:
+                    for r in touched:
+                        residual[r] += v
+            else:
+                y[frame_pos] = 0
+                stack.pop()
+                continue
+            y[frame_pos] = v
+            pos, used = frame_pos + 1, frame_used + abs(v)
+            break
+        else:
+            return nodes, True

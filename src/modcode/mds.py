@@ -40,8 +40,8 @@ from .errors import DomainRejectionError, NotAnIsometryError, ZeroCodeError
 from .linalg import (
     Record,
     enumerate_subspaces,
+    integer_points,
     matrix_rank,
-    members,
     number_row_kernels,
     subspace_lattice,
 )
@@ -179,12 +179,9 @@ def isometry_census(code: Code) -> IsometryCensus:
     over the candidates satisfies Z y = b = Z y_code, with Z the incidence of
     those subspaces in the candidates; the zero subspace's row is sum(y) = n.
 
-    The y >= 0 are found depth first, on an explicit stack, over the
-    candidates in order of decreasing dimension.  Each y_S is capped by the
-    least residual of its rows, so none goes negative, and a row's residual
-    must be zero once its last containing candidate is set, which forces that
-    candidate's value.  Rows with equal containing sets are one row.  The
-    search charges its nodes to the vector budget.
+    The y >= 0 are found by one :func:`~modcode.linalg.integer_points` pass
+    over the candidates in order of decreasing dimension, from base y_code,
+    its nodes charged to the vector budget.
 
     Class y stands for n!/prod y_S! * prod N_S^y_S tuples, where
     N_S = prod_{i < codim S} (q^k - q^i) counts the t x k matrices with row
@@ -201,61 +198,12 @@ def isometry_census(code: Code) -> IsometryCensus:
     for i in ids:
         own[position[kernels[i]]] += 1
     lattice = subspace_lattice(q, t, min(sp.m, t))
-    # Every row lies in F_q^t, candidate 0, so no containing set is empty.
-    table = sorted(set(lattice.containment(candidates)))
-    rows_of: list[list[int]] = [[] for _ in candidates]
-    closes: list[list[int]] = [[] for _ in candidates]
-    residual = []
-    for r, bits in enumerate(table):
-        for j in members(bits):
-            rows_of[j].append(r)
-        closes[bits.bit_length() - 1].append(r)
-        residual.append(sum(own[j] for j in members(bits)))
-
-    limit = budget.vector_budget()
-    y = [0] * len(candidates)
     classes = []
-    # One frame per entered candidate: its position and the values still to
-    # try; y[pos] holds the value the frame last took from its rows.
-    stack: list = []
-    nodes = pos = 0
-    while True:
-        nodes += 1
-        if nodes > limit:
-            budget.check_vectors(nodes, "isometry census (one vector per search node)")
-        if pos == len(candidates):
-            classes.append(tuple(y))
-        else:
-            cap = min(residual[r] for r in rows_of[pos])
-            closing = closes[pos]
-            if not closing:
-                stack.append((pos, iter(range(cap + 1))))
-            else:
-                forced = residual[closing[0]]
-                if forced <= cap and all(residual[r] == forced for r in closing[1:]):
-                    stack.append((pos, iter((forced,))))
-        # Move the deepest frame to its next value; pop spent frames.
-        while stack:
-            frame_pos, values = stack[-1]
-            rows = rows_of[frame_pos]
-            v = y[frame_pos]
-            if v:
-                for r in rows:
-                    residual[r] += v
-            v = next(values, None)
-            if v is None:
-                y[frame_pos] = 0
-                stack.pop()
-                continue
-            if v:
-                for r in rows:
-                    residual[r] -= v
-            y[frame_pos] = v
-            pos = frame_pos + 1
-            break
-        else:
-            break
-
+    nodes, exhausted = integer_points(lattice.containment(candidates), own,
+                                      lambda y: classes.append(tuple(y)), False,
+                                      budget.vector_budget())
+    if not exhausted:
+        budget.check_vectors(nodes, "isometry census (one vector per search node)")
     own = tuple(own)
     W = [[a - b for a, b in zip(c, own)] for c in classes]
     for i, ok in enumerate(lattice.balanced_rows(candidates, W)):

@@ -311,10 +311,22 @@ class TestMinimalitySearch:
             sys.setrecursionlimit(old)
         assert r.min_length == 135 and r.exhausted
 
-    def test_node_budget_stops_search_unexhausted(self, monkeypatch):
-        monkeypatch.setattr(forge, "NODE_BUDGET", 10)
+    @pytest.mark.parametrize("q, m, t, bound, nodes", [
+        (2, 1, 2, 5, 28), (3, 1, 2, 6, 37), (2, 2, 3, 20, 153), (2, 1, 3, 4, 11_871),
+        (2, 3, 4, 140, 1_570),
+    ])
+    def test_node_budget_stops_search_unexhausted(self, monkeypatch, q, m, t, bound, nodes):
+        # The exhaustive search enters exactly `nodes` nodes, so one fewer stops it.
+        unbounded = min_nontrivial_length(q, m, t, bound)
+        monkeypatch.setattr(forge, "NODE_BUDGET", nodes - 1)
+        assert not min_nontrivial_length(q, m, t, bound).exhausted
+        monkeypatch.setattr(forge, "NODE_BUDGET", nodes)
+        assert min_nontrivial_length(q, m, t, bound) == unbounded and unbounded.exhausted
+
+    def test_node_budget_keeps_the_best_so_far(self, monkeypatch):
+        monkeypatch.setattr(forge, "NODE_BUDGET", 37)
         r = min_nontrivial_length(2, 2, 3, 20)
-        assert not r.exhausted
+        assert r.min_length == 15 and not r.exhausted
 
     def test_witness_in_kernel(self):
         for q, m, t, b in [(2, 1, 2, 5), (3, 1, 2, 6)]:

@@ -1,5 +1,8 @@
 """Exact prime-field linear algebra and subspace lattice tests."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from modcode import (
 from modcode.linalg import (
     check_prime,
     complete_basis,
+    integer_points,
     is_prime,
     mat_mul,
     matrix_rank,
@@ -326,6 +330,53 @@ class TestSubspaceLattice:
         W = [[2**64, 0], [2**64, -(2**64)], [0, 0]]
         assert lattice.balanced_rows([full, line], W) == [False, False, True]
 
+
+
+class TestIntegerPoints:
+    """The integer-point search against brute force over a box on small random systems."""
+
+    @staticmethod
+    def system(rng):
+        n = rng.randint(1, 4)
+        # The all-ones row puts every column in some row.
+        rows = [(1 << n) - 1] + [rng.randrange(1 << n) for _ in range(rng.randint(0, 3))]
+        return rows, [rng.randint(0, 2) for _ in range(n)]
+
+    @staticmethod
+    def brute(rows, base, values, cap):
+        def image(y):
+            return [sum(v for j, v in enumerate(y) if bits >> j & 1) for bits in rows]
+
+        return [list(y) for y in itertools.product(values, repeat=len(base))
+                if image(y) == image(base) and sum(map(abs, y)) <= cap]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_brute_force(self, seed):
+        rows, base = self.system(random.Random(seed))
+        total = sum(base)
+        found = []
+        nodes, exhausted = integer_points(rows, base, lambda y: found.append(y.copy()), False, 10**6)
+        # Values y >= 0 come out in lexicographic order.
+        assert exhausted and found == self.brute(rows, base, range(total + 1), total)
+        assert integer_points(rows, base, lambda y: None, False, nodes - 1) == (nodes, False)
+        for cap in range(4):
+            found = []
+            integer_points(rows, base, lambda y: found.append(y.copy()), True, 10**6, cap)
+            assert sorted(found) == self.brute(rows, base, range(-cap, cap + 1), cap)
+
+    def test_found_lowers_the_cap(self):
+        # y0 + y1 = 0 and y0 + y1 + y2 = 0: the solutions are multiples of (1, -1, 0).
+        found = []
+        integer_points([0b11, 0b111], [0, 0, 0], lambda y: found.append(y.copy()), True, 10**6, 4)
+        assert found == [[0, 0, 0], [-1, 1, 0], [1, -1, 0], [-2, 2, 0], [2, -2, 0]]
+        found = []
+        integer_points([0b11, 0b111], [0, 0, 0], lambda y: found.append(y.copy()) or 2,
+                       True, 10**6, 4)
+        assert found == [[0, 0, 0], [-1, 1, 0], [1, -1, 0]]
+
+    def test_signed_search_needs_a_cap(self):
+        with pytest.raises(ValueError, match="L1 cap"):
+            integer_points([1], [0], print, True, 10)
 
 class TestPoints:
     @pytest.mark.parametrize("q,t", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 3)])

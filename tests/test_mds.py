@@ -1,6 +1,7 @@
 """Singleton bound, MDS detection and the MDS extension theorem."""
 
 import itertools
+import re
 import sys
 from collections import Counter
 
@@ -474,8 +475,10 @@ class TestIsometryCensus:
         assert isometry_census(parity_code(3)).representatives() == []
 
     def test_search_nodes_charged_to_vector_budget(self, monkeypatch):
-        monkeypatch.setenv("MODCODE_BUDGET", "20")
-        with pytest.raises(EnumerationBudgetError, match="isometry census"):
+        # The census of the binary [4,3] parity code enters exactly 30 search nodes.
+        monkeypatch.setenv("MODCODE_BUDGET", "29")
+        with pytest.raises(EnumerationBudgetError, match=re.escape(
+                "isometry census (one vector per search node) needs 30 vectors, budget is 29")):
             isometry_census(parity_code(3))
         monkeypatch.setenv("MODCODE_BUDGET", "30")
         assert isometry_census(parity_code(3)).isometries == 24
