@@ -25,7 +25,6 @@ _EXPORTS = {
         "Unextendable",
         "apply_monomial",
         "extend_to_monomial",
-        "extend_to_monomials",
         "is_isometry_bruteforce",
         "is_isometry_criterion",
         "kernel_tuple",
@@ -70,7 +69,6 @@ _EXPORTS = {
         "isometry_census",
         "mds_extension_check",
         "min_distance",
-        "theorem_violations",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

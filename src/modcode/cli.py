@@ -174,7 +174,7 @@ def cmd_minlen(q, m, t, bound, cyclic_only, as_json) -> int:
 
 def cmd_mds(code_file, scan, as_json) -> int:
     """MDS report for a code file, optionally with an exact census of its isometries."""
-    from .mds import is_mds, isometry_census, theorem_violations
+    from .mds import is_mds, isometry_census
 
     start = time.perf_counter()
     code = load_code(code_file)
@@ -193,8 +193,8 @@ def cmd_mds(code_file, scan, as_json) -> int:
         report["isometries"] = census.isometries
         report["unextendable"] = census.unextendable
         if mds_report.is_mds and mds_report.kappa != 2:
-            images = census.representatives()
-            violation = bool(theorem_violations(code, images, mds_report))
+            # An image extends iff it has the code's own kernel multiset.
+            violation = census.unextendable > 0
             report["theorem_violations"] = int(violation)
     report["seconds"] = round(time.perf_counter() - start, 3)
     _emit(report, as_json)

@@ -252,51 +252,44 @@ def is_isometry_bruteforce(lam: Code, mu: Code) -> bool:
     return codeword_weights(lam) == codeword_weights(mu)
 
 
-def support_difference(ids, lengths, width: int) -> list[list[int]]:
-    """Count the kernel supports of one code against many.
+def support_difference(ids, n: int, width: int) -> list[int]:
+    """The kernel-count difference of two codes over one support numbering.
 
     ``ids`` holds the support id, in range(width), of every column kernel of
-    a code V and then of each code of Us; ``lengths`` holds their lengths.
-    Row i of the returned W is the count of each support among V minus that
-    among Us[i].  F_q^t has id width - 1: the weight of a codeword is the
-    length minus the kernel indicator sum, so the last column also counts a
-    length difference as that many full-space kernels on the shorter side.
+    a code V of length n and then of every column kernel of a code U.  Entry
+    j of the returned row is the count of support j among V minus that among
+    U.  F_q^t has id width - 1: the weight of a codeword is the length minus
+    the kernel indicator sum, so the last entry also counts a length
+    difference as that many full-space kernels on the shorter side.
     """
-    n = lengths[0]
-    base = [0] * width
+    W = [0] * width
     for j in ids[:n]:
-        base[j] += 1
-    W = []
-    start = n
-    for length in lengths[1:]:
-        row = base.copy()
-        for j in ids[start : start + length]:
-            row[j] -= 1
-        row[-1] += length - n
-        W.append(row)
-        start += length
+        W[j] += 1
+    for j in ids[n:]:
+        W[j] -= 1
+    W[-1] += len(ids) - 2 * n
     return W
 
 
-def _count_difference(lam: Code, mus: list):
-    """The support numbering of lam and the images and their count difference.
+def _count_difference(lam: Code, mu: Code):
+    """The support numbering of lam and mu and their count difference.
 
     Returns ``(supports, ids, W, isometric)``: one :func:`_kernel_ids` call
-    over every code, the :func:`support_difference` rows of lam against
-    each image, and the kernel-count criterion of every row.
+    over both codes, the :func:`support_difference` row W of lam against mu,
+    and the kernel-count criterion of that row.
     """
     sp = lam.space
-    supports, ids = _kernel_ids([lam, *mus])
-    W = support_difference(ids, [lam.length, *(mu.length for mu in mus)], len(supports))
+    supports, ids = _kernel_ids([lam, mu])
+    W = support_difference(ids, lam.length, len(supports))
     lattice = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t))
-    return supports, ids, W, lattice.balanced_rows(supports, W)
+    return supports, ids, W, lattice.balanced_rows(supports, [W])[0]
 
 
 def is_isometry_criterion(lam: Code, mu: Code) -> bool:
     """Decide whether two codes are Hamming-isometric via kernel counts."""
     if lam.space != mu.space:
         raise DimensionMismatchError("codes must share their source module")
-    return _count_difference(lam, [mu])[3][0]
+    return _count_difference(lam, mu)[3]
 
 
 def transport_automorphisms(Gs, Hs, q: int, k: int) -> list:
@@ -328,77 +321,43 @@ def transport_automorphisms(Gs, Hs, q: int, k: int) -> list:
     return out
 
 
-def extend_to_monomials(lam: Code, mus) -> list:
-    """Extend the isometries sending lam to each of many images.
-
-    Returns one entry per image: a MonomialMap whose application to lam
-    reproduces the image column by column, an Unextendable value carrying
-    the kernel-multiset difference, or None when the kernel-count criterion
-    rejects the image.
-
-    All images are decided together by :func:`_count_difference`: one
-    kernel numbering over all the generators and one containment table
-    decide the criterion of every row of W.  An image of lam's length that
-    passes it extends iff its row is zero outside the full-space column.
-    """
-    mus = list(mus)
-    for mu in mus:
-        if mu.space != lam.space or mu.alphabet != lam.alphabet:
-            raise DimensionMismatchError("codes must share their source module and alphabet")
-    if not mus:
-        return []
-    sp, n = lam.space, lam.length
-    supports, ids, W, isometric = _count_difference(lam, mus)
-    by_key = sorted(range(len(supports)), key=lambda j: supports[j].sort_key())
-    results: list = [None] * len(mus)
-    witnesses: dict[tuple, Unextendable] = {}
-    chosen, Gs, Hs = [], [], []
-    by_support: dict[int, list] = {}
-    for c in range(n):
-        by_support.setdefault(ids[c], []).append(c)
-    start = n
-    for i, (mu, row, ok) in enumerate(zip(mus, W, isometric)):
-        mu_ids = ids[start : start + mu.length]
-        start += mu.length
-        if not ok:
-            continue
-        if mu.length == n and not any(row[:-1]):
-            # Equal supports pair up in index order: the r-th image column with
-            # support j comes from the r-th column of lam with support j.
-            columns = {j: iter(cs) for j, cs in by_support.items()}
-            perm = tuple(next(columns[j]) for j in mu_ids)
-            chosen.append((i, perm))
-            Gs += [lam.generators[c] for c in perm]
-            Hs += mu.generators
-            continue
-        # The witness is the raw multiset difference, without the length padding.
-        d = tuple(row[:-1]) + (row[-1] + n - mu.length,)
-        if d not in witnesses:
-            witnesses[d] = Unextendable(
-                tuple((supports[j], d[j]) for j in by_key if d[j] > 0),
-                tuple((supports[j], -d[j]) for j in by_key if d[j] < 0),
-            )
-        results[i] = witnesses[d]
-    # One transport call serves every extendable image.
-    autos = transport_automorphisms(Gs, Hs, sp.q, lam.alphabet.k) if chosen else []
-    for r, (i, perm) in enumerate(chosen):
-        # transport_automorphisms found pivots 0..k-1, so each automorphism is invertible.
-        results[i] = MonomialMap._unchecked(perm, tuple(autos[r * n : (r + 1) * n]), sp.q)
-    return results
-
-
 def extend_to_monomial(lam: Code, mu: Code):
     """Extend the isometry sending lam to mu, or report it unextendable.
 
-    Requires the isometry criterion to hold, else raises NotAnIsometryError.
-    Returns a MonomialMap whose application to lam reproduces mu
-    column-by-column, or an Unextendable value carrying the kernel-multiset
-    difference.
+    One :func:`_count_difference` call numbers the kernels of both codes and
+    decides the kernel-count criterion; a pair it rejects raises
+    NotAnIsometryError.  An isometry of lam's length extends iff its count
+    difference is zero outside the full-space entry, and then the result is
+    a MonomialMap whose application to lam reproduces mu column by column:
+    the columns pair up by support and one transport call finds every
+    automorphism.  Otherwise it is an Unextendable value carrying the
+    kernel-multiset difference.
     """
-    (result,) = extend_to_monomials(lam, [mu])
-    if result is None:
+    if mu.space != lam.space or mu.alphabet != lam.alphabet:
+        raise DimensionMismatchError("codes must share their source module and alphabet")
+    sp, n = lam.space, lam.length
+    supports, ids, row, isometric = _count_difference(lam, mu)
+    if not isometric:
         raise NotAnIsometryError("the codes are not Hamming-isometric")
-    return result
+    if mu.length != n or any(row[:-1]):
+        # The witness is the raw multiset difference, without the length padding.
+        row[-1] += n - mu.length
+        by_key = sorted(range(len(supports)), key=lambda j: supports[j].sort_key())
+        return Unextendable(
+            tuple((supports[j], row[j]) for j in by_key if row[j] > 0),
+            tuple((supports[j], -row[j]) for j in by_key if row[j] < 0),
+        )
+    # Equal supports pair up in index order: the r-th image column with
+    # support j comes from the r-th column of lam with support j.
+    by_support: dict[int, list] = {}
+    for c in range(n):
+        by_support.setdefault(ids[c], []).append(c)
+    columns = {j: iter(cs) for j, cs in by_support.items()}
+    perm = tuple(next(columns[j]) for j in ids[n:])
+    autos = transport_automorphisms([lam.generators[c] for c in perm], mu.generators,
+                                    sp.q, lam.alphabet.k)
+    # transport_automorphisms found pivots 0..k-1, so each automorphism is invertible.
+    return MonomialMap._unchecked(perm, tuple(autos), sp.q)
 
 
 def apply_monomial(mmap: MonomialMap, code: Code) -> Code:

@@ -40,7 +40,7 @@ def verify_dual_equation(V, U) -> bool:
     full = Subspace.full(sp.q, sp.t)
     supports = [*dict.fromkeys(K.support for K in V + U if K.support != full), full]
     index = {S: j for j, S in enumerate(supports)}
-    (W,) = support_difference([index[K.support] for K in V + U], [len(V), len(U)], len(supports))
+    W = support_difference([index[K.support] for K in V + U], len(V), len(supports))
     live = [j for j, w in enumerate(W) if w]
     bits = sum(sp.m * supports[j].dim for j in live) * sp.q.bit_length()
     budget.check_vectors(bits // 64, "dual equation weights (one vector per 64-bit word)")

@@ -8,12 +8,14 @@ therefore an information set iff t = kappa k, the Singleton equality itself,
 so the equality alone decides MDS.
 
 For MDS codes of dimension different from 2 every Hamming isometry extends
-to a monomial map.  The checker verifies the theorem instead of assuming it:
-a TheoremViolation result is a defect signal, never a domain outcome.
-
-The isometric images of a code are counted exactly by their multisets of
-column kernels (:func:`isometry_census`); the brute-force scan over every
-generator tuple (:func:`exhaustive_isometry_scan`) is kept as its reference.
+to a monomial map.  The package verifies the theorem instead of assuming it.
+:func:`isometry_census` counts the isometric images of a code exactly by
+their multisets of column kernels, and an image extends iff it has the
+code's own multiset, so the theorem holds for the code iff its census has
+one class.  :func:`mds_extension_check` decides one image pair.  A
+TheoremViolation is a defect signal, never a domain outcome.  The
+brute-force scan over every generator tuple (:func:`exhaustive_isometry_scan`)
+is kept as the census's reference.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from .codes import (
     Code,
     Unextendable,
     codeword_weights,
-    extend_to_monomials,
+    extend_to_monomial,
     # Not called here, but the traced replay in bench/traced.py probes them
     # under this module's name.
-    extend_to_monomial,  # noqa: F401
     is_isometry_criterion,  # noqa: F401
     kernel_support_multiset,  # noqa: F401
     module_elements,
@@ -94,44 +95,22 @@ def is_mds(code: Code) -> MdsReport:
     return MdsReport(n, d, kappa, witnesses is None, witnesses)
 
 
-def _extend_images(code: Code, images, report: MdsReport | None = None) -> list:
-    """The monomial map of each image of an MDS code, or a TheoremViolation the theorem rules out.
+def mds_extension_check(lam: Code, mu: Code):
+    """The monomial map extending an isometry of an MDS code, or a TheoremViolation.
 
-    Preconditions are errors, not violations: ``code`` is MDS with kappa != 2,
-    checked once from ``report``, its :func:`is_mds` report (computed here
-    when not given), and the one :func:`extend_to_monomials` call must find
-    every image an isometry, else NotAnIsometryError.
+    Preconditions are errors, not violations: lam must be MDS with kappa != 2
+    by :func:`is_mds`, and :func:`extend_to_monomial` raises
+    NotAnIsometryError when the kernel-count criterion rejects mu.
     """
-    if report is None:
-        report = is_mds(code)
+    report = is_mds(lam)
     if not report.is_mds:
         raise DomainRejectionError("the source code is not MDS")
     if report.kappa == 2:
         raise DomainRejectionError("MDS dimension 2 is outside the theorem's scope")
-    results = []
-    for i, result in enumerate(extend_to_monomials(code, images)):
-        if result is None:
-            raise NotAnIsometryError(f"the kernel-count criterion rejects image {i}, an isometry")
-        if isinstance(result, Unextendable):
-            result = TheoremViolation(result.lambda_only, result.mu_only)
-        results.append(result)
-    return results
-
-
-def mds_extension_check(lam: Code, mu: Code):
-    """The monomial map extending an isometry of an MDS code, or a TheoremViolation."""
-    (result,) = _extend_images(lam, [mu])
+    result = extend_to_monomial(lam, mu)
+    if isinstance(result, Unextendable):
+        return TheoremViolation(result.lambda_only, result.mu_only)
     return result
-
-
-def theorem_violations(code: Code, images,
-                       report: MdsReport | None = None) -> list[TheoremViolation]:
-    """The violations among many images of one MDS code, which the theorem says are none.
-
-    A caller that already holds the code's :func:`is_mds` report passes it,
-    so the check runs once.
-    """
-    return [r for r in _extend_images(code, images, report) if isinstance(r, TheoremViolation)]
 
 
 class IsometryCensus(Record):
@@ -144,7 +123,7 @@ class IsometryCensus(Record):
     extend to a monomial map.
     """
 
-    __slots__ = ("code", "supports", "classes", "counts", "own")
+    __slots__ = ("supports", "classes", "counts", "own")
 
     @property
     def isometries(self) -> int:
@@ -153,21 +132,6 @@ class IsometryCensus(Record):
     @property
     def unextendable(self) -> int:
         return self.isometries - self.counts[self.own]
-
-    def representatives(self) -> list[Code]:
-        """One image code per class but the code's own, built by ``forge.kernel_generators``."""
-        others = [y for i, y in enumerate(self.classes) if i != self.own]
-        if not others:
-            return []
-        from .forge import kernel_generators
-
-        code = self.code
-        return [
-            Code._unchecked(code.alphabet, code.space, tuple(kernel_generators(
-                code.space, [S for S, c in zip(self.supports, y) for _ in range(c)],
-                code.alphabet.k)))
-            for y in others
-        ]
 
 
 def isometry_census(code: Code) -> IsometryCensus:
@@ -216,7 +180,7 @@ def isometry_census(code: Code) -> IsometryCensus:
         for v, N in zip(c, with_kernel):
             count = count // factorial(v) * N**v
         counts.append(count)
-    return IsometryCensus(code, tuple(candidates), tuple(classes), tuple(counts),
+    return IsometryCensus(tuple(candidates), tuple(classes), tuple(counts),
                           classes.index(own))
 
 
@@ -263,8 +227,7 @@ def exhaustive_isometry_scan(code: Code) -> list[tuple[Code, bool]]:
         for tail in wanted.get(sums, ()):
             combo = head + tail
             # A match extends iff it has the code's kernel multiset: a zero row of W.
-            (row,) = support_difference(ids[:n] + [ids[n + c] for c in combo], [n, n],
-                                        len(supports))
+            row = support_difference(ids[:n] + [ids[n + c] for c in combo], n, len(supports))
             results.append((Code._unchecked(code.alphabet, sp, tuple(candidates[c] for c in combo)),
                             not any(row)))
     return results

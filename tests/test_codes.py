@@ -21,7 +21,6 @@ from modcode import (
     Unextendable,
     apply_monomial,
     extend_to_monomial,
-    extend_to_monomials,
     is_isometry_bruteforce,
     is_isometry_criterion,
     kernel_tuple,
@@ -37,6 +36,14 @@ from modcode.mds import exhaustive_isometry_scan
 
 from conftest import random_code, random_invertible, random_monomial, reference_inverse, span
 from references import covering_by_proper_submodules, is_cyclic_submodule
+
+
+def extend_or_none(lam, mu):
+    """extend_to_monomial, with None where the kernel-count criterion rejects mu."""
+    try:
+        return extend_to_monomial(lam, mu)
+    except NotAnIsometryError:
+        return None
 
 
 def identity_code(q, m, t, n):
@@ -185,8 +192,7 @@ class TestIsometry:
             assert is_isometry_bruteforce(a, b)
             assert is_isometry_criterion(a, b)
             assert verify_dual_equation(kernel_tuple(a), kernel_tuple(b))
-            (result,) = extend_to_monomials(a, [b])
-            assert isinstance(result, Unextendable)
+            assert isinstance(extend_to_monomial(a, b), Unextendable)
         assert extend_to_monomial(lam, mu) == Unextendable((), ((Subspace.full(2, 1), 1),))
 
     def test_criterion_matches_oracle_on_unequal_lengths(self, rng):
@@ -208,7 +214,7 @@ class TestIsometry:
             assert is_isometry_criterion(lam, mu) == expected
             V, U = kernel_tuple(lam), kernel_tuple(mu)
             assert verify_dual_equation(V, U) == expected
-            (result,) = extend_to_monomials(lam, [mu])
+            result = extend_or_none(lam, mu)
             assert (result is not None) == expected
             if lam.length != mu.length:
                 assert not isinstance(result, MonomialMap)
@@ -607,38 +613,22 @@ class TestBatchedExtension:
             j = next(j for j, G in enumerate(cols) if any(map(any, G)))
             cols[j] = np.zeros_like(cols[j])
             images.append(Code(mu.alphabet, mu.space, cols))
-        results = extend_to_monomials(code, images)
-        assert len(results) == len(images)
+        results = [extend_or_none(code, mu) for mu in images]
         assert sum(r is None for r in results) == 3
+        assert all(same_extension(a, b) for a, b in zip(results, reference_extend(code, images)))
         for mu, result in zip(images, results):
-            if result is None:
-                with pytest.raises(NotAnIsometryError):
-                    extend_to_monomial(code, mu)
-                continue
-            single = extend_to_monomial(code, mu)
-            assert type(single) is type(result)
-            if isinstance(result, Unextendable):
-                assert single == result
-            else:
-                assert single.permutation == result.permutation
-                assert all(
-                    np.array_equal(a, b)
-                    for a, b in zip(single.automorphisms, result.automorphisms)
-                )
+            if isinstance(result, MonomialMap):
                 assert apply_monomial(result, code) == mu
-
-    def test_batch_of_no_images(self):
-        assert extend_to_monomials(identity_code(2, 1, 2, 3), []) == []
 
     def test_batch_rejects_other_alphabet(self):
         code = identity_code(2, 1, 2, 3)
         other = Code(Alphabet(2, 1, 1), code.space, [np.ones((2, 1), dtype=int)] * 3)
         with pytest.raises(DimensionMismatchError):
-            extend_to_monomials(code, [other])
+            extend_to_monomial(code, other)
 
 
 def reference_extend(lam, mus):
-    """The per-image loop of earlier releases, kept as the oracle of the batch.
+    """The per-image loop of earlier releases, kept as the oracle of extend_to_monomial.
 
     Per image: the kernel-count criterion, a Counter comparison of the kernel
     multisets, column orders sorted by support key, and the per-pair
@@ -728,7 +718,7 @@ class TestColumnarCode:
         images = [apply_monomial(random_monomial(rng, q, k, n), from_stack) for _ in range(2)]
         images += [from_homs, random_code(rng, q, m, t, k, n), Code(al, sp, G[1:])]
         expected = reference_extend(from_homs, images)
-        batch = extend_to_monomials(from_stack, images)
+        batch = [extend_or_none(from_stack, mu) for mu in images]
         assert len(batch) == len(expected)
         assert all(same_extension(a, b) for a, b in zip(batch, expected))
 
@@ -758,7 +748,7 @@ class TestBatchedImages:
         images.append(Code(lam.alphabet, lam.space, [c.matrix for c in lam.columns] + [zero]))
         images.insert(1, images[0])  # a repeated image object
 
-        batch = extend_to_monomials(fresh_copy(lam), [fresh_copy(mu) for mu in images])
+        batch = [extend_or_none(fresh_copy(lam), fresh_copy(mu)) for mu in images]
         expected = reference_extend(lam, images)
         assert all(same_extension(a, b) for a, b in zip(batch, expected))
         assert len(batch) == len(images)
@@ -770,9 +760,9 @@ class TestBatchedImages:
                 assert apply_monomial(result, lam) == mu
 
     @pytest.mark.trusted_records("matrix_rank is None here, so MonomialMap._check cannot run")
-    def test_monomial_images_share_one_batched_transport(self, rng, monkeypatch):
+    def test_monomial_image_takes_one_transport_call(self, rng, monkeypatch):
         code = random_code(rng, 3, 1, 3, 2, 5)
-        images = [apply_monomial(random_monomial(rng, 3, 2, 5), code) for _ in range(4)]
+        image = apply_monomial(random_monomial(rng, 3, 2, 5), code)
         calls = []
         transport = codes.transport_automorphisms
         monkeypatch.setattr(
@@ -780,9 +770,9 @@ class TestBatchedImages:
             lambda G, H, q, k: calls.append(len(G)) or transport(G, H, q, k),
         )
         monkeypatch.setattr(codes, "matrix_rank", None)  # no per-matrix rank validation
-        results = extend_to_monomials(code, images)
-        assert calls == [20]
-        assert all(apply_monomial(r, code) == mu for r, mu in zip(results, images))
+        result = extend_to_monomial(code, image)
+        assert calls == [5]
+        assert apply_monomial(result, code) == image
 
     def test_singular_transport_rejected(self, monkeypatch):
         # Zero generators pass G P = H for every P, so only the pivot check catches a singular P.

@@ -436,10 +436,33 @@ class TestMdsCommand:
         assert json.loads(result.output)["theorem_violations"] == 0
         assert len(calls) == 1
 
-    def test_scan_of_an_mds_code_leaves_forge_unloaded(self, tmp_path):
-        # forge builds class representatives, and an MDS code with kappa != 2 has none to build.
+    def test_scan_reports_a_second_census_class_as_a_violation(self, cli, tmp_path, monkeypatch):
+        from modcode import mds
+
         path = tmp_path / "parity3.json"
         path.write_text(json.dumps({"q": 3, "m": 1, "k": 1, "t": 3, "generators": PARITY}))
+        census = mds.isometry_census
+
+        def with_a_second_class(code):
+            c = census(code)
+            return mds.IsometryCensus(c.supports, c.classes + ((0,) * len(c.supports),),
+                                      c.counts + (1,), c.own)
+
+        monkeypatch.setattr(mds, "isometry_census", with_a_second_class)
+        result = cli(["mds", "--code", str(path), "--scan", "--json"])
+        assert result.exit_code == 5
+        report = json.loads(result.output)
+        assert (report["isometries"], report["unextendable"], report["theorem_violations"]) == (
+            385, 1, 1)
+
+    @pytest.mark.parametrize("name, counts", [
+        ("parity3_4_3", "isometries: 384\nunextendable: 0"),
+        ("forged_2_1_2", "isometries: 270\nunextendable: 162"),
+    ], ids=["parity3", "forged212"])
+    def test_scan_leaves_forge_unloaded(self, tmp_path, name, counts):
+        # mds reads the theorem verdict off the census, so it builds no image codes.
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(MDS_SCAN_CODES[name]))
         script = ("import sys\nfrom modcode.cli import main\n"
                   f"assert main(['mds', '--code', {str(path)!r}, '--scan']) == 0\n"
                   "assert 'modcode.forge' not in sys.modules\n")
@@ -447,7 +470,7 @@ class TestMdsCommand:
         proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert "isometries: 384" in proc.stdout
+        assert counts in proc.stdout
 
     @pytest.mark.parametrize("command", ["mds", "forge"])
     def test_criterion_rejecting_a_known_isometry_exit_5(self, cli, tmp_path, monkeypatch, command):
@@ -525,7 +548,7 @@ class TestLeanImports:
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) == len(modcode.__all__) == 50
+        assert int(proc.stdout) == len(modcode.__all__) == 48
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError):

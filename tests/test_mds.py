@@ -30,7 +30,6 @@ from modcode import (
     mds_extension_check,
     min_distance,
     minimal_counterexample,
-    theorem_violations,
 )
 from modcode import mds
 from modcode.codes import codeword_weights, module_elements
@@ -242,39 +241,25 @@ class TestMdsExtensionCheck:
 
 
 class TestTheoremViolations:
-    def test_preconditions_checked_once_per_scan(self, monkeypatch):
-        code = parity_code(3)
-        images = [mu for mu, _ in exhaustive_isometry_scan(code)]
-        reports = []
-        is_mds_once = mds.is_mds
-        monkeypatch.setattr(mds, "is_mds", lambda c: reports.append(is_mds_once(c)) or reports[-1])
-        assert theorem_violations(code, images) == []
-        assert len(images) == 24 and len(reports) == 1
-
-    def test_criterion_runs_once_per_image(self, monkeypatch):
-        code = parity_code(3)
-        images = [mu for mu, _ in exhaustive_isometry_scan(code)]
-        rows = []
-        decide = SubspaceLattice.balanced_rows
-        monkeypatch.setattr(
-            SubspaceLattice,
-            "balanced_rows",
-            lambda self, supports, W: rows.append(len(W)) or decide(self, supports, W),
-        )
-        assert theorem_violations(code, images) == []
-        assert rows == [len(images)]
+    """The theorem is checked only where it applies, on isometries of an MDS code with kappa != 2."""
 
     def test_non_mds_rejected(self):
+        # 162 of the forged code's 270 isometries do not extend, which the theorem allows.
         lam, mu = minimal_counterexample(2, 1, 2)
-        with pytest.raises(DomainRejectionError):
-            theorem_violations(lam, [mu])
+        census = isometry_census(lam)
+        assert not is_mds(lam).is_mds
+        assert (census.isometries, census.unextendable) == (270, 162)
+        assert isinstance(extend_to_monomial(lam, mu), Unextendable)
+        with pytest.raises(DomainRejectionError, match="not MDS"):
+            mds_extension_check(lam, mu)
 
     def test_non_isometry_raises(self):
         code = repetition_code()
         other = Code(code.alphabet, code.space, [np.array([[1]])] * 2 + [np.zeros((1, 1), dtype=int)])
-        assert theorem_violations(code, [code]) == []
-        with pytest.raises(NotAnIsometryError, match="rejects image 1"):
-            theorem_violations(code, [code, other])
+        assert isometry_census(code).unextendable == 0
+        assert isinstance(mds_extension_check(code, code), MonomialMap)
+        with pytest.raises(NotAnIsometryError, match="not Hamming-isometric"):
+            mds_extension_check(code, other)
 
 
 class TestExhaustiveScan:
@@ -330,7 +315,7 @@ class TestExhaustiveScan:
         results = exhaustive_isometry_scan(code)
         assert len(results) == 384
         assert all(ok for _, ok in results)
-        assert theorem_violations(code, [mu for mu, _ in results]) == []
+        assert all(isinstance(mds_extension_check(code, mu), MonomialMap) for mu, _ in results)
 
     @pytest.mark.parametrize(
         "code",
@@ -466,13 +451,15 @@ class TestIsometryCensus:
         lam = minimal_counterexample(2, 1, 2)[0]
         census = isometry_census(lam)
         others = [y for i, y in enumerate(census.classes) if i != census.own]
-        reps = census.representatives()
-        assert len(reps) == len(others) == 1
-        for rep, y in zip(reps, others):
+        assert len(others) == 1
+        for y in others:
+            kernels = [S for S, c in zip(census.supports, y) for _ in range(c)]
+            rep = Code(lam.alphabet, lam.space, kernel_generators(lam.space, kernels, 2))
             assert kernel_counts(rep, census.supports) == y
             assert is_isometry_bruteforce(lam, rep)
             assert isinstance(extend_to_monomial(lam, rep), Unextendable)
-        assert isometry_census(parity_code(3)).representatives() == []
+        parity = isometry_census(parity_code(3))
+        assert len(parity.classes) == 1 and parity.unextendable == 0
 
     def test_search_nodes_charged_to_vector_budget(self, monkeypatch):
         # The census of the binary [4,3] parity code enters exactly 30 search nodes.
@@ -506,9 +493,3 @@ class TestIsometryCensus:
         assert len(census.supports) == 67
         # One class: an invertible column and a zero column, in either order.
         assert census.counts == (2 * 15 * 14 * 12 * 8,)
-
-    def test_theorem_violations_takes_a_known_report(self, monkeypatch):
-        code = parity_code(3)
-        report = is_mds(code)
-        monkeypatch.setattr(mds, "is_mds", None)
-        assert theorem_violations(code, [code], report) == []
