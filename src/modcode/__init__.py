@@ -41,7 +41,6 @@ _EXPORTS = {
     "forge": (
         "IncidenceSystem",
         "SearchResult",
-        "SolutionPair",
         "counterexample_length",
         "incidence_matrix",
         "min_nontrivial_length",

@@ -66,10 +66,6 @@ def _emit(report: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
-def _subspace_repr(S) -> list[list[int]]:
-    return [list(row) for row in S.basis]
-
-
 def _monomial_repr(mmap: MonomialMap) -> dict:
     return {
         "permutation": list(mmap.permutation),
@@ -77,11 +73,9 @@ def _monomial_repr(mmap: MonomialMap) -> dict:
     }
 
 
-def _diff_repr(diff: Unextendable) -> dict:
-    return {
-        "lambda_only": [[_subspace_repr(S), mult] for S, mult in diff.lambda_only],
-        "mu_only": [[_subspace_repr(S), mult] for S, mult in diff.mu_only],
-    }
+def _counts_repr(pairs) -> list:
+    """Subspace-count pairs as [[basis rows, count], ...]."""
+    return [[[list(row) for row in S.basis], count] for S, count in pairs]
 
 
 def cmd_forge(q, m, k, out_lambda, out_mu, as_json) -> int:
@@ -128,7 +122,8 @@ def cmd_check(lambda_file, mu_file, oracle, as_json) -> int:
         report["extendable"] = "NA"
     elif isinstance(result, Unextendable):
         report["extendable"] = False
-        report["kernel_diff"] = _diff_repr(result)
+        report["kernel_diff"] = {"lambda_only": _counts_repr(result.lambda_only),
+                                 "mu_only": _counts_repr(result.mu_only)}
     else:
         report["extendable"] = True
         report["monomial_map"] = _monomial_repr(result)
@@ -153,18 +148,14 @@ def cmd_minlen(q, m, t, bound, cyclic_only, as_json) -> int:
         bound = counterexample_length(q, min(m, t)) + 5
     start = time.perf_counter()
     result = min_nontrivial_length(q, m, t, bound, max_col_dim=m if cyclic_only else None)
-    witness_summary = None
+    witness = None
     if result.witness is not None:
-        witness_summary = [
-            [_subspace_repr(col), c]
-            for col, c in zip(result.system.cols, result.witness)
-            if c != 0
-        ]
+        witness = _counts_repr((col, c) for col, c in zip(result.system.cols, result.witness) if c)
     report = {
         "command": "minlen",
         "min_length": result.min_length,
         "exhausted": result.exhausted,
-        "witness": witness_summary,
+        "witness": witness,
         "bound": bound,
         "seconds": round(time.perf_counter() - start, 3),
     }

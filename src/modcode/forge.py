@@ -12,7 +12,7 @@ Two routes are provided:
 from __future__ import annotations
 
 from . import budget
-from .codes import Alphabet, Code, ModuleSpace
+from .codes import Alphabet, Code, ModuleSpace, Unextendable
 from .errors import DomainRejectionError, RankInfeasibleError
 from .linalg import (
     Record,
@@ -30,35 +30,6 @@ def counterexample_length(q: int, m: int) -> int:
     for i in range(1, m + 1):
         N *= 1 + q**i
     return N
-
-
-class SolutionPair(Record):
-    """Two weighted multisets of subspaces satisfying the isometry equation.
-
-    Validated on construction: containment counts agree at every subspace of
-    dimension <= m, which is equivalent to the functional equation on the
-    module of m x t matrices.
-    """
-
-    __slots__ = ("space", "V", "U")
-
-    def _check(self):
-        for side in (self.V, self.U):
-            for S, mult in side:
-                check_subspace_of(S, self.space.q, self.space.t)
-                if mult <= 0:
-                    raise ValueError("multiplicities must be positive")
-        if self.length(self.V) != self.length(self.U):
-            raise ValueError("the two sides must have equal total multiplicity")
-        weights = [[c for _, c in self.V] + [-c for _, c in self.U]]
-        sp = self.space
-        lattice = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t))
-        if not lattice.balanced_rows([K for K, _ in self.V + self.U], weights)[0]:
-            raise ValueError("the pair does not satisfy the isometry equation")
-
-    @staticmethod
-    def length(side) -> int:
-        return sum(mult for _, mult in side)
 
 
 def kernel_generators(space: ModuleSpace, supports, k: int) -> list:
@@ -105,7 +76,9 @@ def minimal_counterexample(q: int, m: int, k: int) -> tuple[Code, Code]:
     with multiplicity q^binom(j,2): to the first code when j is even, to the
     second when j is odd.  Both codes have length prod_{i=1..m} (1 + q^i);
     the first contains exactly one zero column and the second none, so the
-    pair is an unextendable Hamming isometry.
+    pair is an unextendable Hamming isometry.  Each side is realized as in
+    :func:`solution_to_codes`, without its balance check: the caller decides
+    the pair once, with ``extend_to_monomial``.
     """
     t = m + 1
     space = ModuleSpace(q, m, t)
@@ -119,12 +92,11 @@ def minimal_counterexample(q: int, m: int, k: int) -> tuple[Code, Code]:
     N = counterexample_length(q, m)
     # The pair's 2N generators of t x k entries, charged before any is allocated.
     budget.check_vectors(2 * N * t * k, "forged pair (one vector per generator entry)")
-    G = kernel_generators(space, supports, k)
-    codim = [t - S.dim for S in supports]
     sides: tuple[list, list] = ([], [])
-    for g, j in zip(G, codim):
-        sides[j % 2].extend([g] * q ** (j * (j - 1) // 2))
-    lam, mu = (Code._unchecked(alphabet, space, tuple(side)) for side in sides)
+    for S in supports:
+        j = t - S.dim
+        sides[j % 2].append((S, q ** (j * (j - 1) // 2)))
+    lam, mu = (Code._unchecked(alphabet, space, _realize(space, side, k)) for side in sides)
     assert lam.length == mu.length == N
     return lam, mu
 
@@ -212,13 +184,32 @@ def min_nontrivial_length(
     return SearchResult(best[0] // 2, witness, exhausted, system)
 
 
-def solution_to_codes(sol: SolutionPair, k: int) -> tuple[Code, Code]:
-    """Realize a solution pair as two codes with the prescribed kernel tuples."""
-    space = sol.space
+def _realize(space: ModuleSpace, side, k: int) -> tuple:
+    """The generators of one side of a kernel difference: c copies of a generator per (S, c)."""
+    G = kernel_generators(space, [S for S, _ in side], k)
+    return tuple(g for g, (_, c) in zip(G, side) for _ in range(c))
+
+
+def solution_to_codes(space: ModuleSpace, diff: Unextendable, k: int) -> tuple[Code, Code]:
+    """Realize a kernel difference as two codes with those kernel multisets.
+
+    The difference is checked first: every subspace lies in F_q^t, every
+    count is positive, the sides have equal totals, and the containment
+    counts agree at every subspace of dimension <= m, which is equivalent to
+    the isometry equation on the module of m x t matrices.  The sides may
+    share a subspace.
+    """
+    sides = diff.lambda_only, diff.mu_only
+    for side in sides:
+        for S, c in side:
+            check_subspace_of(S, space.q, space.t)
+            if c <= 0:
+                raise ValueError("multiplicities must be positive")
+    if sum(c for _, c in diff.lambda_only) != sum(c for _, c in diff.mu_only):
+        raise ValueError("the two sides must have equal total multiplicity")
+    weights = [[c for _, c in diff.lambda_only] + [-c for _, c in diff.mu_only]]
+    lattice = subspace_lattice(space.q, space.t, min(space.m, space.t))
+    if not lattice.balanced_rows([S for S, _ in diff.lambda_only + diff.mu_only], weights)[0]:
+        raise ValueError("the pair does not satisfy the isometry equation")
     alphabet = Alphabet(space.q, space.m, k)
-
-    def side(pairs):
-        G = kernel_generators(space, [S for S, _ in pairs], k)
-        return Code(alphabet, space, [g for g, (_, c) in zip(G, pairs) for _ in range(c)])
-
-    return side(sol.V), side(sol.U)
+    return tuple(Code(alphabet, space, _realize(space, side, k)) for side in sides)

@@ -49,26 +49,14 @@ def code_from_dict(data: dict) -> Code:
     return Code._unchecked(alphabet, space, G)
 
 
-# The repr of nested tuples of ints is JSON once its parentheses become brackets
-# and the trailing comma of each 1-tuple is dropped.
-_BRACKETS = str.maketrans("()", "[]")
-
-
 def save_code(code: Code, path) -> None:
     """Write a code file with one generator matrix per line.
 
     Each distinct generator is encoded once, and a forged code repeats few
     generators many times (132 distinct among 1,120 at (q, m, k) = (3, 3, 4)).
-    The distinct ones are encoded in one repr call; rows inside a matrix are
-    separated by "], [", so "]], [[" occurs only between two generators (and
-    "], [" between two empty ones when t = 0).
     """
-    ids = {}
-    order = [ids.setdefault(G, len(ids)) for G in code.generators]
-    between = "]], [[" if code.space.t else "], ["
-    encoded = repr(tuple(ids)).replace(",)", ")").translate(_BRACKETS)[1:-1]
-    lines = encoded.replace(between, between.replace(", ", "\n")).split("\n")
-    generators = ",\n".join([lines[i] for i in order])
+    encoded = {G: json.dumps(G) for G in set(code.generators)}
+    generators = ",\n".join([encoded[G] for G in code.generators])
     a, sp = code.alphabet, code.space
     text = (f'{{"q": {a.q}, "m": {a.m}, "k": {a.k}, "t": {sp.t}, '
             f'"generators": [\n{generators}\n]}}\n')

@@ -158,6 +158,7 @@ def members(bits: int):
 class Record:
     """An immutable record whose positional fields are its public ``__slots__``.
 
+    A subclass's slots are those it inherits followed by its own ``__slots__``.
     Equality, hashing and the repr use the field values in slot order, and
     ``_check`` validates them once they are set.  A slot whose name starts
     with ``_`` is a cache, not a field; cache slots come last, and
@@ -168,12 +169,13 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._slots = sum((vars(c).get("__slots__", ()) for c in reversed(cls.__mro__)), ())
+        cls._fields = tuple(name for name in cls._slots if not name.startswith("_"))
 
     def __init__(self, *values):
         if len(values) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes fields {', '.join(self._fields)}")
-        for name, value in itertools.zip_longest(self.__slots__, values):
+        for name, value in itertools.zip_longest(self._slots, values):
             object.__setattr__(self, name, value)
         self._check()
 
@@ -181,7 +183,7 @@ class Record:
     def _unchecked(cls, *values):
         """A record from fields the caller has already validated; ``_check`` is skipped."""
         record = object.__new__(cls)
-        for name, value in itertools.zip_longest(cls.__slots__, values):
+        for name, value in itertools.zip_longest(cls._slots, values):
             object.__setattr__(record, name, value)
         return record
 
@@ -554,8 +556,9 @@ def integer_points(rows, base, found, signed: bool, limit: int, cap=None) -> tup
 
     Row r of Z is the bitset ``rows[r]`` of its columns, which are numbered
     in search order, and every column lies in some row.  Equal rows are one
-    row, and an empty row, whose equation is 0 = 0, is dropped.  With ``signed`` False the values are y >= 0; with it True they are
-    signed, and ``cap``, an upper bound on the L1 norm of y, is required.
+    row, and an empty row, whose equation is 0 = 0, is dropped.  With
+    ``signed`` False the values are y >= 0; with it True they are signed,
+    and ``cap``, an upper bound on the L1 norm of y, is required.
 
     The columns are set in order on an explicit stack, so no number of
     columns meets the recursion limit.  A row's residual is its entry of

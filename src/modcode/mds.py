@@ -54,10 +54,10 @@ class MdsReport(Record):
     __slots__ = ("n", "d", "kappa", "is_mds", "witnesses")
 
 
-class TheoremViolation(Record):
-    """An MDS isometry whose kernel multisets differ; must never occur."""
+class TheoremViolation(Unextendable):
+    """An MDS isometry whose kernel multisets differ, read as an Unextendable; must never occur."""
 
-    __slots__ = ("lambda_only", "mu_only")
+    __slots__ = ()
 
 
 def min_distance(code: Code) -> int:

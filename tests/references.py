@@ -12,9 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from operator import mul
 
-from modcode.codes import Code, Submodule, module_elements
+from modcode.codes import Code, Submodule, Unextendable, module_elements
 from modcode.errors import DimensionMismatchError, ModcodeError
-from modcode.forge import SolutionPair
 from modcode.linalg import (Subspace, as_matrix, check_subspace_of, contains, enumerate_subspaces,
                             gaussian_binomial, mat_mul, subspace_lattice)
 
@@ -105,15 +104,15 @@ def covering_by_proper_submodules(sub: Submodule):
     return out
 
 
-def solution_from_counters(space, V: Counter, U: Counter) -> SolutionPair:
-    """The solution pair of two support counters, each side in subspace order."""
+def solution_from_counters(V: Counter, U: Counter) -> Unextendable:
+    """The kernel difference of two support counters, each side in subspace order."""
     def canon(counter: Counter):
         return tuple(sorted(counter.items(), key=lambda p: p[0].sort_key()))
 
-    return SolutionPair(space, canon(V), canon(U))
+    return Unextendable(canon(V), canon(U))
 
 
-def inclusion_exclusion_solution(module: Submodule, covering) -> SolutionPair:
+def inclusion_exclusion_solution(module: Submodule, covering) -> Unextendable:
     """Nontrivial solution from a covering of a module by proper submodules.
 
     Intersections over even-size index subsets land on one side, odd-size on
@@ -144,7 +143,7 @@ def inclusion_exclusion_solution(module: Submodule, covering) -> SolutionPair:
                 bits += 1
                 support = intersect(support, covering[i].support)
         (even if bits % 2 == 0 else odd)[support] += 1
-    return solution_from_counters(sp, even, odd)
+    return solution_from_counters(even, odd)
 
 
 def verify_cover(module: Submodule, covering) -> None:

@@ -10,8 +10,8 @@ import pytest
 from modcode import (
     DomainRejectionError,
     ModuleSpace,
+    DimensionMismatchError,
     RankInfeasibleError,
-    SolutionPair,
     Submodule,
     Subspace,
     Unextendable,
@@ -43,8 +43,8 @@ class TestInclusionExclusion:
         M = Submodule(sp, Subspace.full(2, 2))
         sol = inclusion_exclusion_solution(M, covering_by_proper_submodules(M))
         # 2^(r-1) = 4 terms per side before cancellation.
-        assert SolutionPair.length(sol.V) == 4
-        V, U = Counter(dict(sol.V)), Counter(dict(sol.U))
+        assert sum(c for _, c in sol.lambda_only) == 4
+        V, U = Counter(dict(sol.lambda_only)), Counter(dict(sol.mu_only))
         full, zero = Subspace.full(2, 2), Subspace.zero(2, 2)
         # Even side: M plus the three pairwise line intersections (all zero).
         assert V == Counter({full: 1, zero: 3})
@@ -56,8 +56,8 @@ class TestInclusionExclusion:
         sp = ModuleSpace(3, 1, 2)
         M = Submodule(sp, Subspace.full(3, 2))
         sol = inclusion_exclusion_solution(M, covering_by_proper_submodules(M))
-        assert SolutionPair.length(sol.V) == 2 ** (4 - 1)
-        assert Counter(dict(sol.V)) != Counter(dict(sol.U))
+        assert sum(c for _, c in sol.lambda_only) == 2 ** (4 - 1)
+        assert Counter(dict(sol.lambda_only)) != Counter(dict(sol.mu_only))
 
     def test_not_a_cover_rejected(self):
         sp = ModuleSpace(2, 1, 2)
@@ -120,20 +120,6 @@ class TestVerifyCover:
         verify_cover(M, lines)
         with pytest.raises(NotACoverError):
             verify_cover(Submodule(ModuleSpace(2, 2, 2), Subspace.full(2, 2)), lines)
-
-
-class TestSolutionPair:
-    def test_rejects_non_solution(self):
-        sp = ModuleSpace(2, 1, 2)
-        full, zero = Subspace.full(2, 2), Subspace.zero(2, 2)
-        with pytest.raises(ValueError):
-            SolutionPair(sp, ((full, 1),), ((zero, 1),))
-
-    def test_rejects_unbalanced_lengths(self):
-        sp = ModuleSpace(2, 1, 2)
-        full = Subspace.full(2, 2)
-        with pytest.raises(ValueError):
-            SolutionPair(sp, ((full, 2),), ((full, 1),))
 
 
 class TestHomWithKernel:
@@ -339,18 +325,16 @@ class TestSolutionToCodes:
     def test_trivial_pair_gives_monomially_related_codes(self):
         sp = ModuleSpace(2, 1, 2)
         line = span([[1, 0]], 2)
-        sol = SolutionPair(sp, ((line, 2),), ((line, 2),))
-        lam, mu = solution_to_codes(sol, 2)
+        lam, mu = solution_to_codes(sp, Unextendable(((line, 2),), ((line, 2),)), 2)
         assert not isinstance(extend_to_monomial(lam, mu), Unextendable)
 
     def test_forged_minimal_pair_matches_construction(self):
         lam0, mu0 = minimal_counterexample(2, 1, 2)
         sol = solution_from_counters(
-            ModuleSpace(2, 1, 2),
             Counter(k.support for k in kernel_tuple(lam0)),
             Counter(k.support for k in kernel_tuple(mu0)),
         )
-        lam, mu = solution_to_codes(sol, 2)
+        lam, mu = solution_to_codes(ModuleSpace(2, 1, 2), sol, 2)
         assert Counter(k.support for k in kernel_tuple(lam)) == Counter(
             k.support for k in kernel_tuple(lam0)
         )
@@ -362,7 +346,7 @@ class TestSolutionToCodes:
         sp = ModuleSpace(3, 1, 2)
         M = Submodule(sp, Subspace.full(3, 2))
         sol = inclusion_exclusion_solution(M, covering_by_proper_submodules(M))
-        lam, mu = solution_to_codes(sol, 2)
+        lam, mu = solution_to_codes(sp, sol, 2)
         assert lam.length == 8
         assert is_isometry_criterion(lam, mu)
         assert isinstance(extend_to_monomial(lam, mu), Unextendable)
@@ -373,24 +357,49 @@ class TestSolutionToCodes:
         # F_q^2, once its common supports cancel, is the minimal pair's.
         M = Submodule(ModuleSpace(q, 1, 2), Subspace.full(q, 2))
         sol = inclusion_exclusion_solution(M, covering_by_proper_submodules(M))
-        covering_pair = solution_to_codes(sol, 2)
+        covering_pair = solution_to_codes(M.space, sol, 2)
         assert covering_pair[0].length == 2**q
         assert extend_to_monomial(*covering_pair) == extend_to_monomial(
             *minimal_counterexample(q, 1, 2)
         )
 
     def test_realizability_error(self):
-        sp = ModuleSpace(2, 1, 3)
-        zero = Subspace.zero(2, 3)
-        sol = SolutionPair(sp, ((zero, 1),), ((zero, 1),))
+        # The forged (2, 2, 3) difference has a kernel of codimension 3, which k = 2 cannot hold.
+        diff = extend_to_monomial(*minimal_counterexample(2, 2, 3))
         with pytest.raises(RankInfeasibleError):
-            solution_to_codes(sol, 2)
+            solution_to_codes(ModuleSpace(2, 2, 3), diff, 2)
+
+    def test_rejects_non_solution(self):
+        sp = ModuleSpace(2, 1, 2)
+        full, zero = Subspace.full(2, 2), Subspace.zero(2, 2)
+        with pytest.raises(ValueError, match="isometry equation"):
+            solution_to_codes(sp, Unextendable(((full, 1),), ((zero, 1),)), 2)
+
+    def test_rejects_unbalanced_lengths(self):
+        sp = ModuleSpace(2, 1, 2)
+        full = Subspace.full(2, 2)
+        with pytest.raises(ValueError, match="equal total"):
+            solution_to_codes(sp, Unextendable(((full, 2),), ((full, 1),)), 2)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_rejects_nonpositive_count(self, count):
+        sp = ModuleSpace(2, 1, 2)
+        line = span([[1, 0]], 2)
+        with pytest.raises(ValueError, match="positive"):
+            solution_to_codes(sp, Unextendable(((line, count),), ((line, count),)), 2)
+
+    def test_rejects_subspace_outside_the_ambient_space(self):
+        sp = ModuleSpace(2, 1, 2)
+        line = span([[1, 0, 0]], 2)
+        with pytest.raises(DimensionMismatchError):
+            solution_to_codes(sp, Unextendable(((line, 1),), ((line, 1),)), 2)
 
     def test_roundtrip_kernels(self):
-        # solution -> codes -> kernel multisets is the identity.
+        # solution -> codes -> kernel multisets is the identity, with the zero
+        # subspace on both sides.
         sp = ModuleSpace(2, 1, 2)
         M = Submodule(sp, Subspace.full(2, 2))
         sol = inclusion_exclusion_solution(M, covering_by_proper_submodules(M))
-        lam, mu = solution_to_codes(sol, 2)
-        assert Counter(k.support for k in kernel_tuple(lam)) == Counter(dict(sol.V))
-        assert Counter(k.support for k in kernel_tuple(mu)) == Counter(dict(sol.U))
+        lam, mu = solution_to_codes(sp, sol, 2)
+        assert Counter(k.support for k in kernel_tuple(lam)) == Counter(dict(sol.lambda_only))
+        assert Counter(k.support for k in kernel_tuple(mu)) == Counter(dict(sol.mu_only))

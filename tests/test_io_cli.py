@@ -548,7 +548,7 @@ class TestLeanImports:
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) == len(modcode.__all__) == 48
+        assert int(proc.stdout) == len(modcode.__all__) == 47
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError):
@@ -974,7 +974,7 @@ class TestProcessEntry:
         result = cli(["identities", "--q", "2", "--tmax", "2"])
         assert result.exit_code == 0
         assert gc.get_freeze_count() == 0
-        assert "SolutionPair" in dir(modcode)
+        assert "solution_to_codes" in dir(modcode)
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

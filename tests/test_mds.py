@@ -261,6 +261,16 @@ class TestTheoremViolations:
         with pytest.raises(NotAnIsometryError, match="not Hamming-isometric"):
             mds_extension_check(code, other)
 
+    def test_an_unextendable_mds_isometry_is_a_violation(self, monkeypatch):
+        # No MDS code with kappa != 2 reaches this branch, so is_mds is made to
+        # report the forged (2, 1, 2) lambda as one, with kappa = 3.
+        lam, mu = minimal_counterexample(2, 1, 2)
+        monkeypatch.setattr(mds, "is_mds", lambda code: mds.MdsReport(3, 1, 3, True, None))
+        result = mds_extension_check(lam, mu)
+        expected = extend_to_monomial(lam, mu)
+        assert isinstance(result, TheoremViolation) and isinstance(result, Unextendable)
+        assert (result.lambda_only, result.mu_only) == (expected.lambda_only, expected.mu_only)
+
 
 class TestExhaustiveScan:
     def test_repetition_all_extendable(self):
