@@ -4,7 +4,8 @@ Every exhaustive loop in the package (vectors of a module, subspaces of an
 ambient space) is guarded by an explicit budget.  Exceeding the budget raises
 :class:`~modcode.errors.EnumerationBudgetError`; nothing is ever silently
 truncated.  The environment variable ``MODCODE_BUDGET`` overrides both
-defaults with a single integer.
+defaults with a single integer.  A :func:`cached` enumeration charges its
+count in its own body, once per miss of a cache keyed on that integer.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .errors import EnumerationBudgetError
 
 DEFAULT_SUBSPACE_BUDGET = 10**6
 DEFAULT_VECTOR_BUDGET = 10**7
-# Entries each checked_cache keeps; one CLI command uses far fewer keys per cache.
+# Entries each cached function keeps over all budgets; one command uses far fewer.
 CACHE_ENTRIES = 32
 
 
@@ -82,24 +83,23 @@ def _charge(count, power, limit: int, unit: str, what: str) -> None:
         )
 
 
-def checked_cache(check):
-    """Cache a pure function, running ``check(*args)`` on every call.
+def cached(fn):
+    """Cache a pure function that charges the budget in its body.
 
-    The cache keeps the CACHE_ENTRIES most recently used results.  A plain
-    ``lru_cache`` skips the function body on a hit, so a budget check inside
-    it would miss a lower ``MODCODE_BUDGET`` set after the first call.
+    The cache keeps the CACHE_ENTRIES most recently used results, keyed on
+    the arguments and the ``MODCODE_BUDGET`` value.  A hit skips the body and
+    so its charge, but only under the budget the result was built under; a
+    call under another budget builds the result again and charges it.
     """
 
-    def decorate(fn):
-        cached = lru_cache(maxsize=CACHE_ENTRIES)(fn)
+    @lru_cache(maxsize=CACHE_ENTRIES)
+    def build(_budget, *args):
+        return fn(*args)
 
-        @wraps(fn)
-        def checked(*args, **kwargs):
-            check(*args, **kwargs)
-            return cached(*args, **kwargs)
+    @wraps(fn)
+    def lookup(*args):
+        return build(_env_override(), *args)
 
-        checked.cache_clear = cached.cache_clear
-        checked.cache_info = cached.cache_info
-        return checked
-
-    return decorate
+    lookup.cache_clear = build.cache_clear
+    lookup.cache_info = build.cache_info
+    return lookup

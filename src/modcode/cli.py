@@ -34,7 +34,7 @@ from .errors import (
     NotAnIsometryError,
 )
 from .io import load_code, save_code
-from .linalg import cauchy_identities_check, check_identities_budget, subspace_lattice
+from .linalg import cauchy_identities_check, check_identities_budget
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -143,8 +143,7 @@ def cmd_minlen(q, m, t, bound, cyclic_only, as_json) -> int:
         # computed, so a huge m is refused at once; the search reuses the
         # cached lattice.  The system depends on m only through min(m, t), and
         # so does the default.
-        ModuleSpace(q, m, t)
-        subspace_lattice(q, t, min(m, t))
+        ModuleSpace(q, m, t).lattice
         bound = counterexample_length(q, min(m, t)) + 5
     start = time.perf_counter()
     result = min_nontrivial_length(q, m, t, bound, max_col_dim=m if cyclic_only else None)

@@ -79,6 +79,11 @@ class ModuleSpace(MatrixModule):
 
     __slots__ = ("q", "m", "t")
 
+    @property
+    def lattice(self):
+        """The subspaces of dim <= min(m, t) on which the isometry equation is posed."""
+        return subspace_lattice(self.q, self.t, min(self.m, self.t))
+
 
 class Submodule(Record):
     """A submodule of a ModuleSpace, encoded by its row-support subspace.
@@ -206,9 +211,10 @@ def _check_module_elements(q: int, m: int, t: int) -> None:
     budget.check_vectors(lambda: q ** (m * t), "module element enumeration", power=(q, m * t))
 
 
-@budget.checked_cache(_check_module_elements)
+@budget.cached
 def module_elements(q: int, m: int, t: int) -> tuple:
     """All m x t matrices over F_q, as row tuples, in ``itertools.product`` order."""
+    _check_module_elements(q, m, t)
     return tuple(
         tuple(entries[i * t : (i + 1) * t] for i in range(m))
         for entries in itertools.product(range(q), repeat=m * t)
@@ -278,11 +284,9 @@ def _count_difference(lam: Code, mu: Code):
     over both codes, the :func:`support_difference` row W of lam against mu,
     and the kernel-count criterion of that row.
     """
-    sp = lam.space
     supports, ids = _kernel_ids([lam, mu])
     W = support_difference(ids, lam.length, len(supports))
-    lattice = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t))
-    return supports, ids, W, lattice.balanced_rows(supports, [W])[0]
+    return supports, ids, W, lam.space.lattice.balanced_rows(supports, [W])[0]
 
 
 def is_isometry_criterion(lam: Code, mu: Code) -> bool:

@@ -19,7 +19,6 @@ from .linalg import (
     check_subspace_of,
     integer_points,
     rref,
-    subspace_lattice,
     subspaces_up_to_dim,
 )
 
@@ -116,8 +115,7 @@ class IncidenceSystem(Record):
 
 def incidence_matrix(q: int, m: int, t: int, max_col_dim: int | None = None) -> IncidenceSystem:
     """Build the containment system for subspaces of F_q^t."""
-    ModuleSpace(q, m, t)  # rejects q, m and t outside the exact domain
-    rows = subspace_lattice(q, t, min(m, t))
+    rows = ModuleSpace(q, m, t).lattice  # rejects q, m and t outside the exact domain
     if max_col_dim is None:
         max_col_dim = t
     cols = subspaces_up_to_dim(q, t, min(max_col_dim, t))
@@ -208,8 +206,7 @@ def solution_to_codes(space: ModuleSpace, diff: Unextendable, k: int) -> tuple[C
     if sum(c for _, c in diff.lambda_only) != sum(c for _, c in diff.mu_only):
         raise ValueError("the two sides must have equal total multiplicity")
     weights = [[c for _, c in diff.lambda_only] + [-c for _, c in diff.mu_only]]
-    lattice = subspace_lattice(space.q, space.t, min(space.m, space.t))
-    if not lattice.balanced_rows([S for S, _ in diff.lambda_only + diff.mu_only], weights)[0]:
+    if not space.lattice.balanced_rows([S for S, _ in diff.lambda_only + diff.mu_only], weights)[0]:
         raise ValueError("the pair does not satisfy the isometry equation")
     alphabet = Alphabet(space.q, space.m, k)
     return tuple(Code(alphabet, space, _realize(space, side, k)) for side in sides)

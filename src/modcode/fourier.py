@@ -13,7 +13,7 @@ from __future__ import annotations
 from . import budget
 from .codes import support_difference
 from .errors import DimensionMismatchError
-from .linalg import Subspace, orthogonal, subspace_lattice
+from .linalg import Subspace, orthogonal
 
 
 def verify_dual_equation(V, U) -> bool:
@@ -45,5 +45,4 @@ def verify_dual_equation(V, U) -> bool:
     bits = sum(sp.m * supports[j].dim for j in live) * sp.q.bit_length()
     budget.check_vectors(bits // 64, "dual equation weights (one vector per 64-bit word)")
     weights = [[W[j] * sp.q ** (sp.m * supports[j].dim) for j in live]]
-    lattice = subspace_lattice(sp.q, sp.t, min(sp.m, sp.t))
-    return bool(lattice.balanced_rows([orthogonal(supports[j]) for j in live], weights)[0])
+    return bool(sp.lattice.balanced_rows([orthogonal(supports[j]) for j in live], weights)[0])

@@ -328,14 +328,11 @@ def orthogonal(S: Subspace) -> Subspace:
     return row_kernel(tuple(zip(*S.basis)), S.q)
 
 
-def _check_points(q: int, t: int) -> None:
-    budget.check_subspaces(lambda: gaussian_binomial(t, 1, q), "points of a projective space",
-                           power=(q, t - 1))
-
-
-@budget.checked_cache(_check_points)
+@budget.cached
 def projective_points(q: int, t: int) -> tuple[tuple[int, ...], ...]:
     """The normalized vectors of the points of PG(t-1, q), in point order."""
+    budget.check_subspaces(lambda: gaussian_binomial(t, 1, q), "points of a projective space",
+                           power=(q, t - 1))
     return tuple(
         (0,) * (t - 1 - r) + (1,) + tail
         for r in range(t)
@@ -450,21 +447,13 @@ def cauchy_identities_check(t: int, q: int) -> bool:
     return sum(terms) == product
 
 
-def _check_subspace_count(q: int, t: int, d: int) -> None:
+@budget.cached
+def enumerate_subspaces(q: int, t: int, d: int) -> tuple[Subspace, ...]:
+    """All d-dimensional subspaces of F_q^t, canonical and sorted."""
     if not 0 <= d <= t:
         raise DimensionMismatchError(f"need 0 <= d={d} <= t={t}")
     # C(t, d)_q >= q^(d (t - d)).
     budget.check_subspaces(lambda: gaussian_binomial(t, d, q), power=(q, d * (t - d)))
-
-
-def _check_subspaces_up_to_dim(q: int, t: int, max_dim: int) -> None:
-    for d in range(min(max_dim, t) + 1):
-        _check_subspace_count(q, t, d)
-
-
-@budget.checked_cache(_check_subspace_count)
-def enumerate_subspaces(q: int, t: int, d: int) -> tuple[Subspace, ...]:
-    """All d-dimensional subspaces of F_q^t, canonical and sorted."""
     if d == 0:
         return (Subspace.zero(q, t),)
     out = []
@@ -482,7 +471,7 @@ def enumerate_subspaces(q: int, t: int, d: int) -> tuple[Subspace, ...]:
     return tuple(out)
 
 
-@budget.checked_cache(_check_subspaces_up_to_dim)
+@budget.cached
 def subspaces_up_to_dim(q: int, t: int, max_dim: int) -> tuple[Subspace, ...]:
     """All subspaces of F_q^t of dimension <= max_dim, sorted canonically."""
     out: list[Subspace] = []
@@ -501,7 +490,7 @@ class SubspaceLattice:
     bitsets gives, for each point, the bitset of the supports containing
     it, and the supports containing S are the AND of those of its basis
     rows.  Use :func:`subspace_lattice`, which caches one lattice per
-    (q, t, max_dim).
+    (q, t, max_dim) and budget.
     """
 
     def __init__(self, q: int, t: int, max_dim: int):
@@ -545,7 +534,7 @@ class SubspaceLattice:
         return out
 
 
-@budget.checked_cache(_check_subspaces_up_to_dim)
+@budget.cached
 def subspace_lattice(q: int, t: int, max_dim: int) -> SubspaceLattice:
     """The shared containment engine for subspaces of F_q^t of dimension <= max_dim."""
     return SubspaceLattice(q, t, max_dim)

@@ -44,7 +44,6 @@ from .linalg import (
     integer_points,
     matrix_rank,
     number_row_kernels,
-    subspace_lattice,
 )
 
 
@@ -161,16 +160,15 @@ def isometry_census(code: Code) -> IsometryCensus:
     own = [0] * len(candidates)
     for i in ids:
         own[position[kernels[i]]] += 1
-    lattice = subspace_lattice(q, t, min(sp.m, t))
     classes = []
-    nodes, exhausted = integer_points(lattice.containment(candidates), own,
+    nodes, exhausted = integer_points(sp.lattice.containment(candidates), own,
                                       lambda y: classes.append(tuple(y)), False,
                                       budget.vector_budget())
     if not exhausted:
         budget.check_vectors(nodes, "isometry census (one vector per search node)")
     own = tuple(own)
     W = [[a - b for a, b in zip(c, own)] for c in classes]
-    for i, ok in enumerate(lattice.balanced_rows(candidates, W)):
+    for i, ok in enumerate(sp.lattice.balanced_rows(candidates, W)):
         if not ok:
             raise NotAnIsometryError(f"the kernel-count criterion rejects census class {i}")
     with_kernel = [prod(q**k - q**i for i in range(t - S.dim)) for S in candidates]

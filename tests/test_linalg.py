@@ -18,6 +18,8 @@ from modcode import (
     row_kernel,
     rref,
 )
+from modcode import budget
+from modcode.codes import module_elements
 from modcode.linalg import (
     check_prime,
     complete_basis,
@@ -214,14 +216,52 @@ class TestEnumeration:
             lambda: enumerate_subspaces(3, 4, 2),
             lambda: subspaces_up_to_dim(3, 4, 2),
             lambda: subspace_lattice(3, 4, 2),
+            lambda: projective_points(2, 4),
+            lambda: module_elements(2, 1, 3),
         ],
-        ids=["enumerate_subspaces", "subspaces_up_to_dim", "subspace_lattice"],
+        ids=["enumerate_subspaces", "subspaces_up_to_dim", "subspace_lattice",
+             "projective_points", "module_elements"],
     )
     def test_budget_checked_on_cached_call(self, monkeypatch, enumerate_call):
         enumerate_call()  # fills the cache under the default budget
         monkeypatch.setenv("MODCODE_BUDGET", "5")
         with pytest.raises(EnumerationBudgetError):
             enumerate_call()
+
+    @pytest.mark.parametrize(
+        "cached, args",
+        [(subspace_lattice, (3, 4, 2)), (enumerate_subspaces, (3, 4, 2)),
+         (projective_points, (2, 4)), (module_elements, (2, 1, 3))],
+        ids=["subspace_lattice", "enumerate_subspaces", "projective_points", "module_elements"],
+    )
+    def test_cache_charges_once_per_budget(self, monkeypatch, cached, args):
+        charge, charges = budget._charge, []
+
+        def counting(*charge_args):
+            charges.append(charge_args)
+            charge(*charge_args)
+
+        cached.cache_clear()
+        monkeypatch.setenv("MODCODE_BUDGET", "1000")
+        cached(*args)
+        monkeypatch.setattr(budget, "_charge", counting)
+        cached(*args)  # a hit under the budget it was charged under
+        assert charges == []
+        misses = cached.cache_info().misses
+        monkeypatch.setenv("MODCODE_BUDGET", "2000")
+        cached(*args)  # built again and charged under the higher budget
+        assert cached.cache_info().misses == misses + 1 and charges
+        monkeypatch.setenv("MODCODE_BUDGET", "5")
+        with pytest.raises(EnumerationBudgetError):
+            cached(*args)
+
+    def test_lowest_failing_dimension_refused(self, monkeypatch):
+        # Dimensions 0 and 1 (1 and 40 subspaces) fit; d = 2 has 130.
+        monkeypatch.setenv("MODCODE_BUDGET", "100")
+        subspace_lattice.cache_clear()
+        with pytest.raises(EnumerationBudgetError) as refused:
+            subspace_lattice(3, 4, 2)
+        assert str(refused.value) == "subspace enumeration needs 130 subspaces, budget is 100"
 
     def test_budget_charges_subspaces_not_their_vectors(self, monkeypatch):
         # 968 lines of F_967^2 hold 967^2 * 968 > 10^7 vectors, but only the lines are built.
