@@ -74,7 +74,8 @@ def _monomial_repr(mmap: MonomialMap) -> dict:
 
 
 def _counts_repr(pairs) -> list:
-    """Subspace-count pairs as [[basis rows, count], ...]."""
+    """Subspace-count pairs as [[basis rows, count], ...], in Subspace.sort_key order."""
+    pairs = sorted(pairs, key=lambda pair: pair[0].sort_key())
     return [[[list(row) for row in S.basis], count] for S, count in pairs]
 
 

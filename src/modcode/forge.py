@@ -17,6 +17,7 @@ from .errors import DomainRejectionError, RankInfeasibleError
 from .linalg import (
     Record,
     check_subspace_of,
+    enumerate_subspaces,
     integer_points,
     rref,
     subspaces_up_to_dim,
@@ -101,13 +102,14 @@ def minimal_counterexample(q: int, m: int, k: int) -> tuple[Code, Code]:
 
 
 class IncidenceSystem(Record):
-    """Containment matrix linearizing the isometry equation.
+    """Containment system linearizing the isometry equation.
 
     Rows are the evaluation points (subspaces of dimension <= m), columns the
-    candidate kernel supports (all subspaces unless restricted), and
-    Z[r][c] = 1 iff row subspace is contained in column subspace.  Integer
-    vectors in the kernel of Z are exactly the solution pairs: positive
-    entries form one side, negative entries the other.
+    candidate kernel supports (all subspaces unless restricted) in search
+    order: by decreasing dimension, canonical within one.  Z[r] is the
+    bitset of the columns that contain rows[r].  Integer vectors in the
+    kernel of Z are exactly the solution pairs: positive entries form one
+    side, negative entries the other.
     """
 
     __slots__ = ("rows", "cols", "Z")
@@ -118,10 +120,10 @@ def incidence_matrix(q: int, m: int, t: int, max_col_dim: int | None = None) -> 
     rows = ModuleSpace(q, m, t).lattice  # rejects q, m and t outside the exact domain
     if max_col_dim is None:
         max_col_dim = t
-    cols = subspaces_up_to_dim(q, t, min(max_col_dim, t))
+    cols = tuple(S for d in reversed(range(min(max_col_dim, t) + 1))
+                 for S in enumerate_subspaces(q, t, d))
     budget.check_subspaces(len(rows) * len(cols), "incidence matrix construction")
-    Z = tuple(tuple(bits >> j & 1 for j in range(len(cols))) for bits in rows.containment(cols))
-    return IncidenceSystem(rows.subspaces, cols, Z)
+    return IncidenceSystem(rows.subspaces, cols, tuple(rows.containment(cols)))
 
 
 class SearchResult(Record):
@@ -135,10 +137,6 @@ class SearchResult(Record):
     __slots__ = ("min_length", "witness", "exhausted", "system")
 
 
-# Search nodes min_nontrivial_length visits before it stops with exhausted False.
-NODE_BUDGET = 20_000_000
-
-
 def min_nontrivial_length(
     q: int,
     m: int,
@@ -149,20 +147,18 @@ def min_nontrivial_length(
     """Minimum one-side length of a nontrivial solution, by branch and bound.
 
     Searches the nonzero integer vectors in the kernel of the containment
-    matrix with L1 norm at most 2 * length_bound: one signed
-    :func:`~modcode.linalg.integer_points` pass over the columns in order of
-    decreasing subspace dimension, from base 0, with its cap lowered to each
-    better witness's L1 norm.  Ties between optimal witnesses are broken by
-    the lexicographically smallest assignment in search order.  After
-    NODE_BUDGET nodes the search stops and reports the best witness found
-    so far with exhausted False.
+    system with L1 norm at most 2 * length_bound: one signed
+    :func:`~modcode.linalg.integer_points` pass over its columns, from base
+    0, with its cap lowered to each better witness's L1 norm.  Each search
+    node is charged to the vector budget; when the budget stops the search,
+    it reports the best witness found so far with exhausted False.  Only an
+    exhausted search breaks ties between optimal witnesses, by the
+    lexicographically smallest assignment in search order.  The witness is
+    re-decided with ``balanced_rows`` before it is returned.
     """
     if t < 1 or length_bound < 1:
         raise ValueError("need t >= 1 and length_bound >= 1")
     system = incidence_matrix(q, m, t, max_col_dim=max_col_dim)
-    cols = system.cols
-    order = sorted(range(len(cols)), key=lambda j: (-cols[j].dim, cols[j].sort_key()))
-    rows = [sum(row[j] << pos for pos, j in enumerate(order)) for row in system.Z]
     best = None
 
     def keep(y):
@@ -172,14 +168,12 @@ def min_nontrivial_length(
             best = used, y.copy()
             return used
 
-    _, exhausted = integer_points(rows, [0] * len(order), keep, True, NODE_BUDGET,
-                                  2 * length_bound)
+    _, exhausted = integer_points(system.Z, [0] * len(system.cols), keep, 2 * length_bound)
     if best is None:
         return SearchResult(None, None, exhausted, system)
-    witness = tuple(c for _, c in sorted(zip(order, best[1])))
-    if any(sum(z * c for z, c in zip(row, witness)) for row in system.Z):
+    if not ModuleSpace(q, m, t).lattice.balanced_rows(system.cols, [best[1]])[0]:
         raise AssertionError("search produced a vector outside the kernel")
-    return SearchResult(best[0] // 2, witness, exhausted, system)
+    return SearchResult(best[0] // 2, tuple(best[1]), exhausted, system)
 
 
 def _realize(space: ModuleSpace, side, k: int) -> tuple:

@@ -540,14 +540,14 @@ def subspace_lattice(q: int, t: int, max_dim: int) -> SubspaceLattice:
     return SubspaceLattice(q, t, max_dim)
 
 
-def integer_points(rows, base, found, signed: bool, limit: int, cap=None) -> tuple[int, bool]:
+def integer_points(rows, base, found, cap=None) -> tuple[int, bool]:
     """Every integer vector y with Z y = Z base, depth first; returns (nodes, exhausted).
 
     Row r of Z is the bitset ``rows[r]`` of its columns, which are numbered
     in search order, and every column lies in some row.  Equal rows are one
-    row, and an empty row, whose equation is 0 = 0, is dropped.  With
-    ``signed`` False the values are y >= 0; with it True they are signed,
-    and ``cap``, an upper bound on the L1 norm of y, is required.
+    row, and an empty row, whose equation is 0 = 0, is dropped.  Without a
+    ``cap`` the values are y >= 0; with one, an upper bound on the L1 norm
+    of y, they are signed.
 
     The columns are set in order on an explicit stack, so no number of
     columns meets the recursion limit.  A row's residual is its entry of
@@ -563,9 +563,9 @@ def integer_points(rows, base, found, signed: bool, limit: int, cap=None) -> tup
 
     At each solution ``found(y)`` is called with y, a list the search goes
     on to change; a number it returns becomes the cap from the next node
-    on, so a caller may lower it between solutions.  The search counts the
-    nodes it enters and stops on entering node ``limit + 1``, with
-    exhausted False.
+    on, so a caller may lower it between solutions.  The search charges
+    one vector of the budget per node it enters and stops on entering node
+    ``budget.vector_budget() + 1``, with exhausted False.
     """
     rows = [bits for bits in dict.fromkeys(rows) if bits]
     rows_of: list[list[int]] = [[] for _ in base]
@@ -577,12 +577,11 @@ def integer_points(rows, base, found, signed: bool, limit: int, cap=None) -> tup
             rows_of[j].append(r)
         closes[cols[-1]].append(r)
         residual.append(sum(base[j] for j in cols))
-    if cap is None:
-        if signed:
-            raise ValueError("a signed search needs an L1 cap")
-        cap, open_rows = inf, [()] * len(base)
-    else:
+    signed, limit = cap is not None, budget.vector_budget()
+    if signed:
         open_rows = [[r for r in rs if r not in last] for rs, last in zip(rows_of, closes)]
+    else:
+        cap, open_rows = inf, [()] * len(base)
 
     def signed_values(hi: int):
         yield 0

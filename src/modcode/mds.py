@@ -162,8 +162,7 @@ def isometry_census(code: Code) -> IsometryCensus:
         own[position[kernels[i]]] += 1
     classes = []
     nodes, exhausted = integer_points(sp.lattice.containment(candidates), own,
-                                      lambda y: classes.append(tuple(y)), False,
-                                      budget.vector_budget())
+                                      lambda y: classes.append(tuple(y)))
     if not exhausted:
         budget.check_vectors(nodes, "isometry census (one vector per search node)")
     own = tuple(own)

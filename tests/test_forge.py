@@ -27,7 +27,7 @@ from modcode import (
     row_kernel,
     solution_to_codes,
 )
-from modcode import forge
+from modcode import budget
 from modcode.codes import module_elements
 from modcode.forge import kernel_generators
 from modcode.linalg import contains, enumerate_subspaces, matrix_rank, subspaces_up_to_dim
@@ -233,18 +233,20 @@ class TestCounterexample:
 
 
 class TestIncidenceSystem:
-    def test_shape_2_1_2(self):
-        sys = incidence_matrix(2, 1, 2)
-        assert np.array(sys.Z).shape == (4, 5)
-
-    def test_shape_2_2_3(self):
-        sys = incidence_matrix(2, 2, 3)
-        assert np.array(sys.Z).shape == (15, 16)
-
-    def test_zero_row_is_all_ones(self):
-        sys = incidence_matrix(2, 2, 3)
-        zero_row = sys.rows.index(Subspace.zero(2, 3))
-        assert all(sys.Z[zero_row])
+    @pytest.mark.parametrize("q, m, t, max_col_dim, n_rows, n_cols", [
+        (2, 1, 2, None, 4, 5), (2, 2, 3, None, 15, 16), (3, 1, 3, None, 14, 28),
+        (2, 2, 3, 1, 15, 8),
+    ])
+    def test_rows_are_containment_bitsets(self, q, m, t, max_col_dim, n_rows, n_cols):
+        system = incidence_matrix(q, m, t, max_col_dim)
+        rows, cols = system.rows, system.cols
+        assert (len(rows), len(system.Z), len(cols)) == (n_rows, n_rows, n_cols)
+        assert list(cols) == sorted(cols, key=lambda S: (-S.dim, S.sort_key()))
+        top = t if max_col_dim is None else max_col_dim
+        assert sorted(cols, key=Subspace.sort_key) == list(subspaces_up_to_dim(q, t, top))
+        for bits, S in zip(system.Z, rows):
+            assert [bits >> j & 1 for j in range(len(cols))] == [contains(K, S) for K in cols]
+        assert system.Z[rows.index(Subspace.zero(q, t))] == (1 << len(cols)) - 1
 
 
 class TestMinimalitySearch:
@@ -304,20 +306,30 @@ class TestMinimalitySearch:
     def test_node_budget_stops_search_unexhausted(self, monkeypatch, q, m, t, bound, nodes):
         # The exhaustive search enters exactly `nodes` nodes, so one fewer stops it.
         unbounded = min_nontrivial_length(q, m, t, bound)
-        monkeypatch.setattr(forge, "NODE_BUDGET", nodes - 1)
+        monkeypatch.setattr(budget, "vector_budget", lambda: nodes - 1)
         assert not min_nontrivial_length(q, m, t, bound).exhausted
-        monkeypatch.setattr(forge, "NODE_BUDGET", nodes)
+        monkeypatch.setattr(budget, "vector_budget", lambda: nodes)
         assert min_nontrivial_length(q, m, t, bound) == unbounded and unbounded.exhausted
 
     def test_node_budget_keeps_the_best_so_far(self, monkeypatch):
-        monkeypatch.setattr(forge, "NODE_BUDGET", 37)
+        monkeypatch.setattr(budget, "vector_budget", lambda: 37)
         r = min_nontrivial_length(2, 2, 3, 20)
         assert r.min_length == 15 and not r.exhausted
+
+    def test_modcode_budget_bounds_the_search(self, monkeypatch):
+        # 11,871 nodes; the incidence charge of 8 x 16 = 128 subspaces fits both budgets.
+        unbounded = min_nontrivial_length(2, 1, 3, 4)
+        monkeypatch.setenv("MODCODE_BUDGET", "11870")
+        assert not min_nontrivial_length(2, 1, 3, 4).exhausted
+        monkeypatch.setenv("MODCODE_BUDGET", "11871")
+        assert min_nontrivial_length(2, 1, 3, 4) == unbounded and unbounded.exhausted
 
     def test_witness_in_kernel(self):
         for q, m, t, b in [(2, 1, 2, 5), (3, 1, 2, 6)]:
             r = min_nontrivial_length(q, m, t, b)
-            assert not (np.array(r.system.Z) @ np.array(r.witness)).any()
+            # The dense containment matrix, rebuilt from the bits.
+            Z = [[bits >> j & 1 for j in range(len(r.system.cols))] for bits in r.system.Z]
+            assert not (np.array(Z) @ np.array(r.witness)).any()
             assert int(np.abs(r.witness).sum()) == 2 * r.min_length
 
 

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import modcode
-from modcode import forge
 from modcode import Alphabet, Code, ModuleSpace, load_code, minimal_counterexample, save_code
 from modcode.errors import DimensionMismatchError
 from modcode.linalg import (Record, Subspace, SubspaceLattice, gaussian_binomial, is_prime,
@@ -341,8 +340,9 @@ class TestMinlenCommand:
         assert report["min_length"] is None and report["exhausted"]
 
     def test_node_budget_exits_3(self, cli, monkeypatch):
-        monkeypatch.setattr(forge, "NODE_BUDGET", 10)
-        result = cli(["minlen", "--q", "2", "--m", "2", "--bound", "20", "--json"])
+        # The search needs 11,871 nodes, one vector of the budget each.
+        monkeypatch.setenv("MODCODE_BUDGET", "1000")
+        result = cli(["minlen", "--q", "2", "--m", "1", "--t", "3", "--bound", "4", "--json"])
         assert result.exit_code == 3
         assert json.loads(result.output)["exhausted"] is False
 

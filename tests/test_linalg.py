@@ -391,32 +391,30 @@ class TestIntegerPoints:
                 if image(y) == image(base) and sum(map(abs, y)) <= cap]
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_matches_brute_force(self, seed):
+    def test_matches_brute_force(self, seed, monkeypatch):
         rows, base = self.system(random.Random(seed))
         total = sum(base)
         found = []
-        nodes, exhausted = integer_points(rows, base, lambda y: found.append(y.copy()), False, 10**6)
-        # Values y >= 0 come out in lexicographic order.
+        nodes, exhausted = integer_points(rows, base, lambda y: found.append(y.copy()))
+        # Without a cap the values are y >= 0, and they come out in lexicographic order.
         assert exhausted and found == self.brute(rows, base, range(total + 1), total)
-        assert integer_points(rows, base, lambda y: None, False, nodes - 1) == (nodes, False)
         for cap in range(4):
             found = []
-            integer_points(rows, base, lambda y: found.append(y.copy()), True, 10**6, cap)
+            integer_points(rows, base, lambda y: found.append(y.copy()), cap)
             assert sorted(found) == self.brute(rows, base, range(-cap, cap + 1), cap)
+        # One vector of the budget per node entered.
+        monkeypatch.setenv("MODCODE_BUDGET", str(nodes - 1))
+        assert integer_points(rows, base, lambda y: None) == (nodes, False)
 
     def test_found_lowers_the_cap(self):
         # y0 + y1 = 0 and y0 + y1 + y2 = 0: the solutions are multiples of (1, -1, 0).
         found = []
-        integer_points([0b11, 0b111], [0, 0, 0], lambda y: found.append(y.copy()), True, 10**6, 4)
+        integer_points([0b11, 0b111], [0, 0, 0], lambda y: found.append(y.copy()), 4)
         assert found == [[0, 0, 0], [-1, 1, 0], [1, -1, 0], [-2, 2, 0], [2, -2, 0]]
         found = []
-        integer_points([0b11, 0b111], [0, 0, 0], lambda y: found.append(y.copy()) or 2,
-                       True, 10**6, 4)
+        integer_points([0b11, 0b111], [0, 0, 0], lambda y: found.append(y.copy()) or 2, 4)
         assert found == [[0, 0, 0], [-1, 1, 0], [1, -1, 0]]
 
-    def test_signed_search_needs_a_cap(self):
-        with pytest.raises(ValueError, match="L1 cap"):
-            integer_points([1], [0], print, True, 10)
 
 class TestPoints:
     @pytest.mark.parametrize("q,t", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 3)])
