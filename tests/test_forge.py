@@ -248,6 +248,16 @@ class TestIncidenceSystem:
             assert [bits >> j & 1 for j in range(len(cols))] == [contains(K, S) for K in cols]
         assert system.Z[rows.index(Subspace.zero(q, t))] == (1 << len(cols)) - 1
 
+    def test_shape_2_2_3(self):
+        system = incidence_matrix(2, 2, 3)
+        assert (len(system.Z), len(system.cols)) == (15, 16)
+        assert all(0 <= bits < 1 << 16 for bits in system.Z)
+
+    def test_zero_row_is_all_ones(self):
+        system = incidence_matrix(2, 2, 3)
+        zero_row = system.rows.index(Subspace.zero(2, 3))
+        assert system.Z[zero_row] == (1 << len(system.cols)) - 1
+
 
 class TestMinimalitySearch:
     def test_q2_m1(self):
