@@ -58,7 +58,7 @@ EXIT_CODES = (
 
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=1))
+        print(json.dumps(report))
     else:
         for key, value in report.items():
             if key == "command":

@@ -21,7 +21,6 @@ from . import budget
 from .errors import DimensionMismatchError, NotAnIsometryError
 from .linalg import (
     Record,
-    Subspace,
     as_matrix,
     check_prime,
     check_subspace_of,
@@ -186,19 +185,9 @@ class Unextendable(Record):
     __slots__ = ("lambda_only", "mu_only")
 
 
-def _kernel_ids(codes) -> tuple[list[Subspace], list[int]]:
-    """One numbering of the column kernels of codes with a common source module.
-
-    Returns the distinct supports, F_q^t last, and the support id of every
-    column of every code in order.
-    """
-    sp = codes[0].space
-    return number_row_kernels([G for code in codes for G in code.generators], sp.q, sp.t)
-
-
 def kernel_tuple(code: Code) -> tuple[Submodule, ...]:
     """Column kernels of a code, in column order; equal kernels share one Submodule."""
-    supports, ids = _kernel_ids([code])
+    supports, ids = number_row_kernels(code.generators, code.space.q, code.space.t)
     kernels = [Submodule(code.space, S) for S in supports]
     return tuple(kernels[i] for i in ids)
 
@@ -247,7 +236,8 @@ def codeword_weights(code: Code) -> list[int]:
 
     wt(X) is the length minus the number of columns that vanish at X.
     """
-    killed = vanishing_columns(code.space, *_kernel_ids([code]))
+    sp = code.space
+    killed = vanishing_columns(sp, *number_row_kernels(code.generators, sp.q, sp.t))
     return [code.length - bits.bit_count() for bits in killed]
 
 
@@ -280,11 +270,11 @@ def support_difference(ids, n: int, width: int) -> list[int]:
 def _count_difference(lam: Code, mu: Code):
     """The support numbering of lam and mu and their count difference.
 
-    Returns ``(supports, ids, W, isometric)``: one :func:`_kernel_ids` call
-    over both codes, the :func:`support_difference` row W of lam against mu,
+    Returns ``(supports, ids, W, isometric)``: one numbering of the kernels
+    of both codes, the :func:`support_difference` row W of lam against mu,
     and the kernel-count criterion of that row.
     """
-    supports, ids = _kernel_ids([lam, mu])
+    supports, ids = number_row_kernels(lam.generators + mu.generators, lam.space.q, lam.space.t)
     W = support_difference(ids, lam.length, len(supports))
     return supports, ids, W, lam.space.lattice.balanced_rows(supports, [W])[0]
 

@@ -1,7 +1,8 @@
-"""Singleton bound, MDS detection and the MDS extension theorem checker.
+"""Minimum distance, MDS detection and the MDS extension theorem checker.
 
-A code attains the Singleton bound when |C| = |A|^(n - d + 1); the exponent
-kappa = n - d + 1 is the code dimension.  On an injective code a source
+The minimum distance d is read off the points of PG(t-1, q) that the column
+kernels hold, with no source element listed.  A code attains the Singleton
+bound when |C| = |A|^kappa, kappa = n - d + 1.  On an injective code a source
 element X with X G_i = 0 on kappa columns has weight at most d - 1, so X = 0:
 every kappa-column block [G_i] has rank t <= kappa k.  Every kappa-subset is
 therefore an information set iff t = kappa k, the Singleton equality itself,
@@ -20,6 +21,8 @@ is kept as the census's reference.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from math import factorial, prod
 from operator import add, sub
 
@@ -43,7 +46,9 @@ from .linalg import (
     enumerate_subspaces,
     integer_points,
     matrix_rank,
+    members,
     number_row_kernels,
+    supports_at_points,
 )
 
 
@@ -60,8 +65,19 @@ class TheoremViolation(Unextendable):
 
 
 def min_distance(code: Code) -> int:
-    """Minimum Hamming weight over nonzero codewords, by enumeration."""
-    nonzero = [w for w in codeword_weights(code) if w]
+    """Minimum Hamming weight over nonzero codewords, read off the column kernels.
+
+    The codeword of X vanishes at the held(R) columns whose kernel holds
+    R = rowspace(X).  Every point p of R has held(p) >= held(R), and when
+    held(R) < n some p lies outside a kernel, so held(p) < n.  A point is the
+    row space of a rank-one X, so d = n - max{held(p) : held(p) < n} over the
+    points p of PG(t-1, q), indexed over the distinct kernels only.
+    """
+    q, t, n = code.space.q, code.space.t, code.length
+    kernels, ids = number_row_kernels(code.generators, q, t)
+    columns = Counter(ids)
+    held = [sum(columns[j] for j in members(bits)) for bits in supports_at_points(q, t, kernels)]
+    nonzero = [n - h for h in held if h < n]
     if not nonzero:
         raise ZeroCodeError("the code has no nonzero codeword")
     return min(nonzero)
@@ -78,19 +94,15 @@ def is_mds(code: Code) -> MdsReport:
     (0, ..., kappa - 1), which fails like every other.
     """
     sp = code.space
-    joint = [sum(rows, ()) for rows in zip(*code.generators)]
+    joint = [tuple(chain.from_iterable(rows)) for rows in zip(*code.generators)]
     if matrix_rank(joint, sp.q) != sp.t:
         raise DomainRejectionError("the parametrization is not injective")
-    d = min_distance(code)
-    n = code.length
+    n, d, k = code.length, min_distance(code), code.alphabet.k
     kappa = n - d + 1
     witnesses = None
-    if sp.t != kappa * code.alphabet.k:
-        k = code.alphabet.k
-        witnesses = next(
-            ((i,) for i, G in enumerate(code.generators) if matrix_rank(G, sp.q) != k),
-            tuple(range(kappa)),
-        )
+    if sp.t != kappa * k:
+        witnesses = next(((i,) for i, G in enumerate(code.generators) if matrix_rank(G, sp.q) != k),
+                         tuple(range(kappa)))
     return MdsReport(n, d, kappa, witnesses is None, witnesses)
 
 
@@ -155,11 +167,9 @@ def isometry_census(code: Code) -> IsometryCensus:
     q, t, k, n = sp.q, sp.t, code.alphabet.k, code.length
     candidates = [S for d in reversed(range(t - min(k, t), t + 1))
                   for S in enumerate_subspaces(q, t, d)]
-    position = {S: j for j, S in enumerate(candidates)}
     kernels, ids = number_row_kernels(code.generators, q, t)
-    own = [0] * len(candidates)
-    for i in ids:
-        own[position[kernels[i]]] += 1
+    columns = Counter(kernels[i] for i in ids)
+    own = [columns[S] for S in candidates]
     classes = []
     nodes, exhausted = integer_points(sp.lattice.containment(candidates), own,
                                       lambda y: classes.append(tuple(y)))

@@ -400,6 +400,16 @@ class TestMdsCommand:
         result = cli(["mds", "--code", str(path), "--json"])
         assert result.exit_code == 0 and json.loads(result.output)["is_mds"] is True
 
+    def test_forty_row_module_answers(self, cli, tmp_path):
+        # 2^80 source elements, which no budget lists; d comes from the 3 points of PG(1, 2).
+        path = tmp_path / "m40.json"
+        path.write_text(json.dumps({"q": 2, "m": 40, "k": 1, "t": 2,
+                                    "generators": [[[1], [0]], [[0], [1]], [[1], [1]]]}))
+        result = cli(["mds", "--code", str(path), "--json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(report_bytes(result.output)) == {
+            "command": "mds", "n": 3, "d": 2, "kappa": 2, "is_mds": True, "witnesses": None}
+
     def test_non_injective_code_exit_2(self, cli, tmp_path):
         path = tmp_path / "zero.json"
         save_code(Code(Alphabet(2, 1, 1), ModuleSpace(2, 1, 1), [np.zeros((1, 1), dtype=int)]), path)
@@ -898,7 +908,7 @@ class TestProcessEntry:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("error: ") and "budget is" in proc.stderr
 
-    @pytest.mark.parametrize("command", ["minlen", "forge", "mds", "check"])
+    @pytest.mark.parametrize("command", ["minlen", "forge", "check"])
     def test_huge_dimension_exits_3_at_once(self, tmp_path, command):
         # m = 10^18 is inside the int64 domain, but q^(m t) module elements and
         # the 2^(10^18) - 1 points of PG(10^18, 2) are counts that would never
@@ -910,13 +920,22 @@ class TestProcessEntry:
             "minlen": ["--q", "2", "--m", "1", "--t", str(m)],
             "forge": ["--q", "2", "--m", str(m), "--k", str(m + 1), "--out-lambda",
                       str(tmp_path / "l.json"), "--out-mu", str(tmp_path / "u.json")],
-            "mds": ["--code", str(path)],
             "check": ["--lambda", str(path), "--mu", str(path), "--oracle"],
         }[command]
         proc = python("-m", "modcode.cli", command, *argv, timeout=20)
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and "budget is" in proc.stderr
+
+    def test_huge_dimension_mds_reports_at_once(self, tmp_path):
+        # mds reads d off the one point of PG(0, 2), not the 2^(10^18) source elements.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"q": 2, "m": 10**18, "k": 1, "t": 1,
+                                    "generators": [[[1]]] * 3}))
+        proc = python("-m", "modcode.cli", "mds", "--code", str(path), "--json", timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(report_bytes(proc.stdout)) == {
+            "command": "mds", "n": 3, "d": 3, "kappa": 1, "is_mds": True, "witnesses": None}
 
     def test_dual_equation_huge_m_raises_budget_error_at_once(self):
         # The weights q^(m dim) at m = 10^18 are refused by their size in
@@ -1095,12 +1114,19 @@ class TestBudgetEnv:
         subspaces_up_to_dim.cache_clear()
 
     def test_mds_budget_exit_code(self, cli, tmp_path, monkeypatch):
+        # d is read off the 13 points of PG(2, 3), not the 27 source elements.
         cols = [np.eye(3, dtype=int)[:, [i]] for i in range(3)] + [np.ones((3, 1), dtype=int)]
         path = tmp_path / "parity3.json"
         save_code(Code(Alphabet(3, 1, 1), ModuleSpace(3, 1, 3), cols), path)
-        monkeypatch.setenv("MODCODE_BUDGET", "20")
+        monkeypatch.setenv("MODCODE_BUDGET", "12")
         result = cli(["mds", "--code", str(path)])
         assert result.exit_code == 3
+        assert "points of a projective space needs 13 subspaces, budget is 12" in result.output
+        monkeypatch.setenv("MODCODE_BUDGET", "13")
+        result = cli(["mds", "--code", str(path), "--json"])
+        assert result.exit_code == 0
+        assert json.loads(report_bytes(result.output)) == {
+            "command": "mds", "n": 4, "d": 2, "kappa": 3, "is_mds": True, "witnesses": None}
 
     def test_mds_scan_budget_exit_code_prints_no_count(self, cli, tmp_path, monkeypatch):
         # The binary parity code passes is_mds under this budget; its census needs 30 nodes.

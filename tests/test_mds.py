@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modcode import (
@@ -15,6 +15,7 @@ from modcode import (
     Code,
     DomainRejectionError,
     EnumerationBudgetError,
+    MdsReport,
     ModuleSpace,
     MonomialMap,
     NotAnIsometryError,
@@ -31,7 +32,7 @@ from modcode import (
     min_distance,
     minimal_counterexample,
 )
-from modcode import mds
+from modcode import codes, mds
 from modcode.codes import codeword_weights, module_elements
 from modcode.forge import kernel_generators
 from modcode.linalg import SubspaceLattice, matrix_rank, number_row_kernels, row_kernel
@@ -109,6 +110,53 @@ class TestMinDistance:
         )
         with pytest.raises(ZeroCodeError):
             min_distance(zero)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        q=st.sampled_from([2, 3, 5]),
+        m=st.integers(1, 2),
+        t=st.integers(0, 3),
+        k=st.integers(1, 2),
+        n=st.integers(1, 5),
+        zeros=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(q=2, m=1, t=0, k=1, n=2, zeros=0, seed=0)  # t = 0: a trivial source module
+    @example(q=3, m=2, t=2, k=1, n=3, zeros=3, seed=0)  # the all-zero code
+    @example(q=5, m=1, t=3, k=1, n=2, zeros=0, seed=0)  # rank <= 2 < t: not injective
+    def test_matches_the_weight_oracle_on_random_codes(self, q, m, t, k, n, zeros, seed):
+        # The first `zeros` columns are zero, so zero and non-injective codes come up often.
+        rng = np.random.default_rng(seed)
+        cols = [rng.integers(0, q, size=(t, k)) * (i >= zeros) for i in range(n)]
+        code = Code(Alphabet(q, m, k), ModuleSpace(q, m, t), cols)
+        assert outcome(min_distance, code) == outcome(oracle_min_distance, code)
+
+    def test_forged_334_report(self):
+        # The report of the release that enumerated all 3^12 source elements.
+        lam, _ = minimal_counterexample(3, 3, 4)
+        assert is_mds(lam) == MdsReport(1120, 1080, 41, False, (729,))
+
+    def test_lists_no_source_element(self, monkeypatch):
+        for module in (codes, mds):
+            for name in ("codeword_weights", "vanishing_columns", "module_elements"):
+                monkeypatch.setattr(module, name, None)
+        assert is_mds(vandermonde_code()) == MdsReport(4, 2, 3, True, None)
+
+
+def oracle_min_distance(code):
+    """The least nonzero weight over every source element, by the brute-force oracle."""
+    nonzero = [w for w in codeword_weights(code) if w]
+    if not nonzero:
+        raise ZeroCodeError("the code has no nonzero codeword")
+    return min(nonzero)
+
+
+def outcome(f, code):
+    """f(code), or ZeroCodeError when it raises one."""
+    try:
+        return f(code)
+    except ZeroCodeError:
+        return ZeroCodeError
 
 
 def cardinality(code):
@@ -191,6 +239,10 @@ class TestIsMds:
         elif not report.is_mds:
             assert len(report.witnesses) == report.kappa
             assert block_rank(code, report.witnesses) < report.kappa * k
+
+    def test_fifty_thousand_columns(self):
+        # The generators are joined in one pass; a pairwise join of 50,000 takes minutes.
+        assert is_mds(repetition_code(n=50_000)) == MdsReport(50_000, 50_000, 1, True, None)
 
     def test_verdict_enumerates_no_column_subsets(self, monkeypatch):
         monkeypatch.setenv("MODCODE_BUDGET", "10")
