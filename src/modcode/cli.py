@@ -3,8 +3,12 @@
 Exit codes: 0 success, 2 domain rejection or usage error, 3 budget exceeded
 (or a search bound hit without exhaustion), 4 input error, 5 defect (a
 theorem violation, a failed identity, or a criterion that rejects a known
-isometry).  Every command prints a human-readable summary; ``--json``
-switches to a machine-readable report mirroring the library return values.
+isometry).  Each ``cmd_*`` returns its exit code and its facts; it reads no
+clock and prints nothing.  ``main`` alone times the call and prints the
+report (``"command"``, the facts, ``"seconds"``) as ``key: value`` lines
+without the command or, with ``--json``, as one JSON object, every count
+exact.  A report prints whatever the exit code; a command that raises
+prints none.
 
 ``main(argv)`` runs one command in-process and returns its exit code;
 ``entry()`` is the process entry of ``python -m modcode.cli`` and of the
@@ -22,7 +26,6 @@ import time
 
 from .codes import (
     ModuleSpace,
-    MonomialMap,
     Unextendable,
     extend_to_monomial,
     is_isometry_bruteforce,
@@ -34,7 +37,7 @@ from .errors import (
     NotAnIsometryError,
 )
 from .io import load_code, save_code
-from .linalg import cauchy_identities_check, check_identities_budget
+from .linalg import cauchy_identities_check, check_identities_budget, check_prime
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -57,20 +60,25 @@ EXIT_CODES = (
 
 
 def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report))
-    else:
-        for key, value in report.items():
-            if key == "command":
-                continue
-            print(f"{key}: {value}")
+    """Print a report as one JSON object, or as ``key: value`` lines without its command.
 
-
-def _monomial_repr(mmap: MonomialMap) -> dict:
-    return {
-        "permutation": list(mmap.permutation),
-        "automorphisms": [[list(row) for row in P] for P in mmap.automorphisms],
-    }
+    A census count can have more digits than CPython's int-to-str limit
+    allows (from 3.10.7; older interpreters have no limit), so the limit is
+    lifted while the report prints and the caller's is restored after.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if as_json:
+            print(json.dumps(report))
+        else:
+            for key, value in report.items():
+                if key != "command":
+                    print(f"{key}: {value}")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _counts_repr(pairs) -> list:
@@ -79,44 +87,37 @@ def _counts_repr(pairs) -> list:
     return [[[list(row) for row in S.basis], count] for S, count in pairs]
 
 
-def cmd_forge(q, m, k, out_lambda, out_mu, as_json) -> int:
+def cmd_forge(q, m, k, out_lambda, out_mu) -> tuple[int, dict]:
     """Forge the minimum-length unextendable isometric pair (needs k > m)."""
     from .forge import counterexample_length, minimal_counterexample
 
     if os.path.realpath(out_lambda) == os.path.realpath(out_mu):
         raise ValueError(f"--out-lambda and --out-mu name one file: {out_mu}")
-    start = time.perf_counter()
     lam, mu = minimal_counterexample(q, m, k)
     save_code(lam, out_lambda)
     save_code(mu, out_mu)
     # extend_to_monomial raises NotAnIsometryError when the criterion fails, so
     # a pair that reaches the report is isometric.
     extendable = not isinstance(extend_to_monomial(lam, mu), Unextendable)
-    report = {
-        "command": "forge",
+    return EXIT_OK, {
         "N": counterexample_length(q, m),
         "length": lam.length,
         "isometry": True,
         "extendable": extendable,
         "lambda_file": str(out_lambda),
         "mu_file": str(out_mu),
-        "seconds": round(time.perf_counter() - start, 3),
     }
-    _emit(report, as_json)
-    return EXIT_OK
 
 
-def cmd_check(lambda_file, mu_file, oracle, as_json) -> int:
+def cmd_check(lambda_file, mu_file, oracle) -> tuple[int, dict]:
     """Check whether two code files are isometric and extendably so."""
-    start = time.perf_counter()
     lam = load_code(lambda_file)
     mu = load_code(mu_file)
-    report: dict = {"command": "check"}
     try:
         result = extend_to_monomial(lam, mu)
     except NotAnIsometryError:
         result = None
-    report["isometry"] = result is not None
+    report = {"isometry": result is not None}
     if oracle:
         report["isometry_oracle"] = is_isometry_bruteforce(lam, mu)
     if result is None:
@@ -127,13 +128,14 @@ def cmd_check(lambda_file, mu_file, oracle, as_json) -> int:
                                  "mu_only": _counts_repr(result.mu_only)}
     else:
         report["extendable"] = True
-        report["monomial_map"] = _monomial_repr(result)
-    report["seconds"] = round(time.perf_counter() - start, 3)
-    _emit(report, as_json)
-    return EXIT_OK
+        report["monomial_map"] = {
+            "permutation": list(result.permutation),
+            "automorphisms": [[list(row) for row in P] for P in result.automorphisms],
+        }
+    return EXIT_OK, report
 
 
-def cmd_minlen(q, m, t, bound, cyclic_only, as_json) -> int:
+def cmd_minlen(q, m, t, bound, cyclic_only) -> tuple[int, dict]:
     """Search the minimum length of a nontrivial solution."""
     from .forge import counterexample_length, min_nontrivial_length
 
@@ -146,32 +148,25 @@ def cmd_minlen(q, m, t, bound, cyclic_only, as_json) -> int:
         # so does the default.
         ModuleSpace(q, m, t).lattice
         bound = counterexample_length(q, min(m, t)) + 5
-    start = time.perf_counter()
     result = min_nontrivial_length(q, m, t, bound, max_col_dim=m if cyclic_only else None)
     witness = None
     if result.witness is not None:
         witness = _counts_repr((col, c) for col, c in zip(result.system.cols, result.witness) if c)
-    report = {
-        "command": "minlen",
+    return EXIT_OK if result.exhausted else EXIT_BUDGET, {
         "min_length": result.min_length,
         "exhausted": result.exhausted,
         "witness": witness,
         "bound": bound,
-        "seconds": round(time.perf_counter() - start, 3),
     }
-    _emit(report, as_json)
-    return EXIT_OK if result.exhausted else EXIT_BUDGET
 
 
-def cmd_mds(code_file, scan, as_json) -> int:
+def cmd_mds(code_file, scan) -> tuple[int, dict]:
     """MDS report for a code file, optionally with an exact census of its isometries."""
     from .mds import is_mds, isometry_census
 
-    start = time.perf_counter()
     code = load_code(code_file)
     mds_report = is_mds(code)
     report = {
-        "command": "mds",
         "n": mds_report.n,
         "d": mds_report.d,
         "kappa": mds_report.kappa,
@@ -187,30 +182,18 @@ def cmd_mds(code_file, scan, as_json) -> int:
             # An image extends iff it has the code's own kernel multiset.
             violation = census.unextendable > 0
             report["theorem_violations"] = int(violation)
-    report["seconds"] = round(time.perf_counter() - start, 3)
-    _emit(report, as_json)
-    return EXIT_VIOLATION if violation else EXIT_OK
+    return EXIT_VIOLATION if violation else EXIT_OK, report
 
 
-def cmd_identities(q, tmax, as_json) -> int:
+def cmd_identities(q, tmax) -> tuple[int, dict]:
     """Run the exact q-binomial identity suite for t = 1 .. tmax."""
-    # ModuleSpace applies the int64 bound before its primality test, so trial
-    # division of a huge q never starts.
-    ModuleSpace(q, 1, 1)
+    check_prime(q)
     if tmax < 1:
         raise ValueError(f"need tmax >= 1, got {tmax}")
     check_identities_budget(tmax, q)
-    results = {}
-    all_pass = True
-    for t in range(1, tmax + 1):
-        ok = cauchy_identities_check(t, q)
-        results[t] = ok
-        all_pass = all_pass and ok
-        if not as_json:
-            print(f"t={t} q={q}: {'pass' if ok else 'FAIL'}")
-    if as_json:
-        _emit({"command": "identities", "q": q, "results": results, "all_pass": all_pass}, True)
-    return EXIT_OK if all_pass else EXIT_VIOLATION
+    results = {t: cauchy_identities_check(t, q) for t in range(1, tmax + 1)}
+    report = {"q": q, "results": results, "all_pass": all(results.values())}
+    return EXIT_OK if report["all_pass"] else EXIT_VIOLATION, report
 
 
 REQUIRED = object()  # the default of an option that must be given
@@ -363,11 +346,15 @@ def main(argv=None) -> int:
     if options is None:
         print(_help(command))
         return EXIT_OK
+    as_json = options.pop("as_json")
+    start = time.perf_counter()
     try:
-        return COMMANDS[command][0](**options)
+        code, facts = COMMANDS[command][0](**options)
     except (ModcodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+    _emit({"command": command, **facts, "seconds": round(time.perf_counter() - start, 3)}, as_json)
+    return code
 
 
 def entry() -> None:

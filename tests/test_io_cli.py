@@ -4,6 +4,7 @@ import ast
 import collections
 import functools
 import gc
+import hashlib
 import importlib
 import json
 import os
@@ -987,7 +988,9 @@ class TestProcessEntry:
         )
         proc = python("-c", script)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "t=1 q=3: pass\nt=2 q=3: pass\nfrozen True\n"
+        *report, frozen = proc.stdout.splitlines()
+        assert report[:3] == ["q: 3", "results: {1: True, 2: True}", "all_pass: True"]
+        assert report[3].startswith("seconds: ") and frozen == "frozen True"
 
     def test_main_does_not_freeze(self, cli):
         result = cli(["identities", "--q", "2", "--tmax", "2"])
@@ -1060,11 +1063,112 @@ class TestGoldenFiles:
         assert report_bytes(result.output) == (GOLDEN / f"mds_{name}_report.json").read_bytes()
 
 
+def report_cases(tmp_path):
+    """Per case: MODCODE_BUDGET, an argv that reports and its code, an argv that raises and its code.
+
+    Every case but forge reads the forged (2, 1, 2) pair at lam.json and mu.json.
+    """
+    lam, mu, missing = (str(tmp_path / name) for name in ("lam.json", "mu.json", "missing.json"))
+    forge = ["forge", "--q", "2", "--m", "1", "--k", "2", "--out-lambda", lam]
+    return {
+        "forge": (None, [*forge, "--out-mu", mu], 0, [*forge, "--out-mu", lam], 4),
+        "check": (None, ["check", "--lambda", lam, "--mu", mu, "--oracle"], 0,
+                  ["check", "--lambda", lam, "--mu", missing], 4),
+        "minlen": (None, ["minlen", "--q", "2", "--m", "1"], 0, ["minlen", "--q", "4", "--m", "1"], 4),
+        "mds": (None, ["mds", "--code", lam, "--scan"], 0, ["mds", "--code", missing], 4),
+        "identities": (None, ["identities", "--q", "3", "--tmax", "4"], 0,
+                       ["identities", "--q", "4", "--tmax", "2"], 4),
+        # The budget stops the search, which still reports; it refuses the lattice of F_2^20001.
+        "minlen-budget": ("1000", ["minlen", "--q", "2", "--m", "1", "--t", "3", "--bound", "4"], 3,
+                          ["minlen", "--q", "2", "--m", "20000", "--bound", "5"], 3),
+    }
+
+
+@pytest.fixture
+def int_digit_limit():
+    """CPython's default int-to-str digit limit, set for the test and restored after it.
+
+    Yields 0 on an interpreter without the limit (before 3.10.7).
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield 0
+        return
+    caller = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(caller)
+
+
+# The SHA-256 of each (3, 3, 4) census report, without "seconds", as json.dumps writes it.
+CENSUS_3_3_4 = {
+    "lambda": "f789e080b2fdf18b6a606f17af0d7cd4adee9c3b7de4215cd72dd2e872d941d4",
+    "mu": "8c6bcf59e359084d4d8d99d323ac3279e7a35db5c9b346bdf26df6618e39910d",
+}
+
+
+class TestReports:
+    @pytest.mark.parametrize("case", ["forge", "check", "minlen", "mds", "identities",
+                                      "minlen-budget"])
+    def test_main_prints_every_report(self, cli, tmp_path, monkeypatch, case):
+        """A report runs from "command" to "seconds", and its text form has the same keys.
+
+        A command that returns a nonzero code still reports; one that raises
+        prints its error alone.
+        """
+        cases = report_cases(tmp_path)
+        assert cli(cases["forge"][1]).exit_code == 0
+        budget, argv, code, raising, raised = cases[case]
+        if budget is not None:
+            monkeypatch.setenv("MODCODE_BUDGET", budget)
+        result = cli([*argv, "--json"])
+        assert result.exit_code == code, result.output
+        report = json.loads(result.output)
+        keys = list(report)
+        assert keys[0] == "command" and keys[-1] == "seconds" and report["command"] == argv[0]
+        text = cli(argv)
+        assert text.exit_code == code
+        assert [line.split(": ", 1)[0] for line in text.output.splitlines()] == keys[1:]
+        failure = cli(raising)
+        assert failure.exit_code == raised
+        assert failure.output.startswith("error: ")
+
+    def test_census_of_a_long_code_prints_exactly(self, cli, tmp_path, int_digit_limit):
+        """The (3, 3, 4) census counts have 7,991 digits, over CPython's int-to-str limit.
+
+        main prints them exactly and leaves the caller's limit as it was; the
+        reader lifts its own limit to parse them.
+        """
+        paths = {side: str(tmp_path / f"{side}.json") for side in CENSUS_3_3_4}
+        result = cli(["forge", "--q", "3", "--m", "3", "--k", "4",
+                      "--out-lambda", paths["lambda"], "--out-mu", paths["mu"]])
+        assert result.exit_code == 0
+        outputs = {}
+        for side, path in paths.items():
+            result = cli(["mds", "--code", path, "--scan", "--json"])
+            assert result.exit_code == 0, result.output[:200]
+            assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == int_digit_limit
+            outputs[side] = result.output
+        if int_digit_limit:
+            sys.set_int_max_str_digits(0)
+        reports = {side: json.loads(output) for side, output in outputs.items()}
+        for side, report in reports.items():
+            del report["seconds"]
+            assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == CENSUS_3_3_4[side]
+        lam, mu = reports["lambda"], reports["mu"]
+        total = str(lam["isometries"])
+        assert len(total) == 7991 and total.startswith("100193087986")
+        # Each side's unextendable images are the other side's own class.
+        assert lam["isometries"] == mu["isometries"]
+        assert lam["unextendable"] == mu["isometries"] - mu["unextendable"]
+        assert mu["unextendable"] == lam["isometries"] - lam["unextendable"]
+
+
 class TestIdentitiesCommand:
     def test_q2_tmax8(self, cli):
         result = cli(["identities", "--q", "2", "--tmax", "8"])
         assert result.exit_code == 0
-        assert result.output.count("pass") == 8
+        results = ", ".join(f"{t}: True" for t in range(1, 9))
+        assert result.output.splitlines()[:3] == ["q: 2", f"results: {{{results}}}", "all_pass: True"]
 
     def test_json_report(self, cli):
         result = cli(["identities", "--q", "5", "--tmax", "4", "--json"])
