@@ -22,8 +22,8 @@ is kept as the census's reference.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
-from math import factorial, prod
+from itertools import accumulate, chain
+from math import comb, prod
 from operator import add, sub
 
 from . import budget
@@ -158,13 +158,15 @@ def isometry_census(code: Code) -> IsometryCensus:
     over the candidates in order of decreasing dimension, from base y_code,
     its nodes charged to the vector budget.
 
-    Class y stands for n!/prod y_S! * prod N_S^y_S tuples, where
+    Class y stands for prod_i C(y_1 + ... + y_i, y_i) * prod_S N_S^y_S
+    tuples: the binomials, over the candidates in order, multiply out to the
+    multinomial n!/prod y_S! without building n!, and
     N_S = prod_{i < codim S} (q^k - q^i) counts the t x k matrices with row
     kernel S.  One ``balanced_rows`` call re-decides every class against the
     code, and a class it rejects raises NotAnIsometryError.
     """
     sp = code.space
-    q, t, k, n = sp.q, sp.t, code.alphabet.k, code.length
+    q, t, k = sp.q, sp.t, code.alphabet.k
     candidates = [S for d in reversed(range(t - min(k, t), t + 1))
                   for S in enumerate_subspaces(q, t, d)]
     kernels, ids = number_row_kernels(code.generators, q, t)
@@ -181,12 +183,7 @@ def isometry_census(code: Code) -> IsometryCensus:
         if not ok:
             raise NotAnIsometryError(f"the kernel-count criterion rejects census class {i}")
     with_kernel = [prod(q**k - q**i for i in range(t - S.dim)) for S in candidates]
-    counts = []
-    for c in classes:
-        count = factorial(n)
-        for v, N in zip(c, with_kernel):
-            count = count // factorial(v) * N**v
-        counts.append(count)
+    counts = [prod(map(comb, accumulate(c), c)) * prod(map(pow, with_kernel, c)) for c in classes]
     return IsometryCensus(tuple(candidates), tuple(classes), tuple(counts),
                           classes.index(own))
 

@@ -132,3 +132,15 @@ def code_of_kernels(V) -> Code:
     sp = V[0].space
     return Code(Alphabet(sp.q, sp.m, sp.t), sp,
                 kernel_generators(sp, [K.support for K in V], sp.t))
+
+
+def regulus_code(q: int) -> Code:
+    """The code over M_{1x2}(F_q), t = 4, whose column kernels are the q + 1 lines of a regulus.
+
+    They are L_inf = <e3, e4> and L_a = <e1 + a e3, e2 + a e4> for a in F_q,
+    pairwise skew, so the code is MDS with kappa = 2.
+    """
+    lines = [span([(0, 0, 1, 0), (0, 0, 0, 1)], q)]
+    lines += [span([(1, 0, a, 0), (0, 1, 0, a)], q) for a in range(q)]
+    space = ModuleSpace(q, 1, 4)
+    return Code(Alphabet(q, 1, 2), space, kernel_generators(space, lines, 2))

@@ -3,19 +3,21 @@
 Nothing in the package uses them: each states a fact directly, so that a
 test can check the package's machinery against it.  They include the
 covering route to a nontrivial solution, inclusion-exclusion over the
-hyperplanes of a non-cyclic submodule, and the per-generator encoding of a
-code file.
+hyperplanes of a non-cyclic submodule, the per-generator encoding of a
+code file, and the census counts by the direct multinomial formula.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from math import factorial, prod
 from operator import mul
 
 from modcode.codes import Code, Submodule, Unextendable, module_elements
 from modcode.errors import DimensionMismatchError, ModcodeError
 from modcode.linalg import (Subspace, as_matrix, check_subspace_of, contains, enumerate_subspaces,
                             gaussian_binomial, mat_mul, subspace_lattice)
+from modcode.mds import IsometryCensus
 
 from conftest import span
 
@@ -63,6 +65,22 @@ def code_to_dict(code: Code) -> dict:
         "t": code.space.t,
         "generators": [[list(row) for row in G] for G in code.generators],
     }
+
+
+def census_counts(code: Code, census: IsometryCensus) -> tuple[int, ...]:
+    """Generator tuples of each census class, n!/prod y_S! * prod N_S^y_S, one candidate at a time.
+
+    N_S = prod_{i < codim S} (q^k - q^i) counts the t x k matrices with row kernel S.
+    """
+    q, t, k, n = code.space.q, code.space.t, code.alphabet.k, code.length
+    with_kernel = [prod(q**k - q**i for i in range(t - S.dim)) for S in census.supports]
+    counts = []
+    for c in census.classes:
+        count = factorial(n)
+        for v, N in zip(c, with_kernel):
+            count = count // factorial(v) * N**v
+        counts.append(count)
+    return tuple(counts)
 
 
 def intersect(S: Subspace, T: Subspace) -> Subspace:

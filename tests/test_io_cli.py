@@ -21,6 +21,7 @@ from modcode.errors import DimensionMismatchError
 from modcode.linalg import (Record, Subspace, SubspaceLattice, gaussian_binomial, is_prime,
                             matrix_rank)
 
+from conftest import regulus_code
 from references import code_to_dict
 
 
@@ -410,6 +411,16 @@ class TestMdsCommand:
         assert result.exit_code == 0, result.output
         assert json.loads(report_bytes(result.output)) == {
             "command": "mds", "n": 3, "d": 2, "kappa": 2, "is_mds": True, "witnesses": None}
+
+    def test_regulus_scan_reports_no_violation(self, cli, tmp_path):
+        # Half of its isometries do not extend, but kappa = 2 is outside the theorem.
+        path = tmp_path / "regulus3.json"
+        save_code(regulus_code(3), path)
+        result = cli(["mds", "--code", str(path), "--scan", "--json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(report_bytes(result.output)) == {
+            "command": "mds", "n": 4, "d": 3, "kappa": 2, "is_mds": True, "witnesses": None,
+            "isometries": 254_803_968, "unextendable": 127_401_984}
 
     def test_non_injective_code_exit_2(self, cli, tmp_path):
         path = tmp_path / "zero.json"

@@ -35,9 +35,11 @@ from modcode import (
 from modcode import codes, mds
 from modcode.codes import codeword_weights, module_elements
 from modcode.forge import kernel_generators
-from modcode.linalg import SubspaceLattice, matrix_rank, number_row_kernels, row_kernel
+from modcode.linalg import (SubspaceLattice, enumerate_subspaces, matrix_rank, number_row_kernels,
+                            row_kernel)
 
-from conftest import random_code, random_monomial, span
+from conftest import random_code, random_monomial, regulus_code, span
+from references import census_counts
 
 
 def repetition_code(q=2, n=3):
@@ -508,6 +510,50 @@ class TestIsometryCensus:
             # 256^3 candidate tuples, over the scan's default budget.
             monkeypatch.setenv("MODCODE_BUDGET", str(2**24))
             assert census_classes(census) == scan_classes(code, census.supports)
+
+    @pytest.mark.parametrize("q, m, k", [(2, 4, 5), (3, 3, 4)])
+    def test_counts_match_the_direct_formula_on_forged_codes(self, q, m, k):
+        for code in minimal_counterexample(q, m, k):
+            census = isometry_census(code)
+            assert len(census.classes) == 2
+            assert census.counts == census_counts(code, census)
+
+    @pytest.mark.parametrize("q, isometries, unextendable", [
+        (3, 254_803_968, 127_401_984),
+        (5, 17_612_050_268_160_000_000, 8_806_025_134_080_000_000),
+    ])
+    def test_regulus_codes(self, q, isometries, unextendable):
+        # A regulus switches to its opposite regulus, which covers the same points:
+        # a second class, allowed because kappa = 2 is outside the theorem.
+        code = regulus_code(q)
+        report = is_mds(code)
+        assert report.is_mds and report.kappa == 2
+        census = isometry_census(code)
+        assert len(census.classes) == 2
+        assert (census.isometries, census.unextendable) == (isometries, unextendable)
+        assert census.counts == census_counts(code, census)
+
+    def test_partial_spreads_of_pg_3_2(self):
+        # Every set of n >= 2 pairwise skew lines of PG(3, 2) is the kernel set of a kappa = 2
+        # MDS code, and every 3 skew lines there form a regulus: a second class iff n >= 3.
+        lines = enumerate_subspaces(2, 4, 2)
+        space, alphabet = ModuleSpace(2, 1, 4), Alphabet(2, 1, 2)
+
+        def skew_sets(chosen, start):
+            for j in range(start, len(lines)):
+                if not any(lines[i].points & lines[j].points for i in chosen):
+                    yield chosen + (j,)
+                    yield from skew_sets(chosen + (j,), j + 1)
+
+        tally = Counter()
+        for chosen in skew_sets((), 0):
+            if len(chosen) >= 2:
+                code = Code(alphabet, space, kernel_generators(space, [lines[i] for i in chosen], 2))
+                report = is_mds(code)
+                classes = len(isometry_census(code).classes)
+                tally[len(chosen), report.is_mds, report.kappa, classes > 1] += 1
+        assert tally == {(2, True, 2, False): 280, (3, True, 2, True): 560,
+                         (4, True, 2, True): 280, (5, True, 2, True): 56}
 
     def test_representatives_are_the_unextendable_classes(self):
         lam = minimal_counterexample(2, 1, 2)[0]
