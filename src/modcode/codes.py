@@ -28,11 +28,11 @@ from .linalg import (
     mat_mul,
     matrix_rank,
     number_row_kernels,
+    projective_points,
     row_kernel,
     rref,
     subspace_lattice,
     supports_at_points,
-    vector_points,
 )
 
 
@@ -62,8 +62,10 @@ class MatrixModule(Record):
         # The bound first: trial division of a huge modulus would not end.
         _check_exact(q, m, n)
         check_prime(q)
-        if m < 1 or n < self.least:
-            raise ValueError(f"need m >= 1 and {self._fields[2]} >= {self.least}")
+        if m < 1:
+            raise ValueError(f"need m >= 1, got {m}")
+        if n < self.least:
+            raise ValueError(f"need {self._fields[2]} >= {self.least}, got {n}")
 
 
 class Alphabet(MatrixModule):
@@ -193,7 +195,9 @@ def kernel_tuple(code: Code) -> tuple[Submodule, ...]:
 
 
 def kernel_support_multiset(code: Code) -> Counter:
-    return Counter(K.support for K in kernel_tuple(code))
+    """The multiset of a code's column kernels, as a Counter of their supports."""
+    supports, ids = number_row_kernels(code.generators, code.space.q, code.space.t)
+    return Counter({supports[j]: count for j, count in Counter(ids).items()})
 
 
 def _check_module_elements(q: int, m: int, t: int) -> None:
@@ -219,12 +223,20 @@ def vanishing_columns(space: ModuleSpace, supports, ids) -> list[int]:
     columns whose kernel holds the vector v, read off the kernels' point
     bitsets, the columns vanishing at X are the AND of killed(x_i) over its
     rows.  The rows are folded in by m list products.
+
+    killed(v) is listed in ``itertools.product`` order of v.  Every nonzero
+    v is a p for exactly one point p and one nonzero a, so p's bitset goes
+    at the number of a p; the zero vector lies in every kernel.
     """
     q, m, t = space.q, space.m, space.t
     _check_module_elements(q, m, t)
     at_point = supports_at_points(q, t, [supports[j] for j in ids])
     every = (1 << len(ids)) - 1
-    killed_by = [every if p < 0 else at_point[p] for p in vector_points(q, t)]
+    place = [q ** (t - 1 - i) for i in range(t)]
+    killed_by = [every] * q**t
+    for p, bits in zip(projective_points(q, t), at_point):
+        for a in range(1, q):
+            killed_by[sum(a * x % q * w for x, w in zip(p, place))] = bits
     killed = [every]
     for _ in range(m):
         killed = [a & b for a in killed for b in killed_by]

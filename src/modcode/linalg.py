@@ -14,7 +14,7 @@ bitset, so containment is one AND.  All arithmetic is exact.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
+from functools import reduce
 from math import inf
 from operator import and_, index, mul
 
@@ -330,27 +330,12 @@ def orthogonal(S: Subspace) -> Subspace:
 
 @budget.cached
 def projective_points(q: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """The normalized vectors of the points of PG(t-1, q), in point order."""
-    budget.check_subspaces(lambda: gaussian_binomial(t, 1, q), "points of a projective space",
-                           power=(q, t - 1))
-    return tuple(
-        (0,) * (t - 1 - r) + (1,) + tail
-        for r in range(t)
-        for tail in itertools.product(range(q), repeat=r)
-    )
+    """The normalized vectors of the points of PG(t-1, q), in point order.
 
-
-@lru_cache(maxsize=budget.CACHE_ENTRIES)
-def vector_points(q: int, t: int) -> tuple[int, ...]:
-    """The point of each vector of F_q^t in ``itertools.product`` order; -1 for zero.
-
-    Callers charge the q^t vectors to the vector budget first.
+    A point is a line of F_q^t, and its vector is the line's RREF basis row,
+    so the points are read off :func:`enumerate_subspaces`, which charges them.
     """
-    out = []
-    for v in itertools.product(range(q), repeat=t):
-        lead = next((x for x in v if x), 0)
-        out.append(point_index([x * pow(lead, -1, q) % q for x in v], q) if lead else -1)
-    return tuple(out)
+    return tuple(L.basis[0] for L in enumerate_subspaces(q, t, 1)) if t else ()
 
 
 def number_row_kernels(matrices, q: int, rows: int) -> tuple[list[Subspace], list[int]]:
@@ -458,14 +443,14 @@ def enumerate_subspaces(q: int, t: int, d: int) -> tuple[Subspace, ...]:
         return (Subspace.zero(q, t),)
     out = []
     for pivots in itertools.combinations(range(t), d):
-        free_positions = [
-            (r, c) for r in range(d) for c in range(pivots[r] + 1, t) if c not in pivots
+        # The RREF rows with pivot p are free after p outside the pivots; a
+        # basis picks one row per pivot.
+        rows = [
+            list(itertools.product(*(range(q) if c > p and c not in pivots else (int(c == p),)
+                                     for c in range(t))))
+            for p in pivots
         ]
-        for values in itertools.product(range(q), repeat=len(free_positions)):
-            M = [[int(c == p) for c in range(t)] for p in pivots]
-            for (r, c), v in zip(free_positions, values):
-                M[r][c] = v
-            out.append(Subspace._unchecked(q, t, tuple(map(tuple, M))))
+        out.extend(Subspace._unchecked(q, t, basis) for basis in itertools.product(*rows))
     out.sort(key=Subspace.sort_key)
     assert len(out) == gaussian_binomial(t, d, q)
     return tuple(out)

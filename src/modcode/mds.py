@@ -32,10 +32,10 @@ from .codes import (
     Unextendable,
     codeword_weights,
     extend_to_monomial,
-    # Not called here, but the traced replay in bench/traced.py probes them
+    # Not called here, but the traced replay in bench/traced.py probes it
     # under this module's name.
     is_isometry_criterion,  # noqa: F401
-    kernel_support_multiset,  # noqa: F401
+    kernel_support_multiset,
     module_elements,
     support_difference,
     vanishing_columns,
@@ -158,6 +158,19 @@ def isometry_census(code: Code) -> IsometryCensus:
     over the candidates in order of decreasing dimension, from base y_code,
     its nodes charged to the vector budget.
 
+    Only candidates inside the union U of the code's own kernels carry
+    weight.  With b = Z y_code, a lattice row R with b_R = 0 reads
+    sum_{S >= R} y_S = 0, and as y >= 0 it forces y_S = 0 for every
+    candidate S containing R.  A candidate that holds a point p outside U
+    contains the row R = p, and b_R = 0 as no kernel of the code holds p.
+
+    At kappa = 2 the census can have a second class.  Over M_{1x2}(F_q),
+    t = 4, the kernels of an MDS code with kappa = 2 are pairwise skew lines
+    of PG(3, q).  When they contain a regulus, replace it by its opposite
+    regulus: both cover the same points, each point once, so every point,
+    and with it every codeword weight, keeps its count of kernels, while
+    the kernel multiset changes.  That image is an unextendable isometry.
+
     Class y stands for prod_i C(y_1 + ... + y_i, y_i) * prod_S N_S^y_S
     tuples: the binomials, over the candidates in order, multiply out to the
     multinomial n!/prod y_S! without building n!, and
@@ -169,8 +182,7 @@ def isometry_census(code: Code) -> IsometryCensus:
     q, t, k = sp.q, sp.t, code.alphabet.k
     candidates = [S for d in reversed(range(t - min(k, t), t + 1))
                   for S in enumerate_subspaces(q, t, d)]
-    kernels, ids = number_row_kernels(code.generators, q, t)
-    columns = Counter(kernels[i] for i in ids)
+    columns = kernel_support_multiset(code)
     own = [columns[S] for S in candidates]
     classes = []
     nodes, exhausted = integer_points(sp.lattice.containment(candidates), own,

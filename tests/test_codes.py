@@ -28,7 +28,8 @@ from modcode import (
     verify_dual_equation,
 )
 from modcode import codes, save_code
-from modcode.codes import codeword_weights, module_elements, transport_automorphisms
+from modcode.codes import (codeword_weights, kernel_support_multiset, module_elements,
+                           transport_automorphisms)
 from modcode.errors import DimensionMismatchError, ModcodeError
 from modcode.io import code_from_dict
 from modcode.linalg import is_prime, matrix_rank, row_kernel
@@ -101,6 +102,13 @@ class TestKernelTuple:
         assert supports == set(
             span(v, 2) for v in ([[1, 0]], [[0, 1]], [[1, 1]])
         )
+
+    @pytest.mark.parametrize("q, m, k", [(3, 3, 4), (2, 4, 5)])
+    def test_support_multiset_counts_the_kernel_tuple(self, q, m, k):
+        for code in minimal_counterexample(q, m, k):
+            multiset = kernel_support_multiset(code)
+            assert multiset == Counter(K.support for K in kernel_tuple(code))
+            assert sum(multiset.values()) == code.length
 
 
 class TestModuleElements:

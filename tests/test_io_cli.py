@@ -541,6 +541,22 @@ class TestExitCodes:
         assert result.exit_code == 4
         assert result.output.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["forge", "--q", "2", "--m", "0", "--k", "3"], "need m >= 1, got 0"),
+            (["minlen", "--q", "2", "--m", "0", "--t", "2"], "need m >= 1, got 0"),
+            (["minlen", "--q", "2", "--m", "1", "--t", "-1"], "need t >= 0, got -1"),
+        ],
+        ids=["forge-m0", "minlen-m0", "minlen-t-negative"],
+    )
+    def test_names_the_parameter_that_failed(self, cli, tmp_path, argv, message):
+        if argv[0] == "forge":
+            argv = [*argv, "--out-lambda", str(tmp_path / "l"), "--out-mu", str(tmp_path / "m")]
+        result = cli(argv)
+        assert result.exit_code == 4
+        assert result.output == f"error: {message}\n"
+
     def test_first_matching_class_wins(self):
         from modcode.cli import EXIT_CODES
         from modcode.errors import EnumerationBudgetError, ModcodeError
@@ -767,6 +783,21 @@ class TestOneRecordType:
         assert S._fields == ("q", "ambient", "basis") and S._points is None
         assert S.points == 0b100 and S._points == 0b100
         assert S == Subspace(2, 2, ((1, 1),)) and hash(S) == hash(Subspace(2, 2, ((1, 1),)))
+
+
+class TestOneCacheConvention:
+    def test_only_budget_imports_lru_cache(self):
+        """Every cache is a budget.cached one, keyed on MODCODE_BUDGET."""
+        root = Path(modcode.__file__).resolve().parent
+        importers = sorted(
+            path.stem
+            for path in root.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.module == "functools"
+            and any(alias.name == "lru_cache" for alias in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+        )
+        assert importers == ["budget"]
 
 
 def python(*args, timeout=None):
@@ -1236,7 +1267,7 @@ class TestBudgetEnv:
         monkeypatch.setenv("MODCODE_BUDGET", "12")
         result = cli(["mds", "--code", str(path)])
         assert result.exit_code == 3
-        assert "points of a projective space needs 13 subspaces, budget is 12" in result.output
+        assert "subspace enumeration needs 13 subspaces, budget is 12" in result.output
         monkeypatch.setenv("MODCODE_BUDGET", "13")
         result = cli(["mds", "--code", str(path), "--json"])
         assert result.exit_code == 0

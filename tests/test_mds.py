@@ -33,7 +33,7 @@ from modcode import (
     minimal_counterexample,
 )
 from modcode import codes, mds
-from modcode.codes import codeword_weights, module_elements
+from modcode.codes import codeword_weights, kernel_support_multiset, module_elements
 from modcode.forge import kernel_generators
 from modcode.linalg import (SubspaceLattice, enumerate_subspaces, matrix_rank, number_row_kernels,
                             row_kernel)
@@ -51,6 +51,20 @@ def parity_code(t, q=2):
     cols = [np.eye(t, dtype=int)[:, [i]] for i in range(t)]
     cols.append(np.ones((t, 1), dtype=int))
     return Code(Alphabet(q, 1, 1), ModuleSpace(q, 1, t), cols)
+
+
+def spread_code(n):
+    """A code of M_{1x2}(F_2) whose kernels are n lines of a spread of PG(3, 2).
+
+    The lines are taken greedily in their canonical order, each skew to those
+    before it, and the first five cover every point.
+    """
+    lines = []
+    for L in enumerate_subspaces(2, 4, 2):
+        if not any(L.points & K.points for K in lines):
+            lines.append(L)
+    space = ModuleSpace(2, 1, 4)
+    return Code(Alphabet(2, 1, 2), space, kernel_generators(space, lines[:n], 2))
 
 
 def reference_scan(code):
@@ -554,6 +568,26 @@ class TestIsometryCensus:
                 tally[len(chosen), report.is_mds, report.kappa, classes > 1] += 1
         assert tally == {(2, True, 2, False): 280, (3, True, 2, True): 560,
                          (4, True, 2, True): 280, (5, True, 2, True): 56}
+
+    @pytest.mark.parametrize("make, outside", [
+        (lambda: spread_code(3), 45), (lambda: spread_code(4), 35), (lambda: regulus_code(3), 163),
+        (lambda: parity_code(3), 4), (lambda: parity_code(3, q=3), 10),
+        (lambda: parity_code(3, q=5), 28),
+        # The forged kernels cover every point, so no candidate lies outside their union.
+        *((lambda q=q, m=m, k=k, side=side: minimal_counterexample(q, m, k)[side], 0)
+          for q, m, k in [(2, 4, 5), (3, 3, 4)] for side in (0, 1)),
+    ], ids=["spread3", "spread4", "regulus3", "parity2", "parity3", "parity5",
+            "lam245", "mu245", "lam334", "mu334"])
+    def test_classes_vanish_outside_the_kernel_union(self, make, outside):
+        # A candidate holding a point that no kernel of the code holds is zero in every class.
+        code = make()
+        census = isometry_census(code)
+        union = 0
+        for K in kernel_support_multiset(code):
+            union |= K.points
+        beyond = [j for j, S in enumerate(census.supports) if S.points & ~union]
+        assert len(beyond) == outside
+        assert all(y[j] == 0 for y in census.classes for j in beyond)
 
     def test_representatives_are_the_unextendable_classes(self):
         lam = minimal_counterexample(2, 1, 2)[0]
